@@ -31,12 +31,10 @@ from .mog import (
 from .energy_net import (
     EnergyMlp,
     ParamGradient,
-    load_mlp,
     mlp_energy,
     mlp_grad_input,
     mlp_grad_params,
     mlp_init,
-    save_mlp,
 )
 from .sgld import SgldDivergenceError, SgldSchedule, schedule_at, sgld_init, sgld_sample
 from .trainer import (

@@ -33,7 +33,7 @@ from .mog import (
     mahalanobis_ood_score,
     save_mixture,
 )
-from .sgld import SgldDivergenceError, SgldSchedule
+from .sgld import SgldDivergenceError
 from .tensorio import load_tensor, write_tensor
 from .toy import GridEvaluationError, ToySpec, energy_grid, gen_toy, save_grid_csv, \
     save_grid_tensor
@@ -66,13 +66,17 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(primary_out, command: str, config: dict, inputs: list,
-                    artifacts: list, seed, started: float) -> None:
+def _write_manifest(args, primary_out, inputs: list, artifacts: list, started: float,
+                    resolved: dict | None = None) -> None:
+    """Record the parsed arguments as ``config``, with ``resolved`` filling in
+    values the command derived from them (such as a training preset's)."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "config", "func")}
+    config.update(resolved or {})
     manifest = {
         "schema": SCHEMA,
-        "command": command,
+        "command": args.command,
         "config": config,
-        "seed": seed,
+        "seed": config.get("seed"),
         "inputs": {str(p): _sha256(p) for p in inputs},
         "artifacts": [str(a) for a in artifacts],
         "started": started,
@@ -98,31 +102,44 @@ def _load_config_file(path) -> dict:
     return values
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> list:
-    """Pre-scan for --config and install its values as parser defaults."""
+def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> None:
+    """Pre-scan for --config and install its values as parser defaults.
+
+    A key that names no option of the subcommand is a usage error, and a
+    required option the file supplies need not be repeated as a flag. A
+    repeatable option takes space-separated values, which its flags extend.
+    """
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     if known.config is None:
-        return argv
+        return
     raw = _load_config_file(known.config)
+    actions = {action.dest: action for action in parser._actions}
+    unknown = [key for key in raw if key not in actions]
+    if unknown:
+        raise UsageError(f"{known.config}: no option of {parser.prog} matches "
+                         f"config key(s) {', '.join(unknown)}")
     defaults = {}
-    for action in parser._actions:
-        if action.dest in raw:
-            value = raw[action.dest]
-            if action.nargs in (2, 4):
-                parsed = [action.type(v) for v in value.split()]
-                if len(parsed) != action.nargs:
-                    raise UsageError(f"config key {action.dest} needs {action.nargs} values")
-                defaults[action.dest] = parsed
-            elif isinstance(value, str) and action.const is True:  # store_true flag
-                defaults[action.dest] = value.lower() in ("1", "true", "yes")
-            elif action.type is not None:
-                defaults[action.dest] = action.type(value)
-            else:
-                defaults[action.dest] = value
+    for key, value in raw.items():
+        action = actions[key]
+        if action.nargs in (2, 4):
+            parsed = [action.type(v) for v in value.split()]
+            if len(parsed) != action.nargs:
+                raise UsageError(f"config key {key} needs {action.nargs} values")
+        elif isinstance(action, argparse._AppendAction):  # repeatable flag
+            parsed = [v if action.type is None else action.type(v) for v in value.split()]
+        elif action.const is True:  # store_true flag
+            parsed = value.lower() in ("1", "true", "yes")
+        elif action.type is not None:
+            parsed = action.type(value)
+        else:
+            parsed = value
+        if action.choices is not None and parsed not in action.choices:
+            raise UsageError(f"config key {key}: {value!r} is not one of {list(action.choices)}")
+        defaults[key] = parsed
+        action.required = False
     parser.set_defaults(**defaults)
-    return argv
 
 
 def cmd_toy(args) -> int:
@@ -137,14 +154,7 @@ def cmd_toy(args) -> int:
     )
     fs = gen_toy(spec)
     save_feature_set(fs, args.out_features, args.out_labels)
-    _write_manifest(
-        args.out_features, "toy",
-        {"kind": spec.kind, "samples_per_class": spec.samples_per_class,
-         "arm_length": spec.arm_length, "thickness": spec.arm_thickness,
-         "pitch": spec.grid_pitch, "out_features": str(args.out_features),
-         "out_labels": str(args.out_labels)},
-        [], [args.out_features, args.out_labels], args.seed, started,
-    )
+    _write_manifest(args, args.out_features, [], [args.out_features, args.out_labels], started)
     return 0
 
 
@@ -155,43 +165,33 @@ def cmd_fit_mog(args) -> int:
         fs = normalize_features(fs)
     gm = fit_mog(fs, shrinkage=args.shrinkage, temperature=args.temperature)
     save_mixture(args.out, gm)
-    _write_manifest(
-        args.out, "fit-mog",
-        {"features": str(args.features), "labels": str(args.labels),
-         "shrinkage": args.shrinkage, "temperature": args.temperature,
-         "normalize": bool(args.normalize), "num_classes": args.num_classes,
-         "out": str(args.out)},
-        [args.features, args.labels], [args.out], args.seed, started,
-    )
+    _write_manifest(args, args.out, [args.features, args.labels], [args.out], started)
     return 0
+
+
+# train flags that override one TrainConfig field each, and the SgldSchedule fields
+TRAIN_FIELDS = ("epochs", "batch_size", "learning_rate", "l2_coeff", "input_noise_std",
+                "hidden_dim", "num_hidden", "net_temperature", "activation")
+SGLD_FIELDS = {"sgld_steps": "steps", "sgld_step_size": "step_size", "sgld_noise": "noise_scale"}
 
 
 def _train_config(args):
     toy = args.preset == "toy"
     cfg = ebm_defaults(toy=toy, seed=args.seed) if args.ebm \
         else correction_defaults(toy=toy, seed=args.seed)
-    overrides = {}
-    for key in ("epochs", "batch_size", "learning_rate", "l2_coeff",
-                "input_noise_std", "hidden_dim", "num_hidden",
-                "net_temperature", "activation"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    sgld_kw = {}
-    if args.sgld_steps is not None:
-        sgld_kw["steps"] = args.sgld_steps
-    if args.sgld_step_size is not None:
-        sgld_kw["step_size"] = tuple(args.sgld_step_size)
-    if args.sgld_noise is not None:
-        sgld_kw["noise_scale"] = tuple(args.sgld_noise)
-    if sgld_kw:
-        base = cfg.sgld
-        overrides["sgld"] = SgldSchedule(
-            sgld_kw.get("steps", base.steps),
-            sgld_kw.get("step_size", base.step_size),
-            sgld_kw.get("noise_scale", base.noise_scale),
-        )
+    overrides = {k: getattr(args, k) for k in TRAIN_FIELDS if getattr(args, k) is not None}
+    sgld = {field: tuple(v) if isinstance(v, list) else v
+            for flag, field in SGLD_FIELDS.items() if (v := getattr(args, flag)) is not None}
+    if sgld:
+        overrides["sgld"] = replace(cfg.sgld, **sgld)
     return replace(cfg, **overrides) if overrides else cfg
+
+
+def _train_flags(cfg) -> dict:
+    """The train flag values that reproduce ``cfg`` whatever the preset."""
+    flags = {k: getattr(cfg, k) for k in TRAIN_FIELDS}
+    flags.update({flag: getattr(cfg.sgld, field) for flag, field in SGLD_FIELDS.items()})
+    return flags
 
 
 def cmd_train(args) -> int:
@@ -213,24 +213,32 @@ def cmd_train(args) -> int:
         inputs.append(args.mog)
         model, _ = train_correction(fs, gm, cfg, log_path=args.log)
         save_correction(args.out, model)
-    config = {
-        "features": str(args.features), "labels": str(args.labels),
-        "mog": None if args.mog is None else str(args.mog),
-        "ebm": bool(args.ebm), "normalize": bool(args.normalize),
-        "preset": args.preset, "out": str(args.out),
-        "log": None if args.log is None else str(args.log),
-        "epochs": cfg.epochs, "batch_size": cfg.batch_size,
-        "learning_rate": cfg.learning_rate, "l2_coeff": cfg.l2_coeff,
-        "input_noise_std": cfg.input_noise_std,
-        "sgld_steps": cfg.sgld.steps,
-        "sgld_step_size": list(cfg.sgld.step_size),
-        "sgld_noise": list(cfg.sgld.noise_scale),
-        "hidden_dim": cfg.hidden_dim, "num_hidden": cfg.num_hidden,
-        "net_temperature": cfg.net_temperature, "activation": cfg.activation,
-    }
     artifacts = [args.out] + ([args.log] if args.log else [])
-    _write_manifest(args.out, "train", config, inputs, artifacts, cfg.seed, started)
+    _write_manifest(args, args.out, inputs, artifacts, started, _train_flags(cfg))
     return 0
+
+
+# archive kind (as load_model names it) and batched scorer of each model-based detector
+MODEL_SCORERS = {
+    "correction": ("correction", detectors.score_correction),
+    "ebm": ("ebm", lambda payload, z: detectors.score_ebm(payload[0], z, payload[1])),
+    "gaussian-energy": ("mog", gaussian_energy),
+    "mahalanobis": ("mog", mahalanobis_ood_score),
+}
+
+
+def _model_scorer(path, detector: str):
+    """Load ``path`` and return its batched scoring function for ``detector``.
+
+    ``auto`` picks the archive's own detector, the mixture energy for a mixture.
+    """
+    kind, payload = load_model(path)
+    if detector == "auto":
+        detector = "gaussian-energy" if kind == "mog" else kind
+    needed, scorer = MODEL_SCORERS[detector]
+    if needed != kind:
+        raise UsageError(f"{path} holds a {kind} model, which detector {detector} cannot score")
+    return lambda z: scorer(payload, z)
 
 
 def _score_features(args) -> np.ndarray:
@@ -251,17 +259,7 @@ def _score_features(args) -> np.ndarray:
         return detectors.score_knn(train, x, args.k)
     if args.model is None:
         raise UsageError(f"detector {args.detector} needs --model")
-    if args.detector == "mahalanobis":
-        return mahalanobis_ood_score(load_mixture(args.model), x)
-    kind, payload = load_model(args.model)
-    if args.detector == "correction":
-        if kind != "correction":
-            raise UsageError(f"{args.model} holds a {kind} model, not a correction model")
-        return detectors.score_correction(payload, x)
-    if kind != "ebm":
-        raise UsageError(f"{args.model} holds a {kind} model, not an EBM")
-    net, temperature = payload
-    return detectors.score_ebm(net, x, temperature)
+    return _model_scorer(args.model, args.detector)(x)
 
 
 def _score_logits(args) -> np.ndarray:
@@ -293,25 +291,17 @@ def cmd_score(args) -> int:
         if args.train_features is not None:
             inputs.append(args.train_features)
     write_tensor(args.out, np.asarray(scores, dtype=np.float32))
-    params = {"k": args.k, "temperature": args.temperature,
-              "normalize": bool(args.normalize)}
     sidecar = {
         "schema": SCHEMA,
         "detector": args.detector,
-        "params": params,
+        "params": {"k": args.k, "temperature": args.temperature, "normalize": args.normalize},
         "inputs": {str(p): _sha256(p) for p in inputs},
         "n_samples": int(np.asarray(scores).size),
     }
     with open(f"{args.out}.json", "w") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")
-    config = {"detector": args.detector, "out": str(args.out), **params,
-              "features": None if args.features is None else str(args.features),
-              "logits": None if args.logits is None else str(args.logits),
-              "model": None if args.model is None else str(args.model),
-              "train_features": None if args.train_features is None else str(args.train_features)}
-    _write_manifest(args.out, "score", config, inputs,
-                    [args.out, f"{args.out}.json"], args.seed, started)
+    _write_manifest(args, args.out, inputs, [args.out, f"{args.out}.json"], started)
     return 0
 
 
@@ -374,54 +364,20 @@ def cmd_eval(args) -> int:
 
     inputs = [args.id] + [path for _, _, path in datasets]
     artifacts = [args.out] + ([args.csv] if args.csv else [])
-    _write_manifest(args.out, "eval",
-                    {"id": str(args.id), "ood": list(args.ood), "tpr": args.tpr,
-                     "out": str(args.out),
-                     "csv": None if args.csv is None else str(args.csv)},
-                    inputs, artifacts, args.seed, started)
+    _write_manifest(args, args.out, inputs, artifacts, started)
     return 0
 
 
 def cmd_grid(args) -> int:
     started = time.time()
-    if args.detector == "auto":
-        try:
-            kind, payload = load_model(args.model)
-        except ValueError:
-            kind, payload = "mog", load_mixture(args.model)
-        detector = {"correction": "correction", "ebm": "ebm",
-                    "mog": "gaussian-energy"}[kind]
-    else:
-        detector = args.detector
-        if detector in ("gaussian-energy", "mahalanobis"):
-            payload = load_mixture(args.model)
-        else:
-            kind, payload = load_model(args.model)
-            if kind != detector:
-                raise UsageError(f"{args.model} holds a {kind} model, not {detector}")
-
-    if detector == "correction":
-        fn = lambda pts: detectors.score_correction(payload, pts)
-    elif detector == "ebm":
-        net, temperature = payload
-        fn = lambda pts: detectors.score_ebm(net, pts, temperature)
-    elif detector == "gaussian-energy":
-        fn = lambda pts: gaussian_energy(payload, pts)
-    else:
-        fn = lambda pts: mahalanobis_ood_score(payload, pts)
-
+    fn = _model_scorer(args.model, args.detector)
     grid = energy_grid(fn, args.bounds, args.resolution, n_threads=args.threads)
     save_grid_csv(args.out_csv, grid)
     artifacts = [args.out_csv]
     if args.out_tensor is not None:
         save_grid_tensor(args.out_tensor, grid)
         artifacts.append(args.out_tensor)
-    _write_manifest(args.out_csv, "grid",
-                    {"model": str(args.model), "detector": args.detector,
-                     "bounds": list(args.bounds), "resolution": args.resolution,
-                     "out_csv": str(args.out_csv),
-                     "out_tensor": None if args.out_tensor is None else str(args.out_tensor)},
-                    [args.model], artifacts, args.seed, started)
+    _write_manifest(args, args.out_csv, [args.model], artifacts, started)
     return 0
 
 
@@ -434,11 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="key = value file; flags override it")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("toy", help="generate a 2-D synthetic dataset")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kind", choices=["cross", "grid-crosses"], default="cross")
     p.add_argument("--samples-per-class", type=int, default=1000)
     p.add_argument("--arm-length", type=float, default=2.0)
@@ -461,6 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the correction model or the plain EBM")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--mog", help="fitted mixture archive (correction model)")
@@ -511,12 +467,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--detector", default="auto",
-                   choices=["auto", "correction", "ebm", "gaussian-energy", "mahalanobis"])
+                   choices=["auto", *MODEL_SCORERS])
     p.add_argument("--bounds", type=float, nargs=4, required=True,
                    metavar=("XMIN", "XMAX", "YMIN", "YMAX"))
     p.add_argument("--resolution", type=int, default=200)
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-tensor")
+    p.add_argument("--threads", type=int, default=1, help="threads evaluating the lattice")
     p.set_defaults(func=cmd_grid)
 
     return parser

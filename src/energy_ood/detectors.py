@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .energy_net import EnergyMlp, mlp_energy
+from .featurestore import as_batch
 from .mog import gaussian_energy
 from .trainer import CorrectionModel
 
@@ -37,12 +38,7 @@ def score_knn(train: np.ndarray, z, k: int) -> float | np.ndarray:
     n = train.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    queries = z[None, :] if single else z
-    if queries.shape[1] != train.shape[1]:
-        raise ValueError(f"query dimension {queries.shape[1]} != train {train.shape[1]}")
-
+    queries, single = as_batch(z, train.shape[1])
     train_sq = (train ** 2).sum(axis=1)
     out = np.empty(queries.shape[0])
     chunk = max(1, _KNN_CELLS // n)
@@ -55,18 +51,9 @@ def score_knn(train: np.ndarray, z, k: int) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def _as_logit_batch(logits) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(logits, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    if arr.ndim == 2:
-        return arr, False
-    raise ValueError(f"logits must be a vector or matrix, got shape {arr.shape}")
-
-
 def score_msp(logits) -> float | np.ndarray:
     """Negated maximum softmax probability."""
-    batch, single = _as_logit_batch(logits)
+    batch, single = as_batch(logits)
     shifted = batch - batch.max(axis=1, keepdims=True)
     score = -1.0 / np.exp(shifted).sum(axis=1)
     return float(score[0]) if single else score
@@ -76,7 +63,7 @@ def score_odin_temperature(logits, temperature: float) -> float | np.ndarray:
     """Negated maximum softmax probability at temperature T (no input preprocessing)."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    batch, single = _as_logit_batch(logits)
+    batch, single = as_batch(logits)
     score = score_msp(batch / temperature)
     return float(score[0]) if single else score
 
@@ -85,7 +72,7 @@ def score_energy_logits(logits, temperature: float = 1.0) -> float | np.ndarray:
     """-T * logsumexp(logits / T), computed with the max-shift trick."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    batch, single = _as_logit_batch(logits)
+    batch, single = as_batch(logits)
     scaled = batch / temperature
     m = scaled.max(axis=1)
     score = -temperature * (m + np.log(np.exp(scaled - m[:, None]).sum(axis=1)))

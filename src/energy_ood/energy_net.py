@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .tensorio import read_archive, write_archive
+from .featurestore import as_batch
+from .tensorio import archive_scalar
 
 
 def _silu(x):
@@ -86,12 +87,18 @@ class ParamGradient:
     weights: list
     biases: list
 
-    def as_list(self) -> list:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+
+def flat_params(layers) -> list:
+    """An EnergyMlp's or ParamGradient's arrays in the flat order w0, b0, w1, b1, ...
+
+    Optimizers work on this list; ``mlp_from_params`` is its inverse.
+    """
+    return [p for w, b in zip(layers.weights, layers.biases) for p in (w, b)]
+
+
+def mlp_from_params(params, activation: str = "silu") -> EnergyMlp:
+    """Rebuild a network from a ``flat_params`` list."""
+    return EnergyMlp(tuple(params[0::2]), tuple(params[1::2]), activation)
 
 
 def mlp_init(dims, rng: np.random.Generator, activation: str = "silu") -> EnergyMlp:
@@ -107,17 +114,6 @@ def mlp_init(dims, rng: np.random.Generator, activation: str = "silu") -> Energy
         weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
     return EnergyMlp(tuple(weights), tuple(biases), activation)
-
-
-def _as_batch(z, dim: int) -> tuple[np.ndarray, bool]:
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 1:
-        if z.shape[0] != dim:
-            raise ValueError(f"expected a vector of dimension {dim}, got {z.shape[0]}")
-        return z[None, :], True
-    if z.ndim == 2 and z.shape[1] == dim:
-        return z, False
-    raise ValueError(f"expected shape (n, {dim}) or ({dim},), got {z.shape}")
 
 
 def _forward(net: EnergyMlp, x: np.ndarray):
@@ -153,14 +149,14 @@ def _backward(net: EnergyMlp, pres, inputs, upstream: np.ndarray, want_params: b
 
 
 def mlp_energy(net: EnergyMlp, z) -> float | np.ndarray:
-    batch, single = _as_batch(z, net.input_dim)
+    batch, single = as_batch(z, net.input_dim)
     _, _, e = _forward(net, batch)
     return float(e[0]) if single else e
 
 
 def mlp_grad_input(net: EnergyMlp, z) -> np.ndarray:
     """Exact gradient of the energy with respect to its input."""
-    batch, single = _as_batch(z, net.input_dim)
+    batch, single = as_batch(z, net.input_dim)
     pres, inputs, _ = _forward(net, batch)
     grad, _ = _backward(net, pres, inputs, np.ones(batch.shape[0]), want_params=False)
     return grad[0] if single else grad
@@ -172,7 +168,7 @@ def mlp_grad_params(net: EnergyMlp, batch, upstream) -> ParamGradient:
     The upstream weights let one accumulation carry the +1/B of positive
     samples, the -1/B of negatives and any regularizer coefficients at once.
     """
-    batch, _ = _as_batch(np.atleast_2d(batch), net.input_dim)
+    batch, _ = as_batch(batch, net.input_dim)
     upstream = np.asarray(upstream, dtype=np.float64)
     if batch.shape[0] == 0:
         raise ValueError("batch must be nonempty")
@@ -194,21 +190,17 @@ def mlp_entries(net: EnergyMlp, prefix: str = "") -> dict[str, np.ndarray]:
 
 
 def mlp_from_entries(entries: dict[str, np.ndarray], prefix: str = "") -> EnergyMlp:
+    """Rebuild a network from archive entries, rejecting malformed ones with ValueError."""
     if prefix + "activation" not in entries or prefix + "w0" not in entries:
         raise ValueError("not a network archive: missing activation/layer entries")
-    activation = _CODE_ACTIVATIONS[int(entries[prefix + "activation"][0])]
+    code = archive_scalar(entries, prefix + "activation")
+    if code not in _CODE_ACTIVATIONS:
+        raise ValueError(f"unknown activation code {code:g}")
     weights, biases = [], []
-    i = 0
-    while f"{prefix}w{i}" in entries:
+    while f"{prefix}w{len(weights)}" in entries:
+        i = len(weights)
+        if f"{prefix}b{i}" not in entries:
+            raise ValueError(f"network archive has {prefix}w{i} but no {prefix}b{i}")
         weights.append(entries[f"{prefix}w{i}"])
         biases.append(entries[f"{prefix}b{i}"])
-        i += 1
-    return EnergyMlp(tuple(weights), tuple(biases), activation)
-
-
-def save_mlp(path, net: EnergyMlp) -> None:
-    write_archive(path, mlp_entries(net))
-
-
-def load_mlp(path) -> EnergyMlp:
-    return mlp_from_entries(read_archive(path))
+    return EnergyMlp(tuple(weights), tuple(biases), _CODE_ACTIVATIONS[code])

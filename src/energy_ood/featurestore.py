@@ -84,31 +84,41 @@ def save_feature_set(fs: FeatureSet, features_path, labels_path) -> None:
     write_tensor(labels_path, fs.labels.astype(np.uint32))
 
 
+def as_batch(z, dim: int | None = None) -> tuple[np.ndarray, bool]:
+    """View a vector or a matrix of rows as float64 rows, flagging the vector case.
+
+    This is the package's one single-vs-batch convention: every scorer,
+    energy and gradient accepts either form, computes on rows, and returns
+    the first row's result when ``single`` is set. ``dim``, when given, is the
+    required row width.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    single = z.ndim == 1
+    batch = z[None, :] if single else z
+    if batch.ndim != 2 or (dim is not None and batch.shape[1] != dim):
+        want = "a vector or an (n, d) matrix" if dim is None else f"shape (n, {dim}) or ({dim},)"
+        raise ValueError(f"expected {want}, got shape {z.shape}")
+    return batch, single
+
+
 def normalize_rows(x: np.ndarray) -> np.ndarray:
     """Scale every row to unit Euclidean norm; no epsilon smoothing.
 
     Rows with norm below 1e-12 raise DegenerateFeatureError instead of being
     clamped.
     """
-    x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    if x.ndim == 1:
-        if norms < 1e-12:
-            raise DegenerateFeatureError(0, float(norms))
-        return x / norms
+    batch, single = as_batch(x)
+    norms = np.linalg.norm(batch, axis=-1, keepdims=True)
     small = norms[:, 0] < 1e-12
     if small.any():
         row = int(np.argmax(small))
         raise DegenerateFeatureError(row, float(norms[row, 0]))
-    return x / norms
+    out = batch / norms
+    return out[0] if single else out
 
 
 def normalize_features(fs: FeatureSet) -> FeatureSet:
     return FeatureSet(normalize_rows(fs.features), fs.labels, fs.num_classes)
-
-
-def label_histogram(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    return np.bincount(np.asarray(labels, dtype=np.int64), minlength=num_classes)
 
 
 def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator):

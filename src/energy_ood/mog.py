@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .featurestore import FeatureSet
-from .tensorio import read_archive, write_archive
+from .featurestore import FeatureSet, as_batch
+from .tensorio import archive_scalar, read_archive, write_archive
 
 # keep batched quadratic-form temporaries around (rows * classes * dim) floats
 _CHUNK_CELLS = 1 << 22
@@ -91,17 +91,36 @@ class GaussianMixture:
                    temperature, shrinkage)
 
     def validate(self) -> None:
-        """Recheck structural invariants; raises ValueError on violation."""
+        """Recheck structural invariants; raises ValueError on violation.
+
+        Beyond the stored parameters this checks the derived covariance and
+        precision, whose round-off grows with the condition number.
+        """
+        check_parameters(self.means, self.chol_lower, self.mixing, self.temperature,
+                         self.shrinkage)
         if not np.allclose(self.covariance, self.covariance.T, atol=1e-10, rtol=0):
             raise ValueError("covariance is not symmetric")
-        if np.any(np.diag(self.chol_lower) <= 0):
-            raise ValueError("Cholesky factor has non-positive diagonal")
-        if np.any(np.triu(self.chol_lower, 1) != 0):
-            raise ValueError("Cholesky factor is not lower-triangular")
         if not np.allclose(self.precision @ self.covariance, np.eye(self.dim), atol=1e-8):
             raise ValueError("precision is not the inverse of the covariance")
-        if abs(self.mixing.sum() - 1.0) > 1e-12 or np.any(self.mixing < 0):
-            raise ValueError("mixing weights are not a simplex vector")
+
+
+def check_parameters(means, chol_lower, mixing, temperature, shrinkage) -> None:
+    """Check the parameters a mixture archive stores; raises ValueError on violation.
+
+    The signs of temperature and shrinkage are checked by GaussianMixture itself.
+    """
+    if not all(np.isfinite(a).all() for a in (means, chol_lower, mixing, temperature, shrinkage)):
+        raise ValueError("mixture has non-finite parameters")
+    if means.ndim != 2 or chol_lower.shape != (means.shape[1],) * 2 \
+            or mixing.shape != means.shape[:1]:
+        raise ValueError(f"mixture entries disagree in shape: means {means.shape}, "
+                         f"chol_lower {chol_lower.shape}, mixing {mixing.shape}")
+    if np.any(np.diag(chol_lower) <= 0):
+        raise ValueError("Cholesky factor has non-positive diagonal")
+    if np.any(np.triu(chol_lower, 1) != 0):
+        raise ValueError("Cholesky factor is not lower-triangular")
+    if abs(mixing.sum() - 1.0) > 1e-12 or np.any(mixing < 0):
+        raise ValueError("mixing weights are not a simplex vector")
 
 
 def fit_mog(fs: FeatureSet, shrinkage: float | None = None,
@@ -142,17 +161,6 @@ def fit_mog(fs: FeatureSet, shrinkage: float | None = None,
     return GaussianMixture.from_moments(means, cov, mixing, temperature, shrinkage)
 
 
-def _as_batch(z, dim: int) -> tuple[np.ndarray, bool]:
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 1:
-        if z.shape[0] != dim:
-            raise ValueError(f"expected a vector of dimension {dim}, got {z.shape[0]}")
-        return z[None, :], True
-    if z.ndim == 2 and z.shape[1] == dim:
-        return z, False
-    raise ValueError(f"expected shape (n, {dim}) or ({dim},), got {z.shape}")
-
-
 def _quad_forms(gm: GaussianMixture, z: np.ndarray) -> np.ndarray:
     """(n, C) matrix of (z - mu_c)^T Sigma^-1 (z - mu_c), via triangular solves."""
     n, d = z.shape
@@ -173,7 +181,7 @@ def gaussian_energy(gm: GaussianMixture, z) -> float | np.ndarray:
     Evaluated with the max-shift trick so far-away points do not underflow to
     -inf inside the log.
     """
-    batch, single = _as_batch(z, gm.dim)
+    batch, single = as_batch(z, gm.dim)
     q = _quad_forms(gm, batch)
     m = q.min(axis=1)
     e = (m - np.log(np.exp(m[:, None] - q).sum(axis=1))) / gm.temperature
@@ -187,7 +195,7 @@ def gaussian_energy_grad(gm: GaussianMixture, z) -> np.ndarray:
     (2 / T) sum_c w_c Sigma^-1 (z - mu_c); since the weights sum to one this
     collapses to (2 / T) (z - w @ means) Sigma^-1.
     """
-    batch, single = _as_batch(z, gm.dim)
+    batch, single = as_batch(z, gm.dim)
     q = _quad_forms(gm, batch)
     shifted = np.exp(q.min(axis=1)[:, None] - q)
     w = shifted / shifted.sum(axis=1, keepdims=True)
@@ -197,7 +205,7 @@ def gaussian_energy_grad(gm: GaussianMixture, z) -> np.ndarray:
 
 def mahalanobis_ood_score(gm: GaussianMixture, z) -> float | np.ndarray:
     """Squared Mahalanobis distance to the nearest component mean (higher = OOD)."""
-    batch, single = _as_batch(z, gm.dim)
+    batch, single = as_batch(z, gm.dim)
     q = _quad_forms(gm, batch).min(axis=1)
     return float(q[0]) if single else q
 
@@ -213,7 +221,7 @@ def sample_mog(gm: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndar
 
 def log_density(gm: GaussianMixture, z) -> float | np.ndarray:
     """Log of the normalized mixture density (mixing weights and 1/2 included)."""
-    batch, single = _as_batch(z, gm.dim)
+    batch, single = as_batch(z, gm.dim)
     q = _quad_forms(gm, batch)
     log_det = 2.0 * np.log(np.diag(gm.chol_lower)).sum()
     log_norm = -0.5 * (gm.dim * np.log(2.0 * np.pi) + log_det)
@@ -234,23 +242,24 @@ def mixture_entries(gm: GaussianMixture, prefix: str = "") -> dict[str, np.ndarr
 
 
 def mixture_from_entries(entries: dict[str, np.ndarray], prefix: str = "") -> GaussianMixture:
+    """Rebuild a mixture from archive entries, rejecting malformed ones with ValueError.
+
+    Only the stored parameters are checked: covariance and precision are
+    derived from ``chol_lower`` here, so ``validate``'s consistency checks
+    could not catch a corrupt file, only reject a badly conditioned mixture.
+    """
     missing = [k for k in ("means", "chol_lower", "mixing", "temperature", "shrinkage")
                if prefix + k not in entries]
     if missing:
         raise ValueError(f"not a mixture archive: missing entries {missing}")
-    chol = entries[prefix + "chol_lower"]
+    means, chol, mixing = (entries[prefix + k] for k in ("means", "chol_lower", "mixing"))
+    temperature = archive_scalar(entries, prefix + "temperature")
+    shrinkage = archive_scalar(entries, prefix + "shrinkage")
+    check_parameters(means, chol, mixing, temperature, shrinkage)
     cov = chol @ chol.T
     precision = cho_solve((chol, True), np.eye(chol.shape[0]))
     precision = 0.5 * (precision + precision.T)
-    return GaussianMixture(
-        entries[prefix + "means"],
-        cov,
-        chol,
-        precision,
-        entries[prefix + "mixing"],
-        float(entries[prefix + "temperature"][0]),
-        float(entries[prefix + "shrinkage"][0]),
-    )
+    return GaussianMixture(means, cov, chol, precision, mixing, temperature, shrinkage)
 
 
 def save_mixture(path, gm: GaussianMixture) -> None:

@@ -138,6 +138,16 @@ def write_archive(path, entries: dict[str, np.ndarray]) -> None:
         fh.write(b"".join(parts))
 
 
+def archive_scalar(entries: dict[str, np.ndarray], name: str) -> float:
+    """The one value stored under ``name``; ValueError if it is absent or not one element."""
+    if name not in entries:
+        raise ValueError(f"archive has no {name!r} entry")
+    arr = entries[name]
+    if arr.size != 1:
+        raise ValueError(f"archive entry {name!r} must hold one value, got shape {arr.shape}")
+    return float(arr.ravel()[0])
+
+
 def read_archive(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         buf = fh.read()

@@ -111,21 +111,11 @@ class EnergyGrid:
         return np.linspace(self.y_min, self.y_max, self.resolution)
 
 
-def _eval_points(score_fn, points: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(score_fn(points), dtype=np.float64)
-        if out.shape == (points.shape[0],):
-            return out
-    except Exception:
-        pass
-    return np.array([float(score_fn(p)) for p in points])
-
-
 def energy_grid(score_fn, bounds, resolution: int, n_threads: int = 1) -> EnergyGrid:
-    """Evaluate a score function on an endpoint-inclusive R x R lattice.
+    """Evaluate a batched score function on an endpoint-inclusive R x R lattice.
 
-    ``bounds`` is (x_min, x_max, y_min, y_max); ``score_fn`` may be batched
-    (mapping (n, 2) to (n,)) or plain point-wise.
+    ``bounds`` is (x_min, x_max, y_min, y_max); ``score_fn`` maps an (n, 2)
+    array of points to (n,) scores, and is only ever called on such batches.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -135,14 +125,20 @@ def energy_grid(score_fn, bounds, resolution: int, n_threads: int = 1) -> Energy
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     points = np.column_stack([gx.ravel(), gy.ravel()])
 
+    def evaluate(pts):
+        out = np.asarray(score_fn(pts), dtype=np.float64)
+        if out.shape != (pts.shape[0],):
+            raise ValueError(f"score_fn returned shape {out.shape} for {pts.shape[0]} points")
+        return out
+
     if n_threads > 1:
         chunks = np.array_split(np.arange(points.shape[0]), n_threads * 4)
         flat = np.empty(points.shape[0])
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            for idx, vals in zip(chunks, pool.map(lambda c: _eval_points(score_fn, points[c]), chunks)):
+            for idx, vals in zip(chunks, pool.map(lambda c: evaluate(points[c]), chunks)):
                 flat[idx] = vals
     else:
-        flat = _eval_points(score_fn, points)
+        flat = evaluate(points)
 
     bad = ~np.isfinite(flat)
     if bad.any():

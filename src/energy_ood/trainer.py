@@ -15,12 +15,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .energy_net import EnergyMlp, mlp_energy, mlp_grad_input, mlp_grad_params, mlp_init, \
-    mlp_entries, mlp_from_entries
+from .energy_net import EnergyMlp, flat_params, mlp_energy, mlp_entries, mlp_from_entries, \
+    mlp_from_params, mlp_grad_input, mlp_grad_params, mlp_init
 from .featurestore import FeatureSet, minibatch_indices
 from .mog import GaussianMixture, gaussian_energy_grad, mixture_entries, mixture_from_entries
 from .sgld import SgldSchedule, sgld_init, sgld_sample
-from .tensorio import read_archive, write_archive
+from .tensorio import archive_scalar, read_archive, write_archive
 
 _MODEL_KINDS = {1: "correction", 2: "ebm"}
 
@@ -158,18 +158,6 @@ def adam_step(params, grads, state: AdamState, lr: float, betas=(0.9, 0.999),
     return new_params, AdamState(new_m, new_v, t)
 
 
-def _params_of(net: EnergyMlp) -> list:
-    out = []
-    for w, b in zip(net.weights, net.biases):
-        out.append(w)
-        out.append(b)
-    return out
-
-
-def _net_from_params(net: EnergyMlp, params) -> EnergyMlp:
-    return EnergyMlp(tuple(params[0::2]), tuple(params[1::2]), net.activation)
-
-
 def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
                   log_path=None):
     n, d = fs.features.shape
@@ -181,7 +169,7 @@ def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
 
     dims = [d] + [cfg.hidden_dim] * cfg.num_hidden + [1]
     net = mlp_init(dims, np.random.default_rng(ss_init), cfg.activation)
-    params = _params_of(net)
+    params = flat_params(net)
     state = AdamState.zeros_like(params)
 
     log_fh = open(log_path, "w") if log_path is not None else None
@@ -228,9 +216,9 @@ def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
                     -1.0 / b + 2.0 * cfg.l2_coeff * e_neg / total,
                 ]) / cfg.net_temperature
                 grads = mlp_grad_params(net, np.concatenate([pos, neg]), upstream)
-                params, state = adam_step(params, grads.as_list(), state,
+                params, state = adam_step(params, flat_params(grads), state,
                                           cfg.learning_rate, cfg.adam_betas, cfg.adam_eps)
-                net = _net_from_params(net, params)
+                net = mlp_from_params(params, net.activation)
 
                 sums["mle_loss"] += loss_mle
                 sums["l2_reg"] += loss_reg
@@ -288,16 +276,23 @@ def save_ebm(path, net: EnergyMlp, net_temperature: float = 1.0) -> None:
 
 
 def load_model(path):
-    """Load a model archive; returns ('correction', CorrectionModel) or
-    ('ebm', (EnergyMlp, net_temperature))."""
+    """Load a model or mixture archive by its kind.
+
+    Returns ('correction', CorrectionModel), ('ebm', (EnergyMlp,
+    net_temperature)) or ('mog', GaussianMixture); mixture archives are the
+    ones without a ``kind`` entry.
+    """
     entries = read_archive(path)
     if "kind" not in entries:
-        raise ValueError(f"{path}: no model kind entry; is this a mixture archive?")
-    kind = _MODEL_KINDS.get(int(entries["kind"][0]))
+        return "mog", mixture_from_entries(entries)
+    code = archive_scalar(entries, "kind")
+    kind = _MODEL_KINDS.get(code)
     if kind == "correction":
         return kind, CorrectionModel(mlp_from_entries(entries, "net."),
                                      mixture_from_entries(entries, "mog."))
     if kind == "ebm":
-        return kind, (mlp_from_entries(entries, "net."),
-                      float(entries["net_temperature"][0]))
-    raise ValueError(f"unknown model kind code {int(entries['kind'][0])}")
+        temperature = archive_scalar(entries, "net_temperature")
+        if not (np.isfinite(temperature) and temperature > 0):
+            raise ValueError(f"EBM archive has invalid net_temperature {temperature}")
+        return kind, (mlp_from_entries(entries, "net."), temperature)
+    raise ValueError(f"unknown model kind code {code:g}")

@@ -1,13 +1,19 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from energy_ood.cli import main
+from energy_ood.energy_net import mlp_init
 from energy_ood.featurestore import load_feature_set, normalize_features
-from energy_ood.mog import fit_mog, gaussian_energy, load_mixture
-from energy_ood.tensorio import load_tensor, write_tensor
+from energy_ood.mog import fit_mog, gaussian_energy, load_mixture, save_mixture
+from energy_ood.tensorio import load_tensor, read_archive, write_archive, write_tensor
 from energy_ood.toy import ToySpec, gen_toy
+from energy_ood.trainer import CorrectionModel, save_correction
 
 
 def run(*argv) -> int:
@@ -78,6 +84,23 @@ def test_fit_mog_singular_without_shrinkage_exits_1(tmp_path):
     write_tensor(labels, np.array([0, 0, 1, 1], dtype=np.uint32))
     assert run("fit-mog", "--features", feats, "--labels", labels,
                "--shrinkage", 0.0, "--out", tmp_path / "x.ftar") == 1
+
+
+def test_ill_conditioned_mixture_archive_scores(tmp_path):
+    # condition number about 1e14: the archive must load, whatever the round-off
+    # of precision @ covariance
+    rng = np.random.default_rng(0)
+    basis = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+    x = (rng.standard_normal((400, 8)) * np.geomspace(1e-6, 10, 8)) @ basis
+    feats, labels, mog = tmp_path / "f.f32", tmp_path / "l.u32", tmp_path / "m.ftar"
+    write_tensor(feats, x.astype(np.float32))
+    write_tensor(labels, (np.arange(400) % 4).astype(np.uint32))
+    assert run("fit-mog", "--features", feats, "--labels", labels,
+               "--shrinkage", 1e-14, "--out", mog) == 0
+    out = tmp_path / "s.scores"
+    assert run("score", "--detector", "mahalanobis", "--model", mog,
+               "--features", feats, "--out", out) == 0
+    assert np.isfinite(load_tensor(out)).all()
 
 
 def test_corrupt_tensor_exits_2(tmp_path):
@@ -223,6 +246,19 @@ def test_eval_disjoint_scores_auroc_one(tmp_path):
     assert report["datasets"][0]["fpr95"] == 0.0
 
 
+def test_eval_ood_from_config_file(tmp_path):
+    id_s, ood_s = tmp_path / "id.scores", tmp_path / "ood.scores"
+    write_tensor(id_s, np.zeros(50, dtype=np.float32))
+    write_tensor(ood_s, np.ones(50, dtype=np.float32))
+    cfg_file = tmp_path / "eval.cfg"
+    cfg_file.write_text(f"ood = far:ones={ood_s} near:ones2={ood_s}\n")
+    report_path = tmp_path / "r.json"
+    assert run("eval", "--config", cfg_file, "--id", id_s,
+               "--ood", f"mid:ones3={ood_s}", "--out", report_path) == 0
+    report = json.loads(report_path.read_text())
+    assert [d["name"] for d in report["datasets"]] == ["ones", "ones2", "ones3"]
+
+
 def test_eval_bad_ood_spec(tmp_path):
     id_s = tmp_path / "id.scores"
     write_tensor(id_s, np.zeros(5, dtype=np.float32))
@@ -302,3 +338,105 @@ def test_config_file_with_flag_override(tmp_path, toy_files):
     assert run("fit-mog", "--config", cfg_file, "--features", feats,
                "--labels", labels, "--temperature", 5.0, "--out", out2) == 0
     assert load_mixture(out2).temperature == 5.0
+
+
+def test_train_manifest_replays_to_identical_archive(tmp_path, toy_files):
+    feats, labels = toy_files
+    mog = tmp_path / "mog.ftar"
+    assert run("fit-mog", "--features", feats, "--labels", labels,
+               "--temperature", 1.0, "--out", mog) == 0
+    out = tmp_path / "model.ftar"
+    assert run("train", "--features", feats, "--labels", labels, "--mog", mog,
+               "--seed", 7, "--out", out, *fast_train_args()) == 0
+    cfg = json.loads((tmp_path / "model.ftar.manifest.json").read_text())["config"]
+    assert cfg["learning_rate"] == 1e-4  # resolved from the toy preset, not a flag
+
+    def as_text(value):
+        if isinstance(value, list):
+            return " ".join(map(str, value))
+        return str(value).lower() if isinstance(value, bool) else str(value)
+
+    cfg_file = tmp_path / "replay.cfg"
+    cfg_file.write_text("".join(f"{k} = {as_text(v)}\n" for k, v in cfg.items()
+                                if v is not None))
+    replay = tmp_path / "replay.ftar"
+    assert run("train", "--config", cfg_file, "--out", replay) == 0
+    assert replay.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("line", ["temprature = 2.0", "seed = 3"])
+def test_config_file_unknown_key_exits_2(tmp_path, toy_files, capsys, line):
+    feats, labels = toy_files
+    cfg_file = tmp_path / "typo.cfg"
+    cfg_file.write_text(line + "\n")
+    assert run("fit-mog", "--config", cfg_file, "--features", feats,
+               "--labels", labels, "--out", tmp_path / "m.ftar") == 2
+    assert line.split()[0] in capsys.readouterr().err
+    assert not (tmp_path / "m.ftar").exists()
+
+
+# ---------------------------------------------------------------- malformed archives
+
+def _tiny_models(directory):
+    """A toy correction archive and its mixture archive, plus query features."""
+    fs = gen_toy(ToySpec(kind="cross", samples_per_class=50, seed=1))
+    gm = fit_mog(fs, temperature=1.0)
+    model = CorrectionModel(mlp_init([2, 4, 1], np.random.default_rng(0)), gm)
+    save_correction(directory / "model.ftar", model)
+    save_mixture(directory / "mog.ftar", gm)
+    write_tensor(directory / "z.f32", fs.features[::20].astype(np.float32))
+    return directory / "model.ftar", directory / "mog.ftar", directory / "z.f32"
+
+
+def _set_activation_9(entries):
+    entries["net.activation"] = np.array([9], dtype=np.uint32)
+
+
+def _drop_first_bias(entries):
+    del entries["net.b0"]
+
+
+def _transpose_cholesky(entries):
+    entries["mog.chol_lower"] = np.ascontiguousarray(entries["mog.chol_lower"].T)
+
+
+@pytest.mark.parametrize("corrupt", [_set_activation_9, _drop_first_bias, _transpose_cholesky])
+def test_malformed_model_archive_exits_2(tmp_path, capsys, corrupt):
+    model, _, feats = _tiny_models(tmp_path)
+    entries = read_archive(model)
+    corrupt(entries)
+    write_archive(model, entries)
+    assert run("score", "--detector", "correction", "--model", model,
+               "--features", feats, "--out", tmp_path / "s.scores") == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.fixture(scope="module")
+def fuzz_sources(tmp_path_factory):
+    model, mixture, feats = _tiny_models(tmp_path_factory.mktemp("fuzz"))
+    return {"correction": model.read_bytes(), "mahalanobis": mixture.read_bytes()}, feats
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(detector=st.sampled_from(["correction", "mahalanobis"]),
+       command=st.sampled_from(["score", "grid"]),
+       flips=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(1, 255)), max_size=4),
+       cut=st.none() | st.integers(0, 1 << 16))
+def test_fuzzed_archive_bytes_exit_cleanly(fuzz_sources, detector, command, flips, cut):
+    sources, feats = fuzz_sources
+    blob = bytearray(sources[detector])
+    for pos, mask in flips:
+        blob[pos % len(blob)] ^= mask
+    if cut is not None:
+        blob = blob[: cut % len(blob)]
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = Path(tmp) / "m.ftar"
+        archive.write_bytes(bytes(blob))
+        if command == "score":
+            argv = ["score", "--detector", detector, "--model", archive,
+                    "--features", feats, "--out", Path(tmp) / "s.scores"]
+        else:
+            argv = ["grid", "--model", archive, "--bounds", -3, 3, -3, 3,
+                    "--resolution", 4, "--out-csv", Path(tmp) / "g.csv"]
+        assert run(*argv) in (0, 1, 2)

@@ -5,13 +5,13 @@ import pytest
 
 from energy_ood.energy_net import (
     EnergyMlp,
-    load_mlp,
+    flat_params,
     mlp_energy,
     mlp_grad_input,
     mlp_grad_params,
     mlp_init,
-    save_mlp,
 )
+from energy_ood.trainer import load_model, save_ebm
 
 
 def linear_net(w, b=0.0):
@@ -211,7 +211,7 @@ def test_grad_params_linear_in_upstream():
     combined = mlp_grad_params(net, batch, u1 + u2)
     a = mlp_grad_params(net, batch, u1)
     b = mlp_grad_params(net, batch, u2)
-    for got, ga, gb in zip(combined.as_list(), a.as_list(), b.as_list()):
+    for got, ga, gb in zip(flat_params(combined), flat_params(a), flat_params(b)):
         np.testing.assert_allclose(got, ga + gb, atol=1e-10)
 
 
@@ -226,9 +226,9 @@ def test_grad_params_rejects_empty_batch():
 def test_mlp_archive_round_trip(tmp_path):
     net = mlp_init([4, 8, 8, 1], np.random.default_rng(11), "tanh")
     path = tmp_path / "net.ftar"
-    save_mlp(path, net)
-    loaded = load_mlp(path)
-    assert loaded.activation == "tanh"
+    save_ebm(path, net)
+    kind, (loaded, _) = load_model(path)
+    assert kind == "ebm" and loaded.activation == "tanh"
     assert loaded.dims == net.dims
     z = np.random.default_rng(12).standard_normal((20, 4))
     np.testing.assert_array_equal(mlp_energy(loaded, z), mlp_energy(net, z))

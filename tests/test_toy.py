@@ -3,7 +3,6 @@ import csv
 import numpy as np
 import pytest
 
-from energy_ood.featurestore import label_histogram
 from energy_ood.mog import gaussian_energy
 from energy_ood.tensorio import load_tensor
 from energy_ood.toy import (
@@ -51,7 +50,7 @@ def test_toy_deterministic():
 def test_toy_label_balance():
     spec = ToySpec(kind="grid_crosses", samples_per_class=40, seed=1)
     fs = gen_toy(spec)
-    np.testing.assert_array_equal(label_histogram(fs.labels, fs.num_classes),
+    np.testing.assert_array_equal(np.bincount(fs.labels, minlength=fs.num_classes),
                                   np.full(18, 40))
 
 
@@ -85,9 +84,19 @@ def test_grid_squared_norm_pattern():
                                atol=1e-15)
 
 
-def test_grid_accepts_pointwise_function():
-    grid = energy_grid(lambda p: float(p[0] - p[1]), (0, 1, 0, 1), 2)
-    np.testing.assert_allclose(grid.values, [[0.0, -1.0], [1.0, 0.0]], atol=1e-15)
+def test_grid_calls_score_fn_on_batches_only():
+    # a point-wise function returns one value for the whole batch: rejected
+    with pytest.raises(ValueError, match="shape"):
+        energy_grid(lambda p: float(p[0, 0] - p[0, 1]), (0, 1, 0, 1), 2)
+
+    # an error inside score_fn propagates out of energy_grid
+    def broken(pts):
+        raise KeyError("inside score_fn")
+
+    with pytest.raises(KeyError, match="inside score_fn"):
+        energy_grid(broken, (0, 1, 0, 1), 2)
+    with pytest.raises(KeyError, match="inside score_fn"):
+        energy_grid(broken, (0, 1, 0, 1), 4, n_threads=2)
 
 
 def test_grid_pure_sampling():

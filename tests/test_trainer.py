@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from energy_ood.detectors import score_correction, score_ebm
-from energy_ood.energy_net import mlp_energy, mlp_grad_params, mlp_init
+from energy_ood.energy_net import flat_params, mlp_energy, mlp_grad_params, mlp_init
 from energy_ood.featurestore import FeatureSet
 from energy_ood.mog import fit_mog
 from energy_ood.sgld import SgldSchedule
@@ -160,7 +160,7 @@ def test_total_gradient_matches_sum_of_parts():
     mle_part = mlp_grad_params(net, both,
                                np.concatenate([np.full(b, 1.0 / b), np.full(b, -1.0 / b)]))
     reg_part = mlp_grad_params(net, both, 2.0 * e / total)
-    for got, gm, gr in zip(assembled.as_list(), mle_part.as_list(), reg_part.as_list()):
+    for got, gm, gr in zip(flat_params(assembled), flat_params(mle_part), flat_params(reg_part)):
         np.testing.assert_allclose(got, gm + l2_coeff * gr, atol=1e-10)
 
 
