@@ -48,14 +48,12 @@ from .trainer import (
     l2_reg,
     load_model,
     mle_loss,
-    save_correction,
-    save_ebm,
+    save_model,
     train_correction,
     train_ebm,
 )
 from .detectors import (
     score_correction,
-    score_ebm,
     score_energy_logits,
     score_knn,
     score_msp,

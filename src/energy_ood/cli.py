@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -42,20 +43,24 @@ from .trainer import (
     correction_defaults,
     ebm_defaults,
     load_model,
-    save_correction,
-    save_ebm,
+    save_model,
     train_correction,
     train_ebm,
 )
 
 SCHEMA = 1
 
-FEATURE_DETECTORS = ("correction", "ebm", "mahalanobis", "knn")
-LOGIT_DETECTORS = ("msp", "odin", "energy-logits")
-
 
 class UsageError(Exception):
     pass
+
+
+def finite_float(text: str) -> float:
+    """The argparse type of every float option: NaN and infinities are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _sha256(path) -> str:
@@ -123,18 +128,20 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> None:
     defaults = {}
     for key, value in raw.items():
         action = actions[key]
-        if action.nargs in (2, 4):
-            parsed = [action.type(v) for v in value.split()]
-            if len(parsed) != action.nargs:
-                raise UsageError(f"config key {key} needs {action.nargs} values")
-        elif isinstance(action, argparse._AppendAction):  # repeatable flag
-            parsed = [v if action.type is None else action.type(v) for v in value.split()]
-        elif action.const is True:  # store_true flag
-            parsed = value.lower() in ("1", "true", "yes")
-        elif action.type is not None:
-            parsed = action.type(value)
-        else:
-            parsed = value
+        convert = action.type or str
+        try:
+            if action.nargs in (2, 4):
+                parsed = [convert(v) for v in value.split()]
+                if len(parsed) != action.nargs:
+                    raise UsageError(f"config key {key} needs {action.nargs} values")
+            elif isinstance(action, argparse._AppendAction):  # repeatable flag
+                parsed = [convert(v) for v in value.split()]
+            elif action.const is True:  # store_true flag
+                parsed = value.lower() in ("1", "true", "yes")
+            else:
+                parsed = convert(value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise UsageError(f"config key {key}: {exc}") from exc
         if action.choices is not None and parsed not in action.choices:
             raise UsageError(f"config key {key}: {value!r} is not one of {list(action.choices)}")
         defaults[key] = parsed
@@ -206,13 +213,12 @@ def cmd_train(args) -> int:
     cfg = _train_config(args)
     inputs = [args.features, args.labels]
     if args.ebm:
-        net, _ = train_ebm(fs, cfg, log_path=args.log)
-        save_ebm(args.out, net, cfg.net_temperature)
+        model, _ = train_ebm(fs, cfg, log_path=args.log)
     else:
         gm = load_mixture(args.mog)
         inputs.append(args.mog)
         model, _ = train_correction(fs, gm, cfg, log_path=args.log)
-        save_correction(args.out, model)
+    save_model(args.out, model)
     artifacts = [args.out] + ([args.log] if args.log else [])
     _write_manifest(args, args.out, inputs, artifacts, started, _train_flags(cfg))
     return 0
@@ -221,7 +227,7 @@ def cmd_train(args) -> int:
 # archive kind (as load_model names it) and batched scorer of each model-based detector
 MODEL_SCORERS = {
     "correction": ("correction", detectors.score_correction),
-    "ebm": ("ebm", lambda payload, z: detectors.score_ebm(payload[0], z, payload[1])),
+    "ebm": ("ebm", detectors.score_correction),
     "gaussian-energy": ("mog", gaussian_energy),
     "mahalanobis": ("mog", mahalanobis_ood_score),
 }
@@ -239,6 +245,14 @@ def _model_scorer(path, detector: str):
     if needed != kind:
         raise UsageError(f"{path} holds a {kind} model, which detector {detector} cannot score")
     return lambda z: scorer(payload, z)
+
+
+# batched scorer of each logit-based detector, given the logits and --temperature
+LOGIT_SCORERS = {
+    "msp": lambda x, temperature: detectors.score_msp(x),
+    "odin": detectors.score_odin_temperature,
+    "energy-logits": detectors.score_energy_logits,
+}
 
 
 def _score_features(args) -> np.ndarray:
@@ -266,17 +280,12 @@ def _score_logits(args) -> np.ndarray:
     logits = load_tensor(args.logits)
     if logits.ndim != 2 or logits.dtype != np.float32:
         raise UsageError(f"{args.logits}: logits file must be a rank-2 f32 tensor")
-    x = logits.astype(np.float64)
-    if args.detector == "msp":
-        return detectors.score_msp(x)
-    if args.detector == "odin":
-        return detectors.score_odin_temperature(x, args.temperature)
-    return detectors.score_energy_logits(x, args.temperature)
+    return LOGIT_SCORERS[args.detector](logits.astype(np.float64), args.temperature)
 
 
 def cmd_score(args) -> int:
     started = time.time()
-    if args.detector in LOGIT_DETECTORS:
+    if args.detector in LOGIT_SCORERS:
         if args.logits is None:
             raise UsageError(f"detector {args.detector} needs --logits")
         scores = _score_logits(args)
@@ -291,17 +300,7 @@ def cmd_score(args) -> int:
         if args.train_features is not None:
             inputs.append(args.train_features)
     write_tensor(args.out, np.asarray(scores, dtype=np.float32))
-    sidecar = {
-        "schema": SCHEMA,
-        "detector": args.detector,
-        "params": {"k": args.k, "temperature": args.temperature, "normalize": args.normalize},
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "n_samples": int(np.asarray(scores).size),
-    }
-    with open(f"{args.out}.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
-    _write_manifest(args, args.out, inputs, [args.out, f"{args.out}.json"], started)
+    _write_manifest(args, args.out, inputs, [args.out], started)
     return 0
 
 
@@ -396,9 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kind", choices=["cross", "grid-crosses"], default="cross")
     p.add_argument("--samples-per-class", type=int, default=1000)
-    p.add_argument("--arm-length", type=float, default=2.0)
-    p.add_argument("--thickness", type=float, default=0.05)
-    p.add_argument("--pitch", type=float, default=6.0)
+    p.add_argument("--arm-length", type=finite_float, default=2.0)
+    p.add_argument("--thickness", type=finite_float, default=0.05)
+    p.add_argument("--pitch", type=finite_float, default=6.0)
     p.add_argument("--out-features", required=True)
     p.add_argument("--out-labels", required=True)
     p.set_defaults(func=cmd_toy)
@@ -408,8 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--num-classes", type=int)
-    p.add_argument("--shrinkage", type=float, help="diagonal shrinkage; default 1e-6 * trace/D")
-    p.add_argument("--temperature", type=float, default=1e3)
+    p.add_argument("--shrinkage", type=finite_float,
+                   help="diagonal shrinkage; default 1e-6 * trace/D")
+    p.add_argument("--temperature", type=finite_float, default=1e3)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit_mog)
@@ -425,15 +425,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--l2-coeff", type=float)
-    p.add_argument("--input-noise-std", type=float)
+    p.add_argument("--learning-rate", type=finite_float)
+    p.add_argument("--l2-coeff", type=finite_float)
+    p.add_argument("--input-noise-std", type=finite_float)
     p.add_argument("--sgld-steps", type=int)
-    p.add_argument("--sgld-step-size", type=float, nargs=2, metavar=("START", "END"))
-    p.add_argument("--sgld-noise", type=float, nargs=2, metavar=("START", "END"))
+    p.add_argument("--sgld-step-size", type=finite_float, nargs=2, metavar=("START", "END"))
+    p.add_argument("--sgld-noise", type=finite_float, nargs=2, metavar=("START", "END"))
     p.add_argument("--hidden-dim", type=int)
     p.add_argument("--num-hidden", type=int)
-    p.add_argument("--net-temperature", type=float)
+    p.add_argument("--net-temperature", type=finite_float)
     p.add_argument("--activation", choices=["silu", "tanh"])
     p.add_argument("--log", help="JSON-lines training log path")
     p.add_argument("--out", required=True)
@@ -442,13 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score samples with a detector")
     common(p)
     p.add_argument("--detector", required=True,
-                   choices=list(FEATURE_DETECTORS) + list(LOGIT_DETECTORS))
+                   choices=[*MODEL_SCORERS, "knn", *LOGIT_SCORERS])
     p.add_argument("--features", help="rank-2 f32 tensor of feature rows")
     p.add_argument("--logits", help="rank-2 f32 tensor of logit rows")
     p.add_argument("--model", help="model or mixture archive")
     p.add_argument("--train-features", help="training features for knn")
     p.add_argument("--k", type=int, help="neighbor count for knn")
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--temperature", type=finite_float, default=1.0)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
@@ -458,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True, help="rank-1 f32 tensor of ID scores")
     p.add_argument("--ood", action="append", required=True,
                    metavar="[GROUP:]NAME=PATH", help="repeatable OOD score file")
-    p.add_argument("--tpr", type=float, default=0.95)
+    p.add_argument("--tpr", type=finite_float, default=0.95)
     p.add_argument("--csv", help="optional per-dataset/group table")
     p.add_argument("--out", required=True, help="JSON report path")
     p.set_defaults(func=cmd_eval)
@@ -468,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--detector", default="auto",
                    choices=["auto", *MODEL_SCORERS])
-    p.add_argument("--bounds", type=float, nargs=4, required=True,
+    p.add_argument("--bounds", type=finite_float, nargs=4, required=True,
                    metavar=("XMIN", "XMAX", "YMIN", "YMAX"))
     p.add_argument("--resolution", type=int, default=200)
     p.add_argument("--out-csv", required=True)

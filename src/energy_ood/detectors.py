@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .energy_net import EnergyMlp, mlp_energy
+from .energy_net import mlp_energy
 from .featurestore import as_batch
 from .mog import gaussian_energy
 from .trainer import CorrectionModel
@@ -19,15 +19,12 @@ _KNN_CELLS = 1 << 24
 
 
 def score_correction(model: CorrectionModel, z) -> float | np.ndarray:
-    """Network energy plus mixture energy, each with its temperature applied."""
-    return mlp_energy(model.net, z) + gaussian_energy(model.gm, z)
-
-
-def score_ebm(net: EnergyMlp, z, temperature: float = 1.0) -> float | np.ndarray:
-    """Plain network energy divided by its temperature."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    return mlp_energy(net, z) / temperature
+    """Network energy plus mixture energy, each with its temperature applied;
+    the network energy alone for a model without a mixture."""
+    e = mlp_energy(model.net, z) / model.net_temperature
+    if model.gm is None:
+        return e
+    return e + gaussian_energy(model.gm, z)
 
 
 def score_knn(train: np.ndarray, z, k: int) -> float | np.ndarray:

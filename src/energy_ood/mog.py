@@ -131,6 +131,8 @@ def fit_mog(fs: FeatureSet, shrinkage: float | None = None,
     within-class scatter summed over classes and divided by N, then shrunk by
     ``shrinkage * I`` (default 1e-6 * trace / D) before factorization.
     """
+    if shrinkage is not None and not shrinkage >= 0:
+        raise MixtureFitError(f"shrinkage must be nonnegative, got {shrinkage}")
     feats, labels = fs.features, fs.labels
     n, d = feats.shape
     counts = np.bincount(labels, minlength=fs.num_classes)

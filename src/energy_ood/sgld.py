@@ -19,8 +19,6 @@ from .mog import GaussianMixture, sample_mog
 # cap on predrawn noise block size, in float64 cells
 _NOISE_CELLS = 1 << 23
 
-INIT_MODES = ("mog", "standard_normal")
-
 
 class SgldDivergenceError(RuntimeError):
     def __init__(self, step: int, chain: int):
@@ -60,14 +58,10 @@ def schedule_at(s: SgldSchedule, t: int) -> tuple[float, float]:
     return alpha, beta
 
 
-def sgld_init(mode: str, gm: GaussianMixture | None, n_chains: int, dim: int,
+def sgld_init(gm: GaussianMixture | None, n_chains: int, dim: int,
               rng: np.random.Generator) -> np.ndarray:
-    """Starting states: draws from the fitted mixture, or N(0, I) for the ablation."""
-    if mode not in INIT_MODES:
-        raise ValueError(f"unknown init mode {mode!r}")
-    if mode == "mog":
-        if gm is None:
-            raise ValueError("mog init requires a fitted mixture")
+    """Starting states: draws from the fitted mixture, or N(0, I) without one."""
+    if gm is not None:
         return sample_mog(gm, n_chains, rng)
     return rng.standard_normal((n_chains, dim))
 

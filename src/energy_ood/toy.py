@@ -41,8 +41,12 @@ class ToySpec:
             raise ValueError(f"unknown toy kind {self.kind!r}")
         if self.samples_per_class < 1:
             raise ValueError("samples_per_class must be at least 1")
-        if self.arm_length <= 0 or self.arm_thickness <= 0 or self.grid_pitch <= 0:
+        if not all(g > 0 for g in (self.arm_length, self.arm_thickness, self.grid_pitch)):
             raise ValueError("geometry parameters must be positive")
+        # samples lie within a few thicknesses of the arms; ten leaves ample room
+        reach = self.grid_pitch + self.arm_length + 10 * self.arm_thickness
+        if reach > float(np.finfo(np.float32).max):
+            raise ValueError("toy geometry exceeds the float32 range of feature files")
 
     @property
     def centers(self) -> np.ndarray:

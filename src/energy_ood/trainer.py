@@ -1,11 +1,11 @@
-"""Maximum-likelihood training of the correction model and the plain-EBM ablation.
+"""Maximum-likelihood training of the energy model E(z) = E_net(z) / T + E_mog(z).
 
 Each step draws a noisy positive minibatch, synthesizes negatives by Langevin
 sampling from the current model, and descends mean(E on data) - mean(E on
 negatives) plus an L2 penalty on the energy magnitudes, with Adam. The
-correction variant initializes negatives from the fitted mixture and follows
-the summed gradient of network-plus-mixture energy; the ablation drops the
-mixture everywhere and starts chains from N(0, I).
+correction model starts chains from the fitted mixture and follows the
+gradient of the full energy; the plain-EBM ablation is the same model without
+the mixture term, whose chains start from N(0, I).
 """
 
 from __future__ import annotations
@@ -34,14 +34,11 @@ class TrainConfig:
     epochs: int = 20
     batch_size: int = 256
     learning_rate: float = 5e-6
-    adam_betas: tuple = (0.9, 0.999)
-    adam_eps: float = 1e-8
     l2_coeff: float = 10.0
     input_noise_std: float = 1e-3
     sgld: SgldSchedule = field(
         default_factory=lambda: SgldSchedule(20, (1e-6, 1e-7), (1e-3, 1e-4))
     )
-    init_mode: str = "mog"
     seed: int = 0
     hidden_dim: int = 1024
     num_hidden: int = 4
@@ -59,8 +56,6 @@ class TrainConfig:
             raise ValueError("l2_coeff must be nonnegative")
         if self.input_noise_std < 0:
             raise ValueError("input_noise_std must be nonnegative")
-        if self.init_mode not in ("mog", "standard_normal"):
-            raise ValueError(f"unknown init mode {self.init_mode!r}")
         if self.net_temperature <= 0:
             raise ValueError("net_temperature must be positive")
         if self.hidden_dim < 1 or self.num_hidden < 1:
@@ -85,7 +80,6 @@ def ebm_defaults(toy: bool = False, seed: int = 0) -> TrainConfig:
         learning_rate=5e-5,
         l2_coeff=0.1,
         sgld=SgldSchedule(200, (1e-2, 1e-3), (1e-2, 1e-3)),
-        init_mode="standard_normal",
         net_temperature=1e-2,
         seed=seed,
     )
@@ -96,13 +90,18 @@ def ebm_defaults(toy: bool = False, seed: int = 0) -> TrainConfig:
 
 @dataclass(frozen=True)
 class CorrectionModel:
-    """Trained energy correction on top of a fitted mixture."""
+    """Energy mlp_energy(net, z) / net_temperature, plus the mixture energy when
+    ``gm`` is set; without a mixture it is the plain-EBM ablation."""
 
     net: EnergyMlp
-    gm: GaussianMixture
+    gm: GaussianMixture | None = None
+    net_temperature: float = 1.0
 
     def __post_init__(self):
-        if self.net.input_dim != self.gm.dim:
+        if not (np.isfinite(self.net_temperature) and self.net_temperature > 0):
+            raise ValueError(f"net_temperature must be finite and positive, "
+                             f"got {self.net_temperature}")
+        if self.gm is not None and self.net.input_dim != self.gm.dim:
             raise ValueError(
                 f"network input {self.net.input_dim} != mixture dimension {self.gm.dim}"
             )
@@ -196,7 +195,7 @@ def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
                     return g
 
                 # stream domain 4: disjoint from the spawn keys of the rngs above
-                start = sgld_init(cfg.init_mode, gm, b, d, neg_rng)
+                start = sgld_init(gm, b, d, neg_rng)
                 neg = sgld_sample(start, energy_grad, cfg.sgld,
                                   seed=(cfg.seed, 4, gstep), chain_ids=np.arange(b))
 
@@ -216,8 +215,11 @@ def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
                     -1.0 / b + 2.0 * cfg.l2_coeff * e_neg / total,
                 ]) / cfg.net_temperature
                 grads = mlp_grad_params(net, np.concatenate([pos, neg]), upstream)
-                params, state = adam_step(params, flat_params(grads), state,
-                                          cfg.learning_rate, cfg.adam_betas, cfg.adam_eps)
+                params, state = adam_step(params, flat_params(grads), state, cfg.learning_rate)
+                if not all(np.isfinite(p).all() for p in params):
+                    raise TrainingDivergedError(
+                        f"non-finite parameters after epoch {epoch}, step {gstep}"
+                    )
                 net = mlp_from_params(params, net.activation)
 
                 sums["mle_loss"] += loss_mle
@@ -236,7 +238,7 @@ def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
     finally:
         if log_fh is not None:
             log_fh.close()
-    return net, history
+    return CorrectionModel(net, gm, cfg.net_temperature), history
 
 
 def train_correction(fs: FeatureSet, gm: GaussianMixture, cfg: TrainConfig,
@@ -245,54 +247,44 @@ def train_correction(fs: FeatureSet, gm: GaussianMixture, cfg: TrainConfig,
 
     Returns the trained model and the per-epoch loss trace.
     """
-    if cfg.init_mode != "mog":
-        raise ValueError("correction training requires init_mode='mog'")
     if fs.dim != gm.dim:
         raise ValueError(f"feature dimension {fs.dim} != mixture dimension {gm.dim}")
-    net, history = _run_training(fs, gm, cfg, log_path)
-    return CorrectionModel(net, gm), history
+    return _run_training(fs, gm, cfg, log_path)
 
 
 def train_ebm(fs: FeatureSet, cfg: TrainConfig, log_path=None):
-    """Train the plain EBM ablation; the mixture is absent from sampling and loss."""
-    if cfg.init_mode != "standard_normal":
-        raise ValueError("EBM training requires init_mode='standard_normal'")
-    net, history = _run_training(fs, None, cfg, log_path)
-    return net, history
+    """Train the plain-EBM ablation: the same model without the mixture term."""
+    return _run_training(fs, None, cfg, log_path)
 
 
-def save_correction(path, model: CorrectionModel) -> None:
-    entries = {"kind": np.array([1], dtype=np.uint32)}
+def save_model(path, model: CorrectionModel) -> None:
+    """Write kind 1 (with mixture) or kind 2 (without), net_temperature in both."""
+    entries = {"kind": np.array([1 if model.gm is not None else 2], dtype=np.uint32),
+               "net_temperature": np.array([model.net_temperature])}
     entries.update(mlp_entries(model.net, "net."))
-    entries.update(mixture_entries(model.gm, "mog."))
-    write_archive(path, entries)
-
-
-def save_ebm(path, net: EnergyMlp, net_temperature: float = 1.0) -> None:
-    entries = {"kind": np.array([2], dtype=np.uint32),
-               "net_temperature": np.array([net_temperature])}
-    entries.update(mlp_entries(net, "net."))
+    if model.gm is not None:
+        entries.update(mixture_entries(model.gm, "mog."))
     write_archive(path, entries)
 
 
 def load_model(path):
     """Load a model or mixture archive by its kind.
 
-    Returns ('correction', CorrectionModel), ('ebm', (EnergyMlp,
-    net_temperature)) or ('mog', GaussianMixture); mixture archives are the
-    ones without a ``kind`` entry.
+    Returns ('correction', CorrectionModel), ('ebm', CorrectionModel) or
+    ('mog', GaussianMixture); mixture archives are the ones without a ``kind``
+    entry. A correction archive written without ``net_temperature`` predates
+    that entry and loads with 1.0, the temperature it was always scored at.
     """
     entries = read_archive(path)
     if "kind" not in entries:
         return "mog", mixture_from_entries(entries)
     code = archive_scalar(entries, "kind")
     kind = _MODEL_KINDS.get(code)
-    if kind == "correction":
-        return kind, CorrectionModel(mlp_from_entries(entries, "net."),
-                                     mixture_from_entries(entries, "mog."))
-    if kind == "ebm":
+    if kind is None:
+        raise ValueError(f"unknown model kind code {code:g}")
+    if kind == "correction" and "net_temperature" not in entries:
+        temperature = 1.0
+    else:
         temperature = archive_scalar(entries, "net_temperature")
-        if not (np.isfinite(temperature) and temperature > 0):
-            raise ValueError(f"EBM archive has invalid net_temperature {temperature}")
-        return kind, (mlp_from_entries(entries, "net."), temperature)
-    raise ValueError(f"unknown model kind code {code:g}")
+    gm = mixture_from_entries(entries, "mog.") if kind == "correction" else None
+    return kind, CorrectionModel(mlp_from_entries(entries, "net."), gm, temperature)

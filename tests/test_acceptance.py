@@ -228,9 +228,9 @@ def test_criterion_5_mode_coverage(grid_trained, grid_train_fs, tmp_path):
     # plain-EBM surface exported but not asserted: mode-missing is stochastic
     ebm_cfg = replace(ebm_defaults(toy=True, seed=7), epochs=2, batch_size=128,
                       sgld=SgldSchedule(60, (1e-2, 1e-3), (1e-2, 1e-3)))
-    net, _ = train_ebm(grid_train_fs, ebm_cfg)
+    ebm_model, _ = train_ebm(grid_train_fs, ebm_cfg)
     ebm_grid = energy_grid(
-        lambda pts: mlp_energy(net, pts) / ebm_cfg.net_temperature,
+        lambda pts: mlp_energy(ebm_model.net, pts) / ebm_cfg.net_temperature,
         (-reach, reach, -reach, reach), 121)
     save_grid_csv(tmp_path / "ebm_energy_grid.csv", ebm_grid)
     print(f"  energy grids for inspection under {tmp_path}")

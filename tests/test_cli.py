@@ -8,16 +8,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from energy_ood.cli import main
-from energy_ood.energy_net import mlp_init
+from energy_ood.energy_net import mlp_energy, mlp_init
 from energy_ood.featurestore import load_feature_set, normalize_features
 from energy_ood.mog import fit_mog, gaussian_energy, load_mixture, save_mixture
 from energy_ood.tensorio import load_tensor, read_archive, write_archive, write_tensor
 from energy_ood.toy import ToySpec, gen_toy
-from energy_ood.trainer import CorrectionModel, save_correction
+from energy_ood.trainer import CorrectionModel, load_model, save_model
 
 
 def run(*argv) -> int:
-    return main([str(a) for a in argv])
+    """Exit code of the CLI, including argparse's exit 2 for a rejected flag value."""
+    try:
+        return main([str(a) for a in argv])
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture()
@@ -153,6 +157,61 @@ def test_train_ebm(tmp_path, toy_files):
     assert out.exists()
 
 
+def test_train_net_temperature_reaches_the_scores(tmp_path, toy_files):
+    feats, labels = toy_files
+    mog, model = tmp_path / "mog.ftar", tmp_path / "model.ftar"
+    assert run("fit-mog", "--features", feats, "--labels", labels,
+               "--temperature", 1.0, "--out", mog) == 0
+    assert run("train", "--features", feats, "--labels", labels, "--mog", mog,
+               "--seed", 7, "--net-temperature", 0.5, "--out", model,
+               *fast_train_args()) == 0
+    out = tmp_path / "s.scores"
+    assert run("score", "--detector", "correction", "--model", model,
+               "--features", feats, "--out", out) == 0
+    _, loaded = load_model(model)
+    z = load_tensor(feats).astype(np.float64)
+    expected = mlp_energy(loaded.net, z) / 0.5 + gaussian_energy(load_mixture(mog), z)
+    np.testing.assert_array_equal(load_tensor(out), expected.astype(np.float32))
+
+
+def test_train_nonfinite_parameters_exit_1(tmp_path, toy_files, capsys):
+    feats, labels = toy_files
+    mog = tmp_path / "mog.ftar"
+    assert run("fit-mog", "--features", feats, "--labels", labels,
+               "--temperature", 1.0, "--out", mog) == 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("train", "--features", feats, "--labels", labels, "--mog", mog,
+                   "--l2-coeff", 1e308, "--out", tmp_path / "x.ftar",
+                   *fast_train_args()) == 1
+    assert "non-finite parameters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--mog", "{mog}", "--input-noise-std", "nan"],
+    ["train", "--mog", "{mog}", "--net-temperature", "nan"],
+    ["train", "--mog", "{mog}", "--config", "{cfg}"],
+    ["fit-mog", "--temperature", "nan"],
+    ["fit-mog", "--shrinkage", "-1"],
+    ["toy", "--arm-length", "nan"],
+    ["toy", "--arm-length", "1e308"],
+    ["toy", "--thickness", "1e38"],
+    ["toy", "--kind", "grid-crosses", "--pitch", "1e308"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_nonfinite_or_overflowing_numbers_exit_2(tmp_path, toy_files, argv):
+    feats, labels = toy_files
+    mog, cfg = tmp_path / "mog.ftar", tmp_path / "bad.cfg"
+    assert run("fit-mog", "--features", feats, "--labels", labels, "--out", mog) == 0
+    cfg.write_text("input_noise_std = nan\n")
+    out = tmp_path / "out"
+    argv = [a.format(mog=mog, cfg=cfg) for a in argv]
+    if argv[0] == "toy":
+        argv += ["--out-features", out, "--out-labels", tmp_path / "labels"]
+    else:
+        argv += ["--features", feats, "--labels", labels, "--out", out]
+    assert run(*argv) == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- score + eval
 
 @pytest.fixture()
@@ -180,14 +239,27 @@ def scored(tmp_path, toy_files):
     return id_scores, ood_scores, model, id_feats
 
 
-def test_score_outputs_and_sidecar(scored):
-    id_scores, _, _, id_feats = scored
+def test_score_outputs_and_manifest(scored):
+    id_scores, _, model, id_feats = scored
     arr = load_tensor(id_scores)
     assert arr.dtype == np.float32 and arr.shape == (200,)
-    sidecar = json.loads((id_scores.parent / (id_scores.name + ".json")).read_text())
-    assert sidecar["detector"] == "correction"
-    assert str(id_feats) in sidecar["inputs"]
-    assert sidecar["n_samples"] == 200
+    manifest = json.loads((id_scores.parent / (id_scores.name + ".manifest.json")).read_text())
+    assert manifest["config"]["detector"] == "correction"
+    assert {"k", "temperature", "normalize"} <= set(manifest["config"])
+    assert set(manifest["inputs"]) == {str(id_feats), str(model)}
+    assert manifest["artifacts"] == [str(id_scores)]
+    assert not (id_scores.parent / (id_scores.name + ".json")).exists()
+
+
+def test_score_gaussian_energy_detector(tmp_path, toy_files):
+    feats, labels = toy_files
+    mog, out = tmp_path / "mog.ftar", tmp_path / "ge.scores"
+    assert run("fit-mog", "--features", feats, "--labels", labels,
+               "--temperature", 1.0, "--out", mog) == 0
+    assert run("score", "--detector", "gaussian-energy", "--model", mog,
+               "--features", feats, "--out", out) == 0
+    expected = gaussian_energy(load_mixture(mog), load_tensor(feats).astype(np.float64))
+    np.testing.assert_array_equal(load_tensor(out), expected.astype(np.float32))
 
 
 def test_score_knn_and_range_error(tmp_path, toy_files):
@@ -382,7 +454,7 @@ def _tiny_models(directory):
     fs = gen_toy(ToySpec(kind="cross", samples_per_class=50, seed=1))
     gm = fit_mog(fs, temperature=1.0)
     model = CorrectionModel(mlp_init([2, 4, 1], np.random.default_rng(0)), gm)
-    save_correction(directory / "model.ftar", model)
+    save_model(directory / "model.ftar", model)
     save_mixture(directory / "mog.ftar", gm)
     write_tensor(directory / "z.f32", fs.features[::20].astype(np.float32))
     return directory / "model.ftar", directory / "mog.ftar", directory / "z.f32"

@@ -3,7 +3,6 @@ import pytest
 
 from energy_ood.detectors import (
     score_correction,
-    score_ebm,
     score_energy_logits,
     score_knn,
     score_msp,
@@ -165,7 +164,9 @@ def test_temperature_validation():
     with pytest.raises(ValueError):
         score_energy_logits([1.0], -1.0)
     with pytest.raises(ValueError):
-        score_ebm(mlp_init([2, 4, 1], np.random.default_rng(0)), np.zeros(2), 0.0)
+        CorrectionModel(mlp_init([2, 4, 1], np.random.default_rng(0)), None, 0.0)
+    with pytest.raises(ValueError):
+        CorrectionModel(mlp_init([2, 4, 1], np.random.default_rng(0)), None, float("nan"))
 
 
 def test_all_scores_finite_and_batchable():

@@ -11,7 +11,7 @@ from energy_ood.energy_net import (
     mlp_grad_params,
     mlp_init,
 )
-from energy_ood.trainer import load_model, save_ebm
+from energy_ood.trainer import CorrectionModel, load_model, save_model
 
 
 def linear_net(w, b=0.0):
@@ -226,8 +226,9 @@ def test_grad_params_rejects_empty_batch():
 def test_mlp_archive_round_trip(tmp_path):
     net = mlp_init([4, 8, 8, 1], np.random.default_rng(11), "tanh")
     path = tmp_path / "net.ftar"
-    save_ebm(path, net)
-    kind, (loaded, _) = load_model(path)
+    save_model(path, CorrectionModel(net))
+    kind, model = load_model(path)
+    loaded = model.net
     assert kind == "ebm" and loaded.activation == "tanh"
     assert loaded.dims == net.dims
     z = np.random.default_rng(12).standard_normal((20, 4))

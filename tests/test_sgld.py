@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from energy_ood.mog import GaussianMixture
+from energy_ood.mog import GaussianMixture, sample_mog
 from energy_ood.sgld import (
     SgldDivergenceError,
     SgldSchedule,
@@ -164,25 +164,27 @@ def test_trace_csv_layout(tmp_path):
 # ---------------------------------------------------------------- init modes
 
 def test_init_standard_normal_moments():
-    draws = sgld_init("standard_normal", None, 100_000, 2, np.random.default_rng(12))
+    draws = sgld_init(None, 100_000, 2, np.random.default_rng(12))
     assert np.abs(draws.mean(axis=0)).max() < 0.02
     assert np.abs(draws.var(axis=0) - 1.0).max() < 0.03
 
 
 def test_init_mog_degenerate():
     gm = GaussianMixture.from_moments([[3.0, -1.0]], 1e-12 * np.eye(2))
-    draws = sgld_init("mog", gm, 100, 2, np.random.default_rng(13))
+    draws = sgld_init(gm, 100, 2, np.random.default_rng(13))
     assert np.abs(draws - gm.means[0]).max() < 1e-5
 
 
 def test_init_deterministic():
-    a = sgld_init("standard_normal", None, 32, 4, np.random.default_rng(14))
-    b = sgld_init("standard_normal", None, 32, 4, np.random.default_rng(14))
+    a = sgld_init(None, 32, 4, np.random.default_rng(14))
+    b = sgld_init(None, 32, 4, np.random.default_rng(14))
     np.testing.assert_array_equal(a, b)
 
 
-def test_init_mog_requires_mixture():
-    with pytest.raises(ValueError, match="mixture"):
-        sgld_init("mog", None, 4, 2, np.random.default_rng(15))
-    with pytest.raises(ValueError, match="init mode"):
-        sgld_init("uniform", None, 4, 2, np.random.default_rng(16))
+def test_init_is_one_draw_from_the_generator():
+    # the mixture sampler, or one standard-normal block: what seeded runs depend on
+    gm = GaussianMixture.from_moments([[0.0, 1.0], [2.0, -1.0]], np.eye(2), [0.3, 0.7])
+    np.testing.assert_array_equal(sgld_init(gm, 16, 2, np.random.default_rng(15)),
+                                  sample_mog(gm, 16, np.random.default_rng(15)))
+    np.testing.assert_array_equal(sgld_init(None, 16, 3, np.random.default_rng(16)),
+                                  np.random.default_rng(16).standard_normal((16, 3)))

@@ -4,13 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from energy_ood.detectors import score_correction, score_ebm
+from energy_ood.detectors import score_correction
 from energy_ood.energy_net import flat_params, mlp_energy, mlp_grad_params, mlp_init
 from energy_ood.featurestore import FeatureSet
-from energy_ood.mog import fit_mog
+from energy_ood.mog import fit_mog, gaussian_energy
 from energy_ood.sgld import SgldSchedule
+from energy_ood.tensorio import read_archive, write_archive
 from energy_ood.trainer import (
     AdamState,
+    CorrectionModel,
     TrainConfig,
     TrainingDivergedError,
     adam_step,
@@ -19,8 +21,7 @@ from energy_ood.trainer import (
     l2_reg,
     load_model,
     mle_loss,
-    save_correction,
-    save_ebm,
+    save_model,
     train_correction,
     train_ebm,
 )
@@ -118,8 +119,6 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=-1e-3)
-    with pytest.raises(ValueError):
-        TrainConfig(init_mode="uniform")
     TrainConfig(learning_rate=0.0)  # allowed: no-op optimizer
 
 
@@ -137,7 +136,7 @@ def test_presets_follow_recipes():
     ebm = ebm_defaults()
     assert ebm.learning_rate == 5e-5 and ebm.l2_coeff == 0.1
     assert ebm.sgld.steps == 200 and ebm.sgld.step_size == (1e-2, 1e-3)
-    assert ebm.net_temperature == 1e-2 and ebm.init_mode == "standard_normal"
+    assert ebm.net_temperature == 1e-2
 
 
 # ---------------------------------------------------------------- gradient assembly
@@ -179,10 +178,11 @@ def test_training_deterministic_bitwise():
 
 def test_ebm_deterministic_bitwise():
     fs = two_class_fs(seed=4)
-    cfg = small_cfg(seed=5, init_mode="standard_normal")
+    cfg = small_cfg(seed=5)
     a, _ = train_ebm(fs, cfg)
     b, _ = train_ebm(fs, cfg)
-    for wa, wb in zip(a.weights, b.weights):
+    assert a.gm is None
+    for wa, wb in zip(a.net.weights, b.net.weights):
         np.testing.assert_array_equal(wa, wb)
 
 
@@ -204,15 +204,6 @@ def test_strong_regularization_collapses_energy():
     cfg = small_cfg(epochs=15, l2_coeff=1e6, hidden_dim=32, learning_rate=1e-2, seed=3)
     model, _ = train_correction(fs, gm, cfg)
     assert np.abs(mlp_energy(model.net, fs.features)).mean() < 0.01
-
-
-def test_init_mode_contracts():
-    fs = two_class_fs()
-    gm = fit_mog(fs, temperature=1.0)
-    with pytest.raises(ValueError, match="init_mode"):
-        train_correction(fs, gm, small_cfg(init_mode="standard_normal"))
-    with pytest.raises(ValueError, match="init_mode"):
-        train_ebm(fs, small_cfg(init_mode="mog"))
 
 
 def test_dimension_mismatch_rejected():
@@ -253,10 +244,10 @@ def test_ebm_blob_separation():
     cfg = replace(ebm_defaults(toy=True, seed=5), epochs=20, hidden_dim=32,
                   batch_size=128, learning_rate=1e-3, net_temperature=1.0,
                   sgld=SgldSchedule(100, (5e-2, 5e-3), (1e-2, 1e-3)))
-    net, _ = train_ebm(fs, cfg)
+    model, _ = train_ebm(fs, cfg)
     held = rng.normal(0, 0.1, (200, 2)) + np.array([1.0, -1.0])
     far = rng.uniform(-6, 6, (200, 2))
-    assert np.mean(score_ebm(net, held)) < np.mean(score_ebm(net, far))
+    assert np.mean(score_correction(model, held)) < np.mean(score_correction(model, far))
 
 
 # ---------------------------------------------------------------- toy pipeline checks
@@ -284,7 +275,7 @@ def test_correction_archive_round_trip(tmp_path):
     gm = fit_mog(fs, temperature=1.0)
     model, _ = train_correction(fs, gm, small_cfg(seed=2))
     path = tmp_path / "model.ftar"
-    save_correction(path, model)
+    save_model(path, model)
     kind, loaded = load_model(path)
     assert kind == "correction"
     z = np.random.default_rng(13).standard_normal((50, 2))
@@ -293,11 +284,28 @@ def test_correction_archive_round_trip(tmp_path):
 
 def test_ebm_archive_round_trip(tmp_path):
     fs = two_class_fs(seed=14)
-    net, _ = train_ebm(fs, small_cfg(seed=3, init_mode="standard_normal",
-                                     net_temperature=0.5))
+    model, _ = train_ebm(fs, small_cfg(seed=3, net_temperature=0.5))
     path = tmp_path / "ebm.ftar"
-    save_ebm(path, net, 0.5)
-    kind, (loaded, temp) = load_model(path)
-    assert kind == "ebm" and temp == 0.5
+    save_model(path, model)
+    kind, loaded = load_model(path)
+    assert kind == "ebm" and loaded.gm is None and loaded.net_temperature == 0.5
     z = np.random.default_rng(15).standard_normal((20, 2))
-    np.testing.assert_array_equal(score_ebm(loaded, z, temp), score_ebm(net, z, 0.5))
+    np.testing.assert_array_equal(score_correction(loaded, z), score_correction(model, z))
+    np.testing.assert_array_equal(score_correction(loaded, z), mlp_energy(model.net, z) / 0.5)
+
+
+def test_correction_archive_without_temperature_loads_at_one(tmp_path):
+    # archives written before net_temperature was stored were always scored at 1.0
+    fs = two_class_fs(seed=16)
+    model = CorrectionModel(mlp_init([2, 4, 1], np.random.default_rng(17)),
+                            fit_mog(fs, temperature=1.0))
+    path = tmp_path / "old.ftar"
+    save_model(path, model)
+    entries = read_archive(path)
+    del entries["net_temperature"]
+    write_archive(path, entries)
+    kind, loaded = load_model(path)
+    assert kind == "correction" and loaded.net_temperature == 1.0
+    z = fs.features[:20]
+    np.testing.assert_array_equal(score_correction(loaded, z),
+                                  mlp_energy(model.net, z) + gaussian_energy(model.gm, z))
