@@ -1,10 +1,13 @@
 """Command-line pipeline: toy, fit-mog, train, score, eval, grid.
 
-Every command takes flat ``--key value`` flags, optionally seeded from a
-``key = value`` config file (flags win), and writes a JSON manifest next to
-its primary output recording the resolved configuration, input hashes, seed
-and artifact paths. Exit codes: 0 success, 1 computational failure
-(divergence, non-positive-definite covariance), 2 usage or input error.
+Every command takes flat ``--key value`` flags and writes a JSON manifest
+next to its primary output recording the resolved configuration, input
+hashes, seed and artifact paths. ``--config FILE`` stands for the flags its
+``key = value`` lines spell out (``with_config_flags``); they go right after
+the subcommand name, so argparse parses and checks them like any other flag,
+and flags on the command line come later and win. Exit codes: 0 success,
+1 computational failure (divergence, non-positive-definite covariance, a
+score beyond float32), 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import argparse
 import hashlib
 import json
 import math
+import shlex
 import sys
 import time
 from dataclasses import replace
@@ -22,6 +26,7 @@ import numpy as np
 from . import detectors, metrics
 from .featurestore import (
     load_feature_set,
+    load_rows,
     normalize_features,
     normalize_rows,
     save_feature_set,
@@ -53,6 +58,10 @@ SCHEMA = 1
 
 class UsageError(Exception):
     pass
+
+
+class ScoreRangeError(RuntimeError):
+    """A score that a float32 score file cannot hold."""
 
 
 def finite_float(text: str) -> float:
@@ -92,61 +101,43 @@ def _write_manifest(args, primary_out, inputs: list, artifacts: list, started: f
         fh.write("\n")
 
 
-def _load_config_file(path) -> dict:
-    """Parse a flat ``key = value`` file; '#' starts a comment."""
-    values = {}
+def _load_config_file(path) -> list:
+    """The flags a ``key = value`` config file spells out; '#' starts a comment.
+
+    ``key = v1 v2`` is ``--key v1 v2``, split with shell quoting; ``key = true``
+    is the bare switch ``--key`` and ``key = false`` adds nothing. ``_`` in a
+    key reads as ``-``.
+    """
+    flags = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, _, value = (part.strip() for part in line.partition("="))
+            try:
+                values = shlex.split(value, comments=True)
+            except ValueError as exc:
+                raise UsageError(f"{path}:{lineno}: {exc}") from exc
+            if not key or not values:
                 raise UsageError(f"{path}:{lineno}: expected key = value")
-            key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = val
-    return values
+            flag = "--" + key.replace("_", "-")
+            if values == ["true"]:
+                flags.append(flag)
+            elif values != ["false"]:
+                flags += [flag, *values]
+    return flags
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> None:
-    """Pre-scan for --config and install its values as parser defaults.
-
-    A key that names no option of the subcommand is a usage error, and a
-    required option the file supplies need not be repeated as a flag. A
-    repeatable option takes space-separated values, which its flags extend.
-    """
-    pre = argparse.ArgumentParser(add_help=False)
+def with_config_flags(argv: list) -> list:
+    """``argv`` with the flags of its subcommand's ``--config`` file, if any,
+    spliced in right after the subcommand name, before the flags that win."""
+    pre = argparse.ArgumentParser(prog="energy-ood", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
+    known, _ = pre.parse_known_args(argv[1:])
     if known.config is None:
-        return
-    raw = _load_config_file(known.config)
-    actions = {action.dest: action for action in parser._actions}
-    unknown = [key for key in raw if key not in actions]
-    if unknown:
-        raise UsageError(f"{known.config}: no option of {parser.prog} matches "
-                         f"config key(s) {', '.join(unknown)}")
-    defaults = {}
-    for key, value in raw.items():
-        action = actions[key]
-        convert = action.type or str
-        try:
-            if action.nargs in (2, 4):
-                parsed = [convert(v) for v in value.split()]
-                if len(parsed) != action.nargs:
-                    raise UsageError(f"config key {key} needs {action.nargs} values")
-            elif isinstance(action, argparse._AppendAction):  # repeatable flag
-                parsed = [convert(v) for v in value.split()]
-            elif action.const is True:  # store_true flag
-                parsed = value.lower() in ("1", "true", "yes")
-            else:
-                parsed = convert(value)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise UsageError(f"config key {key}: {exc}") from exc
-        if action.choices is not None and parsed not in action.choices:
-            raise UsageError(f"config key {key}: {value!r} is not one of {list(action.choices)}")
-        defaults[key] = parsed
-        action.required = False
-    parser.set_defaults(**defaults)
+        return argv
+    return [argv[0], *_load_config_file(known.config), *argv[1:]]
 
 
 def cmd_toy(args) -> int:
@@ -203,10 +194,6 @@ def _train_flags(cfg) -> dict:
 
 def cmd_train(args) -> int:
     started = time.time()
-    if args.ebm and args.mog is not None:
-        raise UsageError("--ebm and --mog are mutually exclusive")
-    if not args.ebm and args.mog is None:
-        raise UsageError("training the correction model requires --mog (or pass --ebm)")
     fs = load_feature_set(args.features, args.labels)
     if args.normalize:
         fs = normalize_features(fs)
@@ -256,10 +243,7 @@ LOGIT_SCORERS = {
 
 
 def _score_features(args) -> np.ndarray:
-    feats = load_tensor(args.features)
-    if feats.ndim != 2 or feats.dtype != np.float32:
-        raise UsageError(f"{args.features}: features file must be a rank-2 f32 tensor")
-    x = feats.astype(np.float64)
+    x = load_rows(args.features)
     if args.normalize:
         x = normalize_rows(x)
     if args.detector == "knn":
@@ -267,7 +251,7 @@ def _score_features(args) -> np.ndarray:
             raise UsageError("knn needs --train-features")
         if args.k is None:
             raise UsageError("knn needs --k")
-        train = load_tensor(args.train_features).astype(np.float64)
+        train = load_rows(args.train_features, "train features")
         if args.normalize:
             train = normalize_rows(train)
         return detectors.score_knn(train, x, args.k)
@@ -277,10 +261,18 @@ def _score_features(args) -> np.ndarray:
 
 
 def _score_logits(args) -> np.ndarray:
-    logits = load_tensor(args.logits)
-    if logits.ndim != 2 or logits.dtype != np.float32:
-        raise UsageError(f"{args.logits}: logits file must be a rank-2 f32 tensor")
-    return LOGIT_SCORERS[args.detector](logits.astype(np.float64), args.temperature)
+    return LOGIT_SCORERS[args.detector](load_rows(args.logits, "logits"), args.temperature)
+
+
+def _as_f32_scores(scores) -> np.ndarray:
+    """``scores`` as float32, refusing a non-finite one or one beyond the float32 range."""
+    scores = np.asarray(scores, dtype=np.float64)
+    bad = ~(np.abs(scores) <= np.finfo(np.float32).max)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ScoreRangeError(f"score {scores[row]!r} of row {row} does not fit a float32 "
+                              f"score file")
+    return scores.astype(np.float32)
 
 
 def cmd_score(args) -> int:
@@ -299,7 +291,7 @@ def cmd_score(args) -> int:
             inputs.append(args.model)
         if args.train_features is not None:
             inputs.append(args.train_features)
-    write_tensor(args.out, np.asarray(scores, dtype=np.float32))
+    write_tensor(args.out, _as_f32_scores(scores))
     _write_manifest(args, args.out, inputs, [args.out], started)
     return 0
 
@@ -387,11 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key = value file; flags override it")
+    def command(name, func, summary):
+        # allow_abbrev=False: a config key or flag must name an option exactly
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.add_argument("--config", help="key = value file of flags; later flags win")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("toy", help="generate a 2-D synthetic dataset")
-    common(p)
+    p = command("toy", cmd_toy, "generate a 2-D synthetic dataset")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kind", choices=["cross", "grid-crosses"], default="cross")
     p.add_argument("--samples-per-class", type=int, default=1000)
@@ -400,10 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pitch", type=finite_float, default=6.0)
     p.add_argument("--out-features", required=True)
     p.add_argument("--out-labels", required=True)
-    p.set_defaults(func=cmd_toy)
 
-    p = sub.add_parser("fit-mog", help="fit the class-conditional Gaussian mixture")
-    common(p)
+    p = command("fit-mog", cmd_fit_mog, "fit the class-conditional Gaussian mixture")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--num-classes", type=int)
@@ -412,15 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", type=finite_float, default=1e3)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit_mog)
 
-    p = sub.add_parser("train", help="train the correction model or the plain EBM")
-    common(p)
+    p = command("train", cmd_train, "train the correction model or the plain EBM")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--mog", help="fitted mixture archive (correction model)")
-    p.add_argument("--ebm", action="store_true", help="train the plain EBM ablation")
+    model = p.add_mutually_exclusive_group(required=True)
+    model.add_argument("--mog", help="fitted mixture archive (correction model)")
+    model.add_argument("--ebm", action="store_true", help="train the plain EBM ablation")
     p.add_argument("--preset", choices=["features", "toy"], default="features")
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--epochs", type=int)
@@ -437,10 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--activation", choices=["silu", "tanh"])
     p.add_argument("--log", help="JSON-lines training log path")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("score", help="score samples with a detector")
-    common(p)
+    p = command("score", cmd_score, "score samples with a detector")
     p.add_argument("--detector", required=True,
                    choices=[*MODEL_SCORERS, "knn", *LOGIT_SCORERS])
     p.add_argument("--features", help="rank-2 f32 tensor of feature rows")
@@ -451,20 +441,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", type=finite_float, default=1.0)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("eval", help="evaluate ID vs OOD score files")
-    common(p)
+    p = command("eval", cmd_eval, "evaluate ID vs OOD score files")
     p.add_argument("--id", required=True, help="rank-1 f32 tensor of ID scores")
-    p.add_argument("--ood", action="append", required=True,
-                   metavar="[GROUP:]NAME=PATH", help="repeatable OOD score file")
+    p.add_argument("--ood", action="extend", nargs="+", required=True,
+                   metavar="[GROUP:]NAME=PATH", help="OOD score files; repeatable")
     p.add_argument("--tpr", type=finite_float, default=0.95)
     p.add_argument("--csv", help="optional per-dataset/group table")
     p.add_argument("--out", required=True, help="JSON report path")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("grid", help="evaluate a saved model on a 2-D lattice")
-    common(p)
+    p = command("grid", cmd_grid, "evaluate a saved model on a 2-D lattice")
     p.add_argument("--model", required=True)
     p.add_argument("--detector", default="auto",
                    choices=["auto", *MODEL_SCORERS])
@@ -474,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-tensor")
     p.add_argument("--threads", type=int, default=1, help="threads evaluating the lattice")
-    p.set_defaults(func=cmd_grid)
 
     return parser
 
@@ -483,15 +468,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
-        if argv and not argv[0].startswith("-"):
-            # per-subcommand config file handling needs the subparser's actions
-            subparser = parser._subparsers._group_actions[0].choices.get(argv[0])
-            if subparser is not None:
-                _apply_config_file(subparser, argv[1:])
-        args = parser.parse_args(argv)
+        args = parser.parse_args(with_config_flags(argv))
         return args.func(args)
     except (NotPositiveDefiniteError, SgldDivergenceError, TrainingDivergedError,
-            GridEvaluationError) as exc:
+            GridEvaluationError, ScoreRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except UsageError as exc:

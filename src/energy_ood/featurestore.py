@@ -63,14 +63,20 @@ class FeatureSet:
         return self.features.shape[1]
 
 
+def load_rows(path, what: str = "features") -> np.ndarray:
+    """The rows of a features or logits file, which must hold a rank-2 f32 tensor, as f64."""
+    rows = load_tensor(path)
+    if rows.ndim != 2 or rows.dtype != np.float32:
+        raise ValueError(f"{path}: {what} file must be a rank-2 f32 tensor")
+    return rows.astype(np.float64)
+
+
 def load_feature_set(features_path, labels_path, num_classes: int | None = None) -> FeatureSet:
     """Load a feature matrix and its labels from tensor files.
 
     ``num_classes`` defaults to ``max(labels) + 1``.
     """
-    feats = load_tensor(features_path)
-    if feats.ndim != 2 or feats.dtype != np.float32:
-        raise ValueError(f"{features_path}: features file must be a rank-2 f32 tensor")
+    feats = load_rows(features_path)
     labels = load_tensor(labels_path)
     if labels.ndim != 1 or labels.dtype != np.uint32:
         raise ValueError(f"{labels_path}: labels file must be a rank-1 u32 tensor")

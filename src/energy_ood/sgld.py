@@ -40,8 +40,8 @@ class SgldSchedule:
             raise ValueError("need at least one step")
         for name in ("step_size", "noise_scale"):
             start, end = getattr(self, name)
-            if start <= 0 or end <= 0:
-                raise ValueError(f"{name} endpoints must be positive")
+            if not (0 < start < np.inf and 0 < end < np.inf):  # NaN fails too
+                raise ValueError(f"{name} endpoints must be finite and positive")
             if start < end:
                 raise ValueError(f"{name} must decay: start >= end")
 

@@ -50,14 +50,12 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
-        if self.l2_coeff < 0:
-            raise ValueError("l2_coeff must be nonnegative")
-        if self.input_noise_std < 0:
-            raise ValueError("input_noise_std must be nonnegative")
-        if self.net_temperature <= 0:
-            raise ValueError("net_temperature must be positive")
+        # written so that NaN fails each check
+        for name in ("learning_rate", "l2_coeff", "input_noise_std"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+        if not 0 < self.net_temperature < np.inf:
+            raise ValueError("net_temperature must be finite and positive")
         if self.hidden_dim < 1 or self.num_hidden < 1:
             raise ValueError("need at least one hidden layer of width >= 1")
 

@@ -272,6 +272,30 @@ def test_score_knn_and_range_error(tmp_path, toy_files):
                "--features", feats, "--k", 100000, "--out", out) == 2
 
 
+@pytest.mark.parametrize("dtype", [np.uint32, np.float64])
+def test_score_train_features_must_be_rank2_f32(tmp_path, toy_files, dtype, capsys):
+    feats, _ = toy_files
+    train, out = tmp_path / "train.bad", tmp_path / "knn.scores"
+    write_tensor(train, load_tensor(feats).astype(dtype))
+    assert run("score", "--detector", "knn", "--train-features", train,
+               "--features", feats, "--k", 5, "--out", out) == 2
+    assert "rank-2 f32" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_score_beyond_float32_exits_1(tmp_path, capsys):
+    # an output bias of 1e300 gives finite f64 scores that float32 cannot hold
+    model, _, feats = _tiny_models(tmp_path)
+    entries = read_archive(model)
+    entries["net.b1"] = np.array([1e300])
+    write_archive(model, entries)
+    out = tmp_path / "s.scores"
+    assert run("score", "--detector", "correction", "--model", model,
+               "--features", feats, "--out", out) == 1
+    assert "row 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_score_logit_detectors(tmp_path):
     logits = tmp_path / "logits.f32"
     write_tensor(logits, np.random.default_rng(3).standard_normal((50, 10)).astype(np.float32))
@@ -329,6 +353,17 @@ def test_eval_ood_from_config_file(tmp_path):
                "--ood", f"mid:ones3={ood_s}", "--out", report_path) == 0
     report = json.loads(report_path.read_text())
     assert [d["name"] for d in report["datasets"]] == ["ones", "ones2", "ones3"]
+
+
+def test_eval_ood_takes_several_values(tmp_path):
+    id_s, ood_s = tmp_path / "id.scores", tmp_path / "ood.scores"
+    write_tensor(id_s, np.zeros(50, dtype=np.float32))
+    write_tensor(ood_s, np.ones(50, dtype=np.float32))
+    report_path = tmp_path / "r.json"
+    assert run("eval", "--id", id_s, "--ood", f"a={ood_s}", f"b={ood_s}",
+               "--ood", f"c={ood_s}", "--out", report_path) == 0
+    report = json.loads(report_path.read_text())
+    assert [d["name"] for d in report["datasets"]] == ["a", "b", "c"]
 
 
 def test_eval_bad_ood_spec(tmp_path):
@@ -445,6 +480,38 @@ def test_config_file_unknown_key_exits_2(tmp_path, toy_files, capsys, line):
                "--labels", labels, "--out", tmp_path / "m.ftar") == 2
     assert line.split()[0] in capsys.readouterr().err
     assert not (tmp_path / "m.ftar").exists()
+
+
+@pytest.mark.parametrize("value", ["ture", "yes", "1", ""])
+def test_config_switch_takes_only_true_or_false(tmp_path, toy_files, value):
+    feats, labels = toy_files
+    cfg_file, out = tmp_path / "run.cfg", tmp_path / "m.ftar"
+    cfg_file.write_text(f"normalize = {value}\n")
+    assert run("fit-mog", "--config", cfg_file, "--features", feats,
+               "--labels", labels, "--out", out) == 2
+    assert not out.exists()
+
+
+def test_abbreviated_flag_exits_2(tmp_path, toy_files):
+    feats, labels = toy_files
+    out = tmp_path / "m.ftar"
+    assert run("fit-mog", "--features", feats, "--labels", labels,
+               "--temp", 2, "--out", out) == 2
+    assert not out.exists()
+
+
+def test_config_quoted_path_with_space(tmp_path, toy_files):
+    feats, labels = toy_files
+    spaced = tmp_path / "my features"
+    spaced.mkdir()
+    feats2, labels2 = spaced / feats.name, spaced / labels.name
+    feats2.write_bytes(feats.read_bytes())
+    labels2.write_bytes(labels.read_bytes())
+    cfg_file, out = tmp_path / "run.cfg", tmp_path / "m.ftar"
+    cfg_file.write_text(f'features = "{feats2}"\nlabels = \'{labels2}\'  # quoted\n')
+    assert run("fit-mog", "--config", cfg_file, "--out", out) == 0
+    cfg = json.loads((tmp_path / "m.ftar.manifest.json").read_text())["config"]
+    assert (cfg["features"], cfg["labels"]) == (str(feats2), str(labels2))
 
 
 # ---------------------------------------------------------------- malformed archives

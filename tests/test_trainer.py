@@ -122,6 +122,24 @@ def test_config_validation():
     TrainConfig(learning_rate=0.0)  # allowed: no-op optimizer
 
 
+@pytest.mark.parametrize("make", [
+    lambda: TrainConfig(learning_rate=np.nan),
+    lambda: TrainConfig(learning_rate=np.inf),
+    lambda: TrainConfig(l2_coeff=np.inf),
+    lambda: TrainConfig(input_noise_std=np.nan),
+    lambda: TrainConfig(net_temperature=np.nan),
+    lambda: TrainConfig(net_temperature=np.inf),
+    lambda: SgldSchedule(5, (np.nan, 1e-3), (1e-3, 1e-4)),
+    lambda: SgldSchedule(5, (np.inf, 1e-3), (1e-3, 1e-4)),
+    lambda: SgldSchedule(5, (1e-3, 1e-4), (1e-3, np.nan)),
+    lambda: SgldSchedule(5, (1e-3, 1e-4), (np.inf, np.inf)),
+], ids=["lr-nan", "lr-inf", "l2-inf", "noise-std-nan", "temp-nan", "temp-inf",
+        "step-start-nan", "step-start-inf", "noise-end-nan", "noise-both-inf"])
+def test_nonfinite_config_values_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_presets_follow_recipes():
     cfg = correction_defaults()
     assert cfg.epochs == 20 and cfg.learning_rate == 5e-6 and cfg.l2_coeff == 10.0
