@@ -7,7 +7,8 @@ hashes, seed and artifact paths. ``--config FILE`` stands for the flags its
 the subcommand name, so argparse parses and checks them like any other flag,
 and flags on the command line come later and win. Exit codes: 0 success,
 1 computational failure (divergence, non-positive-definite covariance, a
-score beyond float32), 2 usage or input error.
+score beyond float32), 2 usage or input error, including an input path that
+is missing, a directory or unreadable.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .mog import (
     save_mixture,
 )
 from .sgld import SgldDivergenceError
-from .tensorio import load_tensor, write_tensor
+from .tensorio import ScoreRangeError, as_f32_scores, load_tensor, write_tensor
 from .toy import GridEvaluationError, ToySpec, energy_grid, gen_toy, save_grid_csv, \
     save_grid_tensor
 from .trainer import (
@@ -58,10 +59,6 @@ SCHEMA = 1
 
 class UsageError(Exception):
     pass
-
-
-class ScoreRangeError(RuntimeError):
-    """A score that a float32 score file cannot hold."""
 
 
 def finite_float(text: str) -> float:
@@ -264,17 +261,6 @@ def _score_logits(args) -> np.ndarray:
     return LOGIT_SCORERS[args.detector](load_rows(args.logits, "logits"), args.temperature)
 
 
-def _as_f32_scores(scores) -> np.ndarray:
-    """``scores`` as float32, refusing a non-finite one or one beyond the float32 range."""
-    scores = np.asarray(scores, dtype=np.float64)
-    bad = ~(np.abs(scores) <= np.finfo(np.float32).max)
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise ScoreRangeError(f"score {scores[row]!r} of row {row} does not fit a float32 "
-                              f"score file")
-    return scores.astype(np.float32)
-
-
 def cmd_score(args) -> int:
     started = time.time()
     if args.detector in LOGIT_SCORERS:
@@ -291,7 +277,7 @@ def cmd_score(args) -> int:
             inputs.append(args.model)
         if args.train_features is not None:
             inputs.append(args.train_features)
-    write_tensor(args.out, _as_f32_scores(scores))
+    write_tensor(args.out, as_f32_scores(scores))
     _write_manifest(args, args.out, inputs, [args.out], started)
     return 0
 
@@ -363,11 +349,12 @@ def cmd_grid(args) -> int:
     started = time.time()
     fn = _model_scorer(args.model, args.detector)
     grid = energy_grid(fn, args.bounds, args.resolution, n_threads=args.threads)
-    save_grid_csv(args.out_csv, grid)
     artifacts = [args.out_csv]
     if args.out_tensor is not None:
+        # first: a value beyond float32 raises before any file is written
         save_grid_tensor(args.out_tensor, grid)
         artifacts.append(args.out_tensor)
+    save_grid_csv(args.out_csv, grid)
     _write_manifest(args, args.out_csv, [args.model], artifacts, started)
     return 0
 
@@ -477,8 +464,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: no such file: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

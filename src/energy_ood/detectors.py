@@ -36,15 +36,21 @@ def score_knn(train: np.ndarray, z, k: int) -> float | np.ndarray:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     queries, single = as_batch(z, train.shape[1])
-    train_sq = (train ** 2).sum(axis=1)
+    # in place throughout: the only (rows, n) array is d2, and no (n, d) copy
+    # of the training set is made, so a scan allocates the same few blocks
+    # each call instead of faulting in fresh pages for several temporaries
+    train_sq = np.einsum("ij,ij->i", train, train)
     out = np.empty(queries.shape[0])
     chunk = max(1, _KNN_CELLS // n)
     for start in range(0, queries.shape[0], chunk):
         rows = queries[start : start + chunk]
-        d2 = (rows ** 2).sum(axis=1)[:, None] - 2.0 * rows @ train.T + train_sq[None, :]
+        d2 = rows @ train.T
+        d2 *= -2.0
+        d2 += (rows ** 2).sum(axis=1)[:, None]
+        d2 += train_sq
         np.maximum(d2, 0.0, out=d2)
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        out[start : start + chunk] = np.sqrt(kth)
+        d2.partition(k - 1, axis=1)
+        out[start : start + chunk] = np.sqrt(d2[:, k - 1])
     return float(out[0]) if single else out
 
 

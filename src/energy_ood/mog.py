@@ -10,21 +10,35 @@ factor and no normalizer, divided by the mixture temperature; it is the
 reference energy the correction network is added to. ``log_density`` and
 ``sample_mog`` use the fully normalized mixture density. The two are not
 rescalings of each other and both are needed downstream.
+
+All four batch functions (``gaussian_energy``, ``gaussian_energy_grad``,
+``mahalanobis_ood_score``, ``log_density``) share ``_quad_forms``, which
+works in whitened space. With L L^T = Sigma and W = L^-1,
+(z - mu_c)^T Sigma^-1 (z - mu_c) = |W z - W mu_c|^2: each batch is whitened
+once as ``z @ W.T`` and all n x C quadratic forms come from one matrix
+product against the whitened means, at O(n d^2 + n C d) instead of a
+triangular solve per difference vector. W and the whitened means are
+derived lazily, once per mixture, and cached.
+
+Rule: no scipy.linalg call inside per-step code. NumPy and SciPy may link
+separate OpenBLAS builds, each with its own thread pool; a SciPy solve
+between NumPy matrix products wakes the second pool, costs milliseconds at
+sizes where a NumPy product takes microseconds, and its spinning worker
+slows NumPy's next products. SciPy runs only when a mixture is built or
+loaded (``cho_solve`` for the precision) and once for the whitener.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .featurestore import FeatureSet, as_batch
 from .tensorio import archive_scalar, read_archive, write_archive
-
-# keep batched quadratic-form temporaries around (rows * classes * dim) floats
-_CHUNK_CELLS = 1 << 22
 
 
 class MixtureFitError(ValueError):
@@ -59,6 +73,20 @@ class GaussianMixture:
             raise ValueError("temperature must be positive")
         if self.shrinkage < 0:
             raise ValueError("shrinkage must be nonnegative")
+
+    @cached_property
+    def whitener(self) -> np.ndarray:
+        """W = L^-1, so that W Sigma W^T = I; lower-triangular, computed on first use."""
+        w = solve_triangular(self.chol_lower, np.eye(self.dim), lower=True)
+        w.setflags(write=False)
+        return w
+
+    @cached_property
+    def white_means(self) -> np.ndarray:
+        """(C, D) whitened component means, W mu_c as rows."""
+        wm = self.means @ self.whitener.T
+        wm.setflags(write=False)
+        return wm
 
     @property
     def n_components(self) -> int:
@@ -164,17 +192,22 @@ def fit_mog(fs: FeatureSet, shrinkage: float | None = None,
 
 
 def _quad_forms(gm: GaussianMixture, z: np.ndarray) -> np.ndarray:
-    """(n, C) matrix of (z - mu_c)^T Sigma^-1 (z - mu_c), via triangular solves."""
-    n, d = z.shape
-    c = gm.n_components
-    out = np.empty((n, c))
-    chunk = max(1, _CHUNK_CELLS // max(1, c * d))
-    for start in range(0, n, chunk):
-        rows = z[start : start + chunk]
-        diffs = rows[:, None, :] - gm.means[None, :, :]
-        sol = solve_triangular(gm.chol_lower, diffs.reshape(-1, d).T, lower=True)
-        out[start : start + chunk] = (sol ** 2).sum(axis=0).reshape(rows.shape[0], c)
-    return out
+    """(n, C) matrix of (z - mu_c)^T Sigma^-1 (z - mu_c) = |W z - W mu_c|^2.
+
+    The batch is whitened once and the cross term is one matrix product,
+    |a|^2 + |b|^2 - 2 a.b, which loses digits to cancellation where a row is
+    close to a mean. So each row's nearest component is recomputed in
+    difference form, |W (z - mu_c)|^2, which makes the row minimum as exact
+    as a triangular solve (0 at a mean); the rest are clipped at 0.
+    """
+    white = z @ gm.whitener.T
+    wm = gm.white_means
+    q = (white ** 2).sum(axis=1)[:, None] + (wm ** 2).sum(axis=1)[None, :]
+    q -= 2.0 * (white @ wm.T)
+    nearest = q.argmin(axis=1)
+    exact = (z - gm.means[nearest]) @ gm.whitener.T
+    q[np.arange(z.shape[0]), nearest] = (exact ** 2).sum(axis=1)
+    return np.maximum(q, 0.0, out=q)
 
 
 def gaussian_energy(gm: GaussianMixture, z) -> float | np.ndarray:
@@ -246,9 +279,12 @@ def mixture_entries(gm: GaussianMixture, prefix: str = "") -> dict[str, np.ndarr
 def mixture_from_entries(entries: dict[str, np.ndarray], prefix: str = "") -> GaussianMixture:
     """Rebuild a mixture from archive entries, rejecting malformed ones with ValueError.
 
-    Only the stored parameters are checked: covariance and precision are
-    derived from ``chol_lower`` here, so ``validate``'s consistency checks
-    could not catch a corrupt file, only reject a badly conditioned mixture.
+    The stored parameters are checked, and so is what overflow could make of
+    them: the covariance and precision derived from ``chol_lower`` here (a
+    factor with entries of 1e200, or a 1e-200 diagonal, overflows them), and
+    the quadratic forms between the means (means of 1e300 overflow their
+    whitened squares). ``validate``'s consistency checks could not catch a
+    corrupt file, only reject a badly conditioned mixture.
     """
     missing = [k for k in ("means", "chol_lower", "mixing", "temperature", "shrinkage")
                if prefix + k not in entries]
@@ -258,10 +294,16 @@ def mixture_from_entries(entries: dict[str, np.ndarray], prefix: str = "") -> Ga
     temperature = archive_scalar(entries, prefix + "temperature")
     shrinkage = archive_scalar(entries, prefix + "shrinkage")
     check_parameters(means, chol, mixing, temperature, shrinkage)
-    cov = chol @ chol.T
-    precision = cho_solve((chol, True), np.eye(chol.shape[0]))
-    precision = 0.5 * (precision + precision.T)
-    return GaussianMixture(means, cov, chol, precision, mixing, temperature, shrinkage)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = chol @ chol.T
+        precision = cho_solve((chol, True), np.eye(chol.shape[0]))
+        precision = 0.5 * (precision + precision.T)
+        gm = GaussianMixture(means, cov, chol, precision, mixing, temperature, shrinkage)
+        spread = _quad_forms(gm, gm.means)
+    if not all(np.isfinite(a).all() for a in (cov, precision, spread)):
+        raise ValueError("mixture overflows float64: its covariance, precision or "
+                         "Mahalanobis distances between its means are not finite")
+    return gm
 
 
 def save_mixture(path, gm: GaussianMixture) -> None:

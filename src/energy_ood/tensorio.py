@@ -92,6 +92,25 @@ def read_record(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     return flat.reshape(dims).copy(), payload_off + need
 
 
+class ScoreRangeError(RuntimeError):
+    """A score that a float32 score file cannot hold."""
+
+
+def as_f32_scores(scores) -> np.ndarray:
+    """``scores`` as float32, refusing a non-finite one or one beyond the float32 range.
+
+    The error names the first bad value's row in row-major order, which for a
+    2-D energy grid is its row in the grid CSV.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    bad = ~(np.abs(scores) <= np.finfo(np.float32).max)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ScoreRangeError(f"score {scores.flat[row]!r} of row {row} does not fit a "
+                              f"float32 score file")
+    return scores.astype(np.float32)
+
+
 def tensor_bytes(arr: np.ndarray) -> bytes:
     """Encode ``arr`` as one tensor record."""
     arr = np.asarray(arr)

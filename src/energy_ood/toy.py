@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .featurestore import FeatureSet
-from .tensorio import write_tensor
+from .tensorio import as_f32_scores, write_tensor
 
 KINDS = ("cross", "grid_crosses")
 
@@ -163,4 +163,6 @@ def save_grid_csv(path, grid: EnergyGrid) -> None:
 
 
 def save_grid_tensor(path, grid: EnergyGrid) -> None:
-    write_tensor(path, grid.values.astype(np.float32))
+    """The (R, R) values as a float32 tensor; raises ScoreRangeError, writing
+    nothing, if a value is beyond the float32 range."""
+    write_tensor(path, as_f32_scores(grid.values))

@@ -386,6 +386,19 @@ def test_grid_from_archives(tmp_path, scored):
     assert len(out_csv.read_text().splitlines()) == 1 + 21 * 21
 
 
+def test_grid_tensor_beyond_float32_exits_1(tmp_path, capsys):
+    # as for score: a finite f64 value beyond float32 is not written as inf
+    model, _, _ = _tiny_models(tmp_path)
+    entries = read_archive(model)
+    entries["net.b1"] = np.array([1e300])
+    write_archive(model, entries)
+    out_csv, out_tensor = tmp_path / "grid.csv", tmp_path / "grid.ftsr"
+    assert run("grid", "--model", model, "--bounds", -3, 3, -3, 3, "--resolution", 4,
+               "--out-csv", out_csv, "--out-tensor", out_tensor) == 1
+    assert "row 0" in capsys.readouterr().err
+    assert not out_tensor.exists() and not out_csv.exists()
+
+
 def test_grid_gaussian_energy_detector(tmp_path, toy_files):
     feats, labels = toy_files
     mog = tmp_path / "mog.ftar"
@@ -548,6 +561,47 @@ def test_malformed_model_archive_exits_2(tmp_path, capsys, corrupt):
     assert run("score", "--detector", "correction", "--model", model,
                "--features", feats, "--out", tmp_path / "s.scores") == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _scale_cholesky(entries):
+    entries["chol_lower"] = entries["chol_lower"] * 1e200
+
+
+def _tiny_cholesky_diagonal(entries):
+    entries["chol_lower"][0, 0] = 1e-200
+
+
+def _huge_mean(entries):
+    entries["means"][0, 0] = 1e300
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("corrupt", [_scale_cholesky, _tiny_cholesky_diagonal, _huge_mean])
+def test_mixture_archive_overflowing_float64_exits_2(tmp_path, capsys, corrupt):
+    _, mixture, feats = _tiny_models(tmp_path)
+    entries = read_archive(mixture)
+    corrupt(entries)
+    write_archive(mixture, entries)
+    assert run("score", "--detector", "mahalanobis", "--model", mixture,
+               "--features", feats, "--out", tmp_path / "s.scores") == 2
+    assert "overflow" in capsys.readouterr().err
+    assert run("grid", "--model", mixture, "--bounds", -3, 3, -3, 3,
+               "--resolution", 4, "--out-csv", tmp_path / "g.csv") == 2
+    assert "overflow" in capsys.readouterr().err
+
+
+def test_directory_as_input_exits_2(tmp_path, capsys):
+    _, mixture, _ = _tiny_models(tmp_path)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert run("score", "--detector", "mahalanobis", "--model", mixture,
+               "--features", folder, "--out", tmp_path / "s.scores") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {folder}: ") and len(err.splitlines()) == 1
+    assert run("score", "--config", folder, "--detector", "mahalanobis",
+               "--out", tmp_path / "s.scores") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {folder}: ") and len(err.splitlines()) == 1
 
 
 @pytest.fixture(scope="module")

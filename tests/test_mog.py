@@ -2,7 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
+from energy_ood import mog
 from energy_ood.featurestore import FeatureSet
 from energy_ood.mog import (
     GaussianMixture,
@@ -277,3 +279,78 @@ def test_mixture_archive_round_trip(tmp_path, cross_mog):
                                gaussian_energy_grad(cross_mog, z), atol=1e-12)
     assert loaded.temperature == cross_mog.temperature
     loaded.validate()
+
+
+# ---------------------------------------------------------------- whitened path
+
+ORACLE_RTOL = 1e-11
+
+
+def conditioned_mixture(seed, c, d, cond):
+    """Random means and a covariance with condition number ``cond``."""
+    rng = np.random.default_rng(seed)
+    rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    cov = (rotation * np.geomspace(1.0 / cond, 1.0, d)) @ rotation.T
+    means = rng.standard_normal((c, d))
+    return GaussianMixture.from_moments(means, cov, rng.dirichlet(np.ones(c)), 3.0)
+
+
+def solve_oracle(gm, z):
+    """Energy, Mahalanobis, log density and gradient from one triangular solve per class."""
+    diffs = [z - mu for mu in gm.means]
+    white = [solve_triangular(gm.chol_lower, diff.T, lower=True) for diff in diffs]
+    q = np.stack([(x ** 2).sum(axis=0) for x in white], axis=1)
+    m = q.min(axis=1)
+    shifted = np.exp(m[:, None] - q)
+    energy = (m - np.log(shifted.sum(axis=1))) / gm.temperature
+    w = shifted / shifted.sum(axis=1, keepdims=True)
+    pulls = [solve_triangular(gm.chol_lower.T, x, lower=False).T for x in white]
+    grad = (2.0 / gm.temperature) * sum(w[:, [c]] * p for c, p in enumerate(pulls))
+    log_norm = -0.5 * (gm.dim * np.log(2 * np.pi) + 2 * np.log(np.diag(gm.chol_lower)).sum())
+    terms = np.log(gm.mixing) - 0.5 * q + log_norm
+    top = terms.max(axis=1)
+    density = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+    return energy, m, density, grad
+
+
+@pytest.mark.parametrize("c, d", [(18, 2), (100, 512)])
+@pytest.mark.parametrize("cond", [10.0, 1e8])
+@pytest.mark.parametrize("rows", ["near", "far", "means"])
+def test_whitened_path_matches_solve_oracle(c, d, cond, rows):
+    gm = conditioned_mixture(26, c, d, cond)
+    rng = np.random.default_rng(27)
+    near = gm.means[rng.integers(0, c, 40)] + rng.standard_normal((40, d)) @ gm.chol_lower.T
+    z = {"near": near, "far": 1e3 * near, "means": gm.means}[rows]
+    energy, maha, density, grad = solve_oracle(gm, z)
+    np.testing.assert_allclose(gaussian_energy(gm, z), energy, rtol=ORACLE_RTOL)
+    np.testing.assert_allclose(mahalanobis_ood_score(gm, z), maha, rtol=ORACLE_RTOL)
+    np.testing.assert_allclose(log_density(gm, z), density, rtol=ORACLE_RTOL)
+    # gradient entries cancel, so the tolerance is relative to each row's largest entry
+    scale = np.abs(grad).max(axis=1, keepdims=True)
+    assert (np.abs(gaussian_energy_grad(gm, z) - grad) <= ORACLE_RTOL * scale).all()
+    if rows == "means":
+        np.testing.assert_array_equal(mahalanobis_ood_score(gm, z), 0.0)
+
+
+def test_hot_path_makes_no_scipy_call(monkeypatch):
+    gm = conditioned_mixture(28, 5, 8, 1e3)
+    z = np.random.default_rng(29).standard_normal((30, 8))
+    functions = (gaussian_energy, gaussian_energy_grad, mahalanobis_ood_score, log_density)
+    first = [f(gm, z) for f in functions]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg called on the hot path")
+
+    monkeypatch.setattr(mog, "solve_triangular", refuse)
+    monkeypatch.setattr(mog, "cho_solve", refuse)
+    for f, value in zip(functions, first):
+        np.testing.assert_array_equal(f(gm, z), value)
+
+
+def test_whitener_is_lazy(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("whitener computed without being used")
+
+    monkeypatch.setattr(mog, "solve_triangular", refuse)
+    gm = random_mixture(seed=30)
+    assert sample_mog(gm, 10, np.random.default_rng(31)).shape == (10, 2)
