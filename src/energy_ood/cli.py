@@ -348,7 +348,7 @@ def cmd_eval(args) -> int:
 def cmd_grid(args) -> int:
     started = time.time()
     fn = _model_scorer(args.model, args.detector)
-    grid = energy_grid(fn, args.bounds, args.resolution, n_threads=args.threads)
+    grid = energy_grid(fn, args.bounds, args.resolution)
     artifacts = [args.out_csv]
     if args.out_tensor is not None:
         # first: a value beyond float32 raises before any file is written
@@ -446,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=200)
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-tensor")
-    p.add_argument("--threads", type=int, default=1, help="threads evaluating the lattice")
 
     return parser
 

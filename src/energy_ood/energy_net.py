@@ -11,18 +11,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .featurestore import as_batch
 from .tensorio import archive_scalar
 
 
+def _sigmoid(x):
+    # below x = -709 exp(-x) overflows to inf, and 1 / inf = 0 is the right limit
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _silu(x):
-    return x * expit(x)
+    return x * _sigmoid(x)
 
 
 def _silu_prime(x):
-    s = expit(x)
+    s = _sigmoid(x)
     return s * (1.0 + x * (1.0 - s))
 
 

@@ -19,13 +19,6 @@ once as ``z @ W.T`` and all n x C quadratic forms come from one matrix
 product against the whitened means, at O(n d^2 + n C d) instead of a
 triangular solve per difference vector. W and the whitened means are
 derived lazily, once per mixture, and cached.
-
-Rule: no scipy.linalg call inside per-step code. NumPy and SciPy may link
-separate OpenBLAS builds, each with its own thread pool; a SciPy solve
-between NumPy matrix products wakes the second pool, costs milliseconds at
-sizes where a NumPy product takes microseconds, and its spinning worker
-slows NumPy's next products. SciPy runs only when a mixture is built or
-loaded (``cho_solve`` for the precision) and once for the whitener.
 """
 
 from __future__ import annotations
@@ -35,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .featurestore import FeatureSet, as_batch
 from .tensorio import archive_scalar, read_archive, write_archive
@@ -77,7 +69,7 @@ class GaussianMixture:
     @cached_property
     def whitener(self) -> np.ndarray:
         """W = L^-1, so that W Sigma W^T = I; lower-triangular, computed on first use."""
-        w = solve_triangular(self.chol_lower, np.eye(self.dim), lower=True)
+        w = _inverse_lower(self.chol_lower)
         w.setflags(write=False)
         return w
 
@@ -113,7 +105,8 @@ class GaussianMixture:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(shrinkage) from exc
-        precision = cho_solve((chol, True), np.eye(cov.shape[0]))
+        w = _inverse_lower(chol)
+        precision = w.T @ w
         precision = 0.5 * (precision + precision.T)
         return cls(means, cov, chol, precision, np.asarray(mixing, dtype=np.float64),
                    temperature, shrinkage)
@@ -130,6 +123,12 @@ class GaussianMixture:
             raise ValueError("covariance is not symmetric")
         if not np.allclose(self.precision @ self.covariance, np.eye(self.dim), atol=1e-8):
             raise ValueError("precision is not the inverse of the covariance")
+
+
+def _inverse_lower(chol: np.ndarray) -> np.ndarray:
+    """L^-1 of a lower-triangular L; LAPACK's general inverse leaves round-off
+    above the diagonal, which is zeroed so the result is exactly lower-triangular."""
+    return np.tril(np.linalg.inv(chol))
 
 
 def check_parameters(means, chol_lower, mixing, temperature, shrinkage) -> None:
@@ -281,7 +280,8 @@ def mixture_from_entries(entries: dict[str, np.ndarray], prefix: str = "") -> Ga
 
     The stored parameters are checked, and so is what overflow could make of
     them: the covariance and precision derived from ``chol_lower`` here (a
-    factor with entries of 1e200, or a 1e-200 diagonal, overflows them), and
+    factor with entries of 1e200, or a 1e-200 diagonal, overflows them, and
+    one whose inverse meets a pivot that underflows to 0 has none), and
     the quadratic forms between the means (means of 1e300 overflow their
     whitened squares). ``validate``'s consistency checks could not catch a
     corrupt file, only reject a badly conditioned mixture.
@@ -294,15 +294,20 @@ def mixture_from_entries(entries: dict[str, np.ndarray], prefix: str = "") -> Ga
     temperature = archive_scalar(entries, prefix + "temperature")
     shrinkage = archive_scalar(entries, prefix + "shrinkage")
     check_parameters(means, chol, mixing, temperature, shrinkage)
+    overflow = ValueError("mixture overflows float64: its covariance, precision or "
+                          "Mahalanobis distances between its means are not finite")
     with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            w = _inverse_lower(chol)
+        except np.linalg.LinAlgError as exc:  # a pivot underflowed to 0
+            raise overflow from exc
         cov = chol @ chol.T
-        precision = cho_solve((chol, True), np.eye(chol.shape[0]))
+        precision = w.T @ w
         precision = 0.5 * (precision + precision.T)
         gm = GaussianMixture(means, cov, chol, precision, mixing, temperature, shrinkage)
         spread = _quad_forms(gm, gm.means)
     if not all(np.isfinite(a).all() for a in (cov, precision, spread)):
-        raise ValueError("mixture overflows float64: its covariance, precision or "
-                         "Mahalanobis distances between its means are not finite")
+        raise overflow
     return gm
 
 

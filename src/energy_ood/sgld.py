@@ -9,7 +9,6 @@ network alone for the plain-EBM ablation).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,15 +72,12 @@ def _seed_key(seed) -> tuple:
 
 
 def sgld_sample(init: np.ndarray, energy_grad, schedule: SgldSchedule, seed,
-                chain_ids=None, trace=None, energy_fn=None) -> np.ndarray:
+                chain_ids=None) -> np.ndarray:
     """Run the update z <- z - alpha_t * grad(z) + sqrt(beta_t) * eps for all chains.
 
     ``energy_grad`` maps an (n, d) state matrix to its (n, d) gradient and is
     called exactly once per step. ``seed`` (an int or tuple of ints) and the
     optional ``chain_ids`` (default 0..n-1) key the per-chain noise streams.
-    When ``trace`` is a path or file, per-step CSV rows
-    (step, mean_energy, mean_grad_norm) are written, which requires
-    ``energy_fn``.
     """
     z = np.array(init, dtype=np.float64)
     if z.ndim != 2:
@@ -94,46 +90,24 @@ def sgld_sample(init: np.ndarray, energy_grad, schedule: SgldSchedule, seed,
     chain_ids = np.asarray(chain_ids)
     if chain_ids.shape != (n,):
         raise ValueError("chain_ids must supply one id per chain")
-    if trace is not None and energy_fn is None:
-        raise ValueError("tracing needs an energy_fn")
 
     base = _seed_key(seed)
     streams = [np.random.default_rng(np.random.SeedSequence([*base, int(c)]))
                for c in chain_ids]
 
-    trace_fh = None
-    writer = None
-    if trace is not None:
-        if hasattr(trace, "write"):
-            trace_fh, close_trace = trace, False
-        else:
-            trace_fh, close_trace = open(trace, "w", newline=""), True
-        writer = csv.writer(trace_fh)
-        writer.writerow(["step", "mean_energy", "mean_grad_norm"])
-
     block = max(1, _NOISE_CELLS // max(1, n * d))
-    try:
-        t = 0
-        while t < schedule.steps:
-            steps_here = min(block, schedule.steps - t)
-            noise = np.stack([s.standard_normal((steps_here, d)) for s in streams])
-            for i in range(steps_here):
-                alpha, beta = schedule_at(schedule, t)
-                grad = np.asarray(energy_grad(z), dtype=np.float64)
-                if grad.shape != z.shape:
-                    raise ValueError(f"gradient shape {grad.shape} != state shape {z.shape}")
-                finite = np.isfinite(grad).all(axis=1)
-                if not finite.all():
-                    raise SgldDivergenceError(t, int(np.argmin(finite)))
-                if writer is not None:
-                    writer.writerow([
-                        t,
-                        float(np.mean(energy_fn(z))),
-                        float(np.mean(np.linalg.norm(grad, axis=1))),
-                    ])
-                z = z - alpha * grad + np.sqrt(beta) * noise[:, i, :]
-                t += 1
-    finally:
-        if trace_fh is not None and close_trace:
-            trace_fh.close()
+    t = 0
+    while t < schedule.steps:
+        steps_here = min(block, schedule.steps - t)
+        noise = np.stack([s.standard_normal((steps_here, d)) for s in streams])
+        for i in range(steps_here):
+            alpha, beta = schedule_at(schedule, t)
+            grad = np.asarray(energy_grad(z), dtype=np.float64)
+            if grad.shape != z.shape:
+                raise ValueError(f"gradient shape {grad.shape} != state shape {z.shape}")
+            finite = np.isfinite(grad).all(axis=1)
+            if not finite.all():
+                raise SgldDivergenceError(t, int(np.argmin(finite)))
+            z = z - alpha * grad + np.sqrt(beta) * noise[:, i, :]
+            t += 1
     return z

@@ -10,7 +10,6 @@ a tensor file; rendering is left to external tools.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,11 +114,11 @@ class EnergyGrid:
         return np.linspace(self.y_min, self.y_max, self.resolution)
 
 
-def energy_grid(score_fn, bounds, resolution: int, n_threads: int = 1) -> EnergyGrid:
+def energy_grid(score_fn, bounds, resolution: int) -> EnergyGrid:
     """Evaluate a batched score function on an endpoint-inclusive R x R lattice.
 
     ``bounds`` is (x_min, x_max, y_min, y_max); ``score_fn`` maps an (n, 2)
-    array of points to (n,) scores, and is only ever called on such batches.
+    array of points to (n,) scores, and is called once, on all R * R points.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -129,20 +128,9 @@ def energy_grid(score_fn, bounds, resolution: int, n_threads: int = 1) -> Energy
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     points = np.column_stack([gx.ravel(), gy.ravel()])
 
-    def evaluate(pts):
-        out = np.asarray(score_fn(pts), dtype=np.float64)
-        if out.shape != (pts.shape[0],):
-            raise ValueError(f"score_fn returned shape {out.shape} for {pts.shape[0]} points")
-        return out
-
-    if n_threads > 1:
-        chunks = np.array_split(np.arange(points.shape[0]), n_threads * 4)
-        flat = np.empty(points.shape[0])
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            for idx, vals in zip(chunks, pool.map(lambda c: evaluate(points[c]), chunks)):
-                flat[idx] = vals
-    else:
-        flat = evaluate(points)
+    flat = np.asarray(score_fn(points), dtype=np.float64)
+    if flat.shape != (points.shape[0],):
+        raise ValueError(f"score_fn returned shape {flat.shape} for {points.shape[0]} points")
 
     bad = ~np.isfinite(flat)
     if bad.any():

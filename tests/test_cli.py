@@ -407,8 +407,11 @@ def test_grid_gaussian_energy_detector(tmp_path, toy_files):
     out_csv = tmp_path / "grid.csv"
     assert run("grid", "--model", mog, "--detector", "gaussian-energy",
                "--bounds", -4, 4, -4, 4, "--resolution", 11,
-               "--out-csv", out_csv, "--threads", 2) == 0
+               "--out-csv", out_csv) == 0
     assert out_csv.exists()
+    # the lattice is one batch; there is no thread option
+    assert run("grid", "--model", mog, "--bounds", -4, 4, -4, 4,
+               "--out-csv", tmp_path / "t.csv", "--threads", 2) == 2
     # auto-detection falls back to the mixture energy for a mixture archive
     auto_csv = tmp_path / "auto.csv"
     assert run("grid", "--model", mog, "--bounds", -4, 4, -4, 4,
@@ -575,8 +578,14 @@ def _huge_mean(entries):
     entries["means"][0, 0] = 1e300
 
 
+def _singular_inverse(entries):
+    # finite, but LU pivoting of the inverse meets a pivot that underflows to 0
+    entries["chol_lower"] = np.array([[1e-300, 0.0], [1.0, 1e-300]])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("corrupt", [_scale_cholesky, _tiny_cholesky_diagonal, _huge_mean])
+@pytest.mark.parametrize("corrupt", [_scale_cholesky, _tiny_cholesky_diagonal, _huge_mean,
+                                     _singular_inverse])
 def test_mixture_archive_overflowing_float64_exits_2(tmp_path, capsys, corrupt):
     _, mixture, feats = _tiny_models(tmp_path)
     entries = read_archive(mixture)

@@ -1,10 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from energy_ood.energy_net import (
     EnergyMlp,
+    _sigmoid,
+    _silu,
+    _silu_prime,
     flat_params,
     mlp_energy,
     mlp_grad_input,
@@ -12,6 +17,25 @@ from energy_ood.energy_net import (
     mlp_init,
 )
 from energy_ood.trainer import CorrectionModel, load_model, save_model
+
+
+def test_activations_match_expit():
+    x = np.concatenate([np.linspace(-750.0, 750.0, 3_000_001),
+                        [1e300, -1e300, 710.0, -710.0, 0.0, -0.0]])
+    s = expit(x)
+    references = {_sigmoid: s, _silu: x * s, _silu_prime: s * (1.0 + x * (1.0 - s))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = {f: f(x) for f in references}
+    assert np.abs(got[_sigmoid] - s).max() <= 2.3e-16
+    # NumPy's exp and the libm exp behind expit can differ in the last place;
+    # where 1 + exp(-x) >= 2^53 that can also flip the rounding of the sum, so
+    # the two sigmoids differ by up to 2.5 ulp relative (5.0e-16 near x = -36.9)
+    # while each stays within 2.6e-16 of the exact value there (checked with mpmath)
+    for f, want in references.items():
+        bound = np.maximum(2.3e-16, 2.5 * np.finfo(float).eps * np.abs(want))
+        assert (np.abs(got[f] - want) <= bound).all(), f.__name__
+    assert np.signbit(got[_silu][-1])
 
 
 def linear_net(w, b=0.0):

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from energy_ood import mog
 from energy_ood.featurestore import FeatureSet
@@ -332,25 +336,61 @@ def test_whitened_path_matches_solve_oracle(c, d, cond, rows):
         np.testing.assert_array_equal(mahalanobis_ood_score(gm, z), 0.0)
 
 
-def test_hot_path_makes_no_scipy_call(monkeypatch):
-    gm = conditioned_mixture(28, 5, 8, 1e3)
-    z = np.random.default_rng(29).standard_normal((30, 8))
-    functions = (gaussian_energy, gaussian_energy_grad, mahalanobis_ood_score, log_density)
-    first = [f(gm, z) for f in functions]
+def test_inverse_is_exactly_lower_triangular():
+    # np.linalg.inv of this factor leaves 2015 of its 2016 upper entries nonzero
+    gm = conditioned_mixture(28, 3, 64, 1e10)
+    assert not np.triu(mog._inverse_lower(gm.chol_lower), 1).any()
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("scipy.linalg called on the hot path")
 
-    monkeypatch.setattr(mog, "solve_triangular", refuse)
-    monkeypatch.setattr(mog, "cho_solve", refuse)
-    for f, value in zip(functions, first):
-        np.testing.assert_array_equal(f(gm, z), value)
+def test_precision_matches_cholesky_solve():
+    gm = conditioned_mixture(29, 2, 512, 1e8)
+    reference = cho_solve((gm.chol_lower, True), np.eye(512))
+    reference = 0.5 * (reference + reference.T)
+    scale = np.abs(reference).max()
+    assert np.abs(gm.precision - reference).max() <= 1e-13 * scale
+
+
+SCIPY_FREE_PIPELINE = """
+import sys
+sys.modules["scipy"] = None  # any import of SciPy now raises ImportError
+from energy_ood.cli import main
+d = sys.argv[1]
+feats, labels, mog, model = (f"{d}/{n}" for n in ("z.f32", "y.u32", "mog.ftar", "m.ftar"))
+steps = [
+    ["toy", "--kind", "cross", "--samples-per-class", "100", "--seed", "1",
+     "--out-features", feats, "--out-labels", labels],
+    ["fit-mog", "--features", feats, "--labels", labels, "--out", mog],
+    ["train", "--features", feats, "--labels", labels, "--mog", mog, "--out", model,
+     "--preset", "toy", "--epochs", "1", "--batch-size", "64", "--hidden-dim", "8",
+     "--num-hidden", "1", "--sgld-steps", "3"],
+    ["score", "--detector", "correction", "--model", model, "--features", feats,
+     "--out", f"{d}/s.scores"],
+    ["grid", "--model", model, "--bounds", "-3", "3", "-3", "3", "--resolution", "5",
+     "--out-csv", f"{d}/g.csv"],
+]
+for argv in steps:
+    code = main(argv)
+    if code != 0:
+        sys.exit(f"{argv[0]} exited {code}")
+"""
+
+
+def test_hot_path_makes_no_scipy_call(tmp_path):
+    src = Path(mog.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-c", SCIPY_FREE_PIPELINE, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "g.csv").exists()
 
 
 def test_whitener_is_lazy(monkeypatch):
+    # perfbench builds up to 150 one-component 512-d mixtures this way per set-up
+    gm = random_mixture(seed=30)
+
     def refuse(*args, **kwargs):
         raise AssertionError("whitener computed without being used")
 
-    monkeypatch.setattr(mog, "solve_triangular", refuse)
-    gm = random_mixture(seed=30)
-    assert sample_mog(gm, 10, np.random.default_rng(31)).shape == (10, 2)
+    monkeypatch.setattr(mog, "_inverse_lower", refuse)
+    fresh = GaussianMixture(gm.means, gm.covariance, gm.chol_lower, gm.precision, gm.mixing)
+    assert sample_mog(fresh, 10, np.random.default_rng(31)).shape == (10, 2)

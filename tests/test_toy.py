@@ -95,8 +95,6 @@ def test_grid_calls_score_fn_on_batches_only():
 
     with pytest.raises(KeyError, match="inside score_fn"):
         energy_grid(broken, (0, 1, 0, 1), 2)
-    with pytest.raises(KeyError, match="inside score_fn"):
-        energy_grid(broken, (0, 1, 0, 1), 4, n_threads=2)
 
 
 def test_grid_pure_sampling():
@@ -133,13 +131,6 @@ def test_grid_validation():
         energy_grid(lambda p: 0.0, (0, 1, 0, 1), 1)
     with pytest.raises(ValueError):
         EnergyGrid(1.0, 0.0, 0.0, 1.0, np.zeros((2, 2)))
-
-
-def test_grid_threads_match_single():
-    fn = lambda pts: (np.atleast_2d(pts) ** 3).sum(axis=1)
-    a = energy_grid(fn, (-1, 2, -2, 1), 20, n_threads=1)
-    b = energy_grid(fn, (-1, 2, -2, 1), 20, n_threads=4)
-    np.testing.assert_array_equal(a.values, b.values)
 
 
 # ---------------------------------------------------------------- export
