@@ -4,6 +4,12 @@ The architecture is fixed: dense layers with a smooth activation on every
 hidden layer and an identity output, so the energy is differentiable
 everywhere and Langevin sampling sees a continuous input gradient. Gradients
 are exact reverse-mode passes written out by hand; there is no autodiff.
+
+Each pass computes every hidden unit's activation once. The forward pass
+saves what the reverse pass needs, (pre-activation, sigmoid) for SiLU and
+tanh(pre-activation) for tanh, and the reverse pass consumes it: it forms the
+activation's derivative in those same buffers. The energy-only pass saves
+nothing and reuses each layer's buffer in place.
 """
 
 from __future__ import annotations
@@ -17,30 +23,19 @@ from .tensorio import archive_scalar
 
 
 def _sigmoid(x):
-    # below x = -709 exp(-x) overflows to inf, and 1 / inf = 0 is the right limit
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+    """1 / (1 + exp(-x)) in a new array, computed in place.
+
+    Below x = -709 exp(-x) overflows to inf, and 1 / inf = 0 is the right
+    limit, so callers run this under ``np.errstate(over="ignore")``.
+    """
+    s = np.negative(x)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
-def _silu(x):
-    return x * _sigmoid(x)
-
-
-def _silu_prime(x):
-    s = _sigmoid(x)
-    return s * (1.0 + x * (1.0 - s))
-
-
-def _tanh_prime(x):
-    t = np.tanh(x)
-    return 1.0 - t * t
-
-
-# name -> (activation, derivative); every entry must be smooth everywhere
-ACTIVATIONS = {
-    "silu": (_silu, _silu_prime),
-    "tanh": (np.tanh, _tanh_prime),
-}
+# every activation must be smooth everywhere and have an archive code below
+ACTIVATIONS = ("silu", "tanh")
 
 _ACTIVATION_CODES = {"silu": 1, "tanh": 2}
 _CODE_ACTIVATIONS = {v: k for k, v in _ACTIVATION_CODES.items()}
@@ -121,49 +116,83 @@ def mlp_init(dims, rng: np.random.Generator, activation: str = "silu") -> Energy
     return EnergyMlp(tuple(weights), tuple(biases), activation)
 
 
-def _forward(net: EnergyMlp, x: np.ndarray):
-    """Forward pass keeping pre-activations and layer inputs for backprop."""
-    act, _ = ACTIVATIONS[net.activation]
-    inputs, pres = [x], []
+def _forward(net: EnergyMlp, x: np.ndarray, saved=None, inputs=None) -> np.ndarray:
+    """Energies of the rows of x, computing each hidden unit's activation once.
+
+    With ``saved``, each hidden layer appends what the reverse pass needs:
+    (pre, sigmoid(pre)) for SiLU, tanh(pre) for tanh. With ``inputs``, each
+    layer appends its input, which only the parameter gradient reads.
+    Without either, every layer's buffers are reused in place.
+    """
+    silu = net.activation == "silu"
     h = x
     last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        s = h @ w.T + b
-        pres.append(s)
-        h = s if i == last else act(s)
-        if i != last:
-            inputs.append(h)
-    return pres, inputs, h[:, 0]
+    with np.errstate(over="ignore"):
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            if inputs is not None:
+                inputs.append(h)
+            pre = h @ w.T
+            del h
+            pre += b
+            if i == last:
+                break
+            if not silu:
+                h = np.tanh(pre, out=pre)
+                if saved is not None:
+                    saved.append(h)
+            elif saved is None:
+                h = np.multiply(pre, _sigmoid(pre), out=pre)
+            else:
+                s = _sigmoid(pre)
+                saved.append((pre, s))
+                h = pre * s
+    return pre[:, 0]
 
 
-def _backward(net: EnergyMlp, pres, inputs, upstream: np.ndarray, want_params: bool):
-    """Reverse pass; returns (input gradient, ParamGradient or None)."""
-    _, dact = ACTIVATIONS[net.activation]
+def _act_grad(act) -> np.ndarray:
+    """act'(pre), formed in the buffers of what _forward saved for the layer."""
+    if isinstance(act, tuple):  # SiLU: s (1 + pre (1 - s))
+        pre, s = act
+        np.multiply(pre, np.subtract(1.0, s), out=pre)
+        pre += 1.0
+        return np.multiply(s, pre, out=pre)
+    np.multiply(act, act, out=act)  # tanh: 1 - t^2
+    return np.subtract(1.0, act, out=act)
+
+
+def _backward(net: EnergyMlp, saved: list, upstream: np.ndarray, inputs=None):
+    """Reverse pass consuming what _forward saved.
+
+    Returns the input gradient, or, given the layer inputs, the ParamGradient
+    (the input gradient is then never formed).
+    """
     n_layers = len(net.weights)
-    gw = [None] * n_layers if want_params else None
-    gb = [None] * n_layers if want_params else None
+    gw, gb = [None] * n_layers, [None] * n_layers
     delta = upstream[:, None]  # output layer is identity
     for i in range(n_layers - 1, -1, -1):
-        if want_params:
-            gw[i] = delta.T @ inputs[i]
+        if inputs is not None:
+            gw[i] = delta.T @ inputs.pop()
             gb[i] = delta.sum(axis=0)
-        back = delta @ net.weights[i]
-        delta = back if i == 0 else back * dact(pres[i - 1])
-    grads = ParamGradient(gw, gb) if want_params else None
-    return delta, grads
+        if i == 0:
+            break
+        dact = _act_grad(saved.pop())
+        delta = delta @ net.weights[i]
+        delta *= dact
+    return delta @ net.weights[0] if inputs is None else ParamGradient(gw, gb)
 
 
 def mlp_energy(net: EnergyMlp, z) -> float | np.ndarray:
     batch, single = as_batch(z, net.input_dim)
-    _, _, e = _forward(net, batch)
+    e = _forward(net, batch)
     return float(e[0]) if single else e
 
 
 def mlp_grad_input(net: EnergyMlp, z) -> np.ndarray:
     """Exact gradient of the energy with respect to its input."""
     batch, single = as_batch(z, net.input_dim)
-    pres, inputs, _ = _forward(net, batch)
-    grad, _ = _backward(net, pres, inputs, np.ones(batch.shape[0]), want_params=False)
+    saved = []
+    _forward(net, batch, saved)
+    grad = _backward(net, saved, np.ones(batch.shape[0]))
     return grad[0] if single else grad
 
 
@@ -179,9 +208,9 @@ def mlp_grad_params(net: EnergyMlp, batch, upstream) -> ParamGradient:
         raise ValueError("batch must be nonempty")
     if upstream.shape != (batch.shape[0],):
         raise ValueError(f"upstream must have shape ({batch.shape[0]},), got {upstream.shape}")
-    pres, inputs, _ = _forward(net, batch)
-    _, grads = _backward(net, pres, inputs, upstream, want_params=True)
-    return grads
+    saved, inputs = [], []
+    _forward(net, batch, saved, inputs)
+    return _backward(net, saved, upstream, inputs)
 
 
 def mlp_entries(net: EnergyMlp, prefix: str = "") -> dict[str, np.ndarray]:

@@ -17,8 +17,10 @@ works in whitened space. With L L^T = Sigma and W = L^-1,
 (z - mu_c)^T Sigma^-1 (z - mu_c) = |W z - W mu_c|^2: each batch is whitened
 once as ``z @ W.T`` and all n x C quadratic forms come from one matrix
 product against the whitened means, at O(n d^2 + n C d) instead of a
-triangular solve per difference vector. W and the whitened means are
-derived lazily, once per mixture, and cached.
+triangular solve per difference vector. L is inverted once per mixture:
+``from_moments`` and the archive loader keep the W they invert for the
+precision, and a mixture built directly derives it on first use. The
+whitened means are derived on first use too; both are cached.
 """
 
 from __future__ import annotations
@@ -68,10 +70,16 @@ class GaussianMixture:
 
     @cached_property
     def whitener(self) -> np.ndarray:
-        """W = L^-1, so that W Sigma W^T = I; lower-triangular, computed on first use."""
+        """W = L^-1, so that W Sigma W^T = I; lower-triangular, computed on first use
+        unless the mixture's builder already set it."""
         w = _inverse_lower(self.chol_lower)
         w.setflags(write=False)
         return w
+
+    def _set_whitener(self, w: np.ndarray) -> None:
+        # fills the cache of ``whitener`` with the W its builder already inverted
+        w.setflags(write=False)
+        self.__dict__["whitener"] = w
 
     @cached_property
     def white_means(self) -> np.ndarray:
@@ -108,8 +116,10 @@ class GaussianMixture:
         w = _inverse_lower(chol)
         precision = w.T @ w
         precision = 0.5 * (precision + precision.T)
-        return cls(means, cov, chol, precision, np.asarray(mixing, dtype=np.float64),
-                   temperature, shrinkage)
+        gm = cls(means, cov, chol, precision, np.asarray(mixing, dtype=np.float64),
+                 temperature, shrinkage)
+        gm._set_whitener(w)
+        return gm
 
     def validate(self) -> None:
         """Recheck structural invariants; raises ValueError on violation.
@@ -294,6 +304,8 @@ def mixture_from_entries(entries: dict[str, np.ndarray], prefix: str = "") -> Ga
     temperature = archive_scalar(entries, prefix + "temperature")
     shrinkage = archive_scalar(entries, prefix + "shrinkage")
     check_parameters(means, chol, mixing, temperature, shrinkage)
+    # the factor GaussianMixture stores, so W below is the whitener it would derive
+    chol = np.ascontiguousarray(chol, dtype=np.float64)
     overflow = ValueError("mixture overflows float64: its covariance, precision or "
                           "Mahalanobis distances between its means are not finite")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -305,6 +317,7 @@ def mixture_from_entries(entries: dict[str, np.ndarray], prefix: str = "") -> Ga
         precision = w.T @ w
         precision = 0.5 * (precision + precision.T)
         gm = GaussianMixture(means, cov, chol, precision, mixing, temperature, shrinkage)
+        gm._set_whitener(w)
         spread = _quad_forms(gm, gm.means)
     if not all(np.isfinite(a).all() for a in (cov, precision, spread)):
         raise overflow

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,8 +9,6 @@ from scipy.special import expit
 from energy_ood.energy_net import (
     EnergyMlp,
     _sigmoid,
-    _silu,
-    _silu_prime,
     flat_params,
     mlp_energy,
     mlp_grad_input,
@@ -23,19 +22,25 @@ def test_activations_match_expit():
     x = np.concatenate([np.linspace(-750.0, 750.0, 3_000_001),
                         [1e300, -1e300, 710.0, -710.0, 0.0, -0.0]])
     s = expit(x)
-    references = {_sigmoid: s, _silu: x * s, _silu_prime: s * (1.0 + x * (1.0 - s))}
+    # SiLU and its derivative as the passes form them: the energy and input
+    # gradient of a 1 -> 1 -> 1 network with unit weights, which are exactly
+    # silu(x) and silu'(x) (the products and sums with 1 and 0 are exact)
+    unit = EnergyMlp((np.ones((1, 1)), np.ones((1, 1))), (np.zeros(1), np.zeros(1)))
+    references = {"sigmoid": s, "silu": x * s, "silu'": s * (1.0 + x * (1.0 - s))}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = {f: f(x) for f in references}
-    assert np.abs(got[_sigmoid] - s).max() <= 2.3e-16
+        with np.errstate(over="ignore"):
+            got = {"sigmoid": _sigmoid(x)}
+        got["silu"] = mlp_energy(unit, x[:, None])
+        got["silu'"] = mlp_grad_input(unit, x[:, None])[:, 0]
+    assert np.abs(got["sigmoid"] - s).max() <= 2.3e-16
     # NumPy's exp and the libm exp behind expit can differ in the last place;
     # where 1 + exp(-x) >= 2^53 that can also flip the rounding of the sum, so
     # the two sigmoids differ by up to 2.5 ulp relative (5.0e-16 near x = -36.9)
     # while each stays within 2.6e-16 of the exact value there (checked with mpmath)
-    for f, want in references.items():
+    for name, want in references.items():
         bound = np.maximum(2.3e-16, 2.5 * np.finfo(float).eps * np.abs(want))
-        assert (np.abs(got[f] - want) <= bound).all(), f.__name__
-    assert np.signbit(got[_silu][-1])
+        assert (np.abs(got[name] - want) <= bound).all(), name
 
 
 def linear_net(w, b=0.0):
@@ -243,6 +248,120 @@ def test_grad_params_rejects_empty_batch():
     net = mlp_init([3, 4, 1], np.random.default_rng(10))
     with pytest.raises(ValueError):
         mlp_grad_params(net, np.zeros((0, 3)), np.zeros(0))
+
+
+# ---------------------------------------------------------------- passes
+
+def reference_passes(net, x, upstream):
+    """The passes as first written: every layer keeps its pre-activation and
+    output, and the reverse pass recomputes the sigmoid for back * act'(pre).
+
+    Returns (energies, input gradient of sum_b upstream_b E(x_b), weight
+    gradients, bias gradients).
+    """
+    def sigmoid(v):
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-v))
+
+    def act(v):
+        return v * sigmoid(v) if net.activation == "silu" else np.tanh(v)
+
+    def dact(v):
+        if net.activation == "silu":
+            s = sigmoid(v)
+            return s * (1.0 + v * (1.0 - s))
+        t = np.tanh(v)
+        return 1.0 - t * t
+
+    inputs, pres = [x], []
+    h = x
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        s = h @ w.T + b
+        pres.append(s)
+        h = s if i == last else act(s)
+        if i != last:
+            inputs.append(h)
+    gw, gb = [None] * len(net.weights), [None] * len(net.weights)
+    delta = upstream[:, None]
+    for i in range(last, -1, -1):
+        gw[i] = delta.T @ inputs[i]
+        gb[i] = delta.sum(axis=0)
+        back = delta @ net.weights[i]
+        delta = back if i == 0 else back * dact(pres[i - 1])
+    return h[:, 0], delta, gw, gb
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+@pytest.mark.parametrize("n", [1, 7, 256])
+@pytest.mark.parametrize("activation", ["silu", "tanh"])
+def test_passes_match_reference_bit_for_bit(activation, n, scale):
+    rng = np.random.default_rng(13)
+    net = mlp_init([3, 32, 24, 32, 1], rng, activation)
+    z = scale * rng.uniform(-2.0, 2.0, (n, 3))
+    upstream = rng.standard_normal(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        energy, grad, _, _ = reference_passes(net, z, np.ones(n))
+        _, _, gw, gb = reference_passes(net, z, upstream)
+        got = (mlp_energy(net, z), mlp_grad_input(net, z), mlp_grad_params(net, z, upstream))
+    if scale > 1.0:  # exp(-pre) overflows somewhere in the first layer
+        assert (z @ net.weights[0].T < -710.0).any()
+    np.testing.assert_array_equal(got[0], energy)
+    np.testing.assert_array_equal(got[1], grad)
+    for a, b in zip(flat_params(got[2]), [p for pair in zip(gw, gb) for p in pair]):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("activation", ["silu", "tanh"])
+def test_passes_leave_inputs_alone_and_repeat(activation):
+    rng = np.random.default_rng(14)
+    net = mlp_init([4, 16, 16, 1], rng, activation)
+    z = rng.standard_normal((9, 4))
+    upstream = rng.standard_normal(9)
+    z0, upstream0 = z.copy(), upstream.copy()
+
+    def call_all():
+        # each result with a copy taken as it is returned, so a later call
+        # that writes into an earlier result's buffer shows
+        out = []
+        for f, args in ((mlp_energy, (net, z)), (mlp_grad_input, (net, z)),
+                        (mlp_grad_input, (net, z[0])), (mlp_grad_params, (net, z, upstream))):
+            result = f(*args)
+            arrays = flat_params(result) if f is mlp_grad_params else [result]
+            out.extend((r, r.copy()) for r in arrays)
+            assert z.tobytes() == z0.tobytes() and upstream.tobytes() == upstream0.tobytes()
+        return out
+
+    first = call_all()
+    second = call_all()
+    for (a, a_returned), (b, b_returned) in zip(first, second):
+        assert a.tobytes() == a_returned.tobytes() == b.tobytes() == b_returned.tobytes()
+
+
+def traced_peak_layers(fn, *args) -> float:
+    """Peak NumPy allocation of fn(*args), in 2000 x 256 float64 arrays."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (2000 * 256 * 8)
+
+
+@pytest.mark.parametrize("activation, energy_peak, grad_peak",
+                         [("silu", 4.5, 12.0), ("tanh", 3.5, 13.0)])
+def test_passes_peak_memory(activation, energy_peak, grad_peak):
+    # 2000 rows through 64 -> 256 x 4 -> 1; the passes that kept every layer's
+    # pre-activation and output and recomputed the sigmoid in reverse peaked at
+    # 9.0 / 8.0 layer arrays for the energy and 12.0 / 13.0 for the input gradient
+    rng = np.random.default_rng(15)
+    net = mlp_init([64, 256, 256, 256, 256, 1], rng, activation)
+    z = rng.standard_normal((2000, 64))
+    assert traced_peak_layers(mlp_energy, net, z) <= energy_peak
+    assert traced_peak_layers(mlp_grad_input, net, z) <= grad_peak
 
 
 # ---------------------------------------------------------------- archive

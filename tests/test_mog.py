@@ -394,3 +394,30 @@ def test_whitener_is_lazy(monkeypatch):
     monkeypatch.setattr(mog, "_inverse_lower", refuse)
     fresh = GaussianMixture(gm.means, gm.covariance, gm.chol_lower, gm.precision, gm.mixing)
     assert sample_mog(fresh, 10, np.random.default_rng(31)).shape == (10, 2)
+
+
+def test_cholesky_factor_is_inverted_once_per_mixture(monkeypatch):
+    calls = []
+    inverse = mog._inverse_lower
+
+    def counted(chol):
+        calls.append(chol.shape)
+        return inverse(chol)
+
+    monkeypatch.setattr(mog, "_inverse_lower", counted)
+    rng = np.random.default_rng(32)
+    fs = FeatureSet(rng.standard_normal((60, 4)), np.repeat(np.arange(3), 20), 3)
+    z = rng.standard_normal((5, 4))
+    gm = fit_mog(fs)
+    energies = gaussian_energy(gm, z)
+    assert len(calls) == 1
+    assert not gm.whitener.flags.writeable
+
+    calls.clear()
+    loaded = mog.mixture_from_entries(mog.mixture_entries(gm))
+    np.testing.assert_array_equal(gaussian_energy(loaded, z), energies)
+    assert len(calls) == 1
+    # the kept W is the one a mixture built from the same factor derives lazily
+    fresh = GaussianMixture(gm.means, gm.covariance, gm.chol_lower, gm.precision, gm.mixing)
+    for built in (gm, loaded):
+        np.testing.assert_array_equal(built.whitener, fresh.whitener)
