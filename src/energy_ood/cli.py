@@ -40,7 +40,6 @@ from .mog import (
     mahalanobis_ood_score,
     save_mixture,
 )
-from .sgld import SgldDivergenceError
 from .tensorio import ScoreRangeError, as_f32_scores, load_tensor, write_tensor
 from .toy import GridEvaluationError, ToySpec, energy_grid, gen_toy, save_grid_csv, \
     save_grid_tensor
@@ -456,8 +455,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:] if argv is None else list(argv)
         args = parser.parse_args(with_config_flags(argv))
         return args.func(args)
-    except (NotPositiveDefiniteError, SgldDivergenceError, TrainingDivergedError,
-            GridEvaluationError, ScoreRangeError) as exc:
+    except (NotPositiveDefiniteError, TrainingDivergedError, GridEvaluationError,
+            ScoreRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except UsageError as exc:

@@ -10,6 +10,11 @@ saves what the reverse pass needs, (pre-activation, sigmoid) for SiLU and
 tanh(pre-activation) for tanh, and the reverse pass consumes it: it forms the
 activation's derivative in those same buffers. The energy-only pass saves
 nothing and reuses each layer's buffer in place.
+
+A network holds one float dtype: float64, or float32 when every array it is
+given is float32. The passes run in that dtype. Training keeps a float32 copy
+of its weights for the Langevin chains' input gradient and everything else in
+float64; only float64 networks are stored in archives.
 """
 
 from __future__ import annotations
@@ -43,15 +48,21 @@ _CODE_ACTIVATIONS = {v: k for k, v in _ACTIVATION_CODES.items()}
 
 @dataclass(frozen=True)
 class EnergyMlp:
-    """Dense layers (weights[i]: (out, in), biases[i]: (out,)) ending in one unit."""
+    """Dense layers (weights[i]: (out, in), biases[i]: (out,)) ending in one unit.
+
+    The arrays are float32 if every one is given as float32, else float64.
+    """
 
     weights: tuple
     biases: tuple
     activation: str = "silu"
 
     def __post_init__(self):
-        ws = tuple(np.ascontiguousarray(np.asarray(w, dtype=np.float64)) for w in self.weights)
-        bs = tuple(np.ascontiguousarray(np.asarray(b, dtype=np.float64)) for b in self.biases)
+        ws = [np.asarray(w) for w in self.weights]
+        bs = [np.asarray(b) for b in self.biases]
+        dtype = np.float32 if all(a.dtype == np.float32 for a in ws + bs) else np.float64
+        ws = tuple(np.ascontiguousarray(w, dtype=dtype) for w in ws)
+        bs = tuple(np.ascontiguousarray(b, dtype=dtype) for b in bs)
         if not ws or len(ws) != len(bs):
             raise ValueError("need matching, nonempty weight and bias lists")
         if self.activation not in ACTIVATIONS:
@@ -78,6 +89,10 @@ class EnergyMlp:
     @property
     def input_dim(self) -> int:
         return self.weights[0].shape[1]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.weights[0].dtype
 
 
 @dataclass
@@ -188,11 +203,18 @@ def mlp_energy(net: EnergyMlp, z) -> float | np.ndarray:
 
 
 def mlp_grad_input(net: EnergyMlp, z) -> np.ndarray:
-    """Exact gradient of the energy with respect to its input."""
+    """Exact gradient of the energy with respect to its input, in the network's dtype.
+
+    A row beyond the dtype's range, or one whose pass overflows, gets a
+    non-finite gradient and no warning; the Langevin sampler's finiteness
+    check is what reports it.
+    """
     batch, single = as_batch(z, net.input_dim)
-    saved = []
-    _forward(net, batch, saved)
-    grad = _backward(net, saved, np.ones(batch.shape[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = batch.astype(net.dtype, copy=False)
+        saved = []
+        _forward(net, batch, saved)
+        grad = _backward(net, saved, np.ones(batch.shape[0], dtype=net.dtype))
     return grad[0] if single else grad
 
 
@@ -214,6 +236,9 @@ def mlp_grad_params(net: EnergyMlp, batch, upstream) -> ParamGradient:
 
 
 def mlp_entries(net: EnergyMlp, prefix: str = "") -> dict[str, np.ndarray]:
+    """Archive entries of a float64 network; a float32 one is refused with ValueError."""
+    if net.dtype != np.float64:
+        raise ValueError(f"only float64 networks are stored, this one is {net.dtype}")
     entries: dict[str, np.ndarray] = {
         prefix + "activation": np.array([_ACTIVATION_CODES[net.activation]], dtype=np.uint32)
     }
@@ -235,6 +260,6 @@ def mlp_from_entries(entries: dict[str, np.ndarray], prefix: str = "") -> Energy
         i = len(weights)
         if f"{prefix}b{i}" not in entries:
             raise ValueError(f"network archive has {prefix}w{i} but no {prefix}b{i}")
-        weights.append(entries[f"{prefix}w{i}"])
-        biases.append(entries[f"{prefix}b{i}"])
+        weights.append(np.asarray(entries[f"{prefix}w{i}"], dtype=np.float64))
+        biases.append(np.asarray(entries[f"{prefix}b{i}"], dtype=np.float64))
     return EnergyMlp(tuple(weights), tuple(biases), _CODE_ACTIVATIONS[code])

@@ -6,6 +6,14 @@ negatives) plus an L2 penalty on the energy magnitudes, with Adam. The
 correction model starts chains from the fitted mixture and follows the
 gradient of the full energy; the plain-EBM ablation is the same model without
 the mixture term, whose chains start from N(0, I).
+
+The chains take the network's input gradient in float32, from a copy of the
+weights made once per step after the Adam update: Langevin noise of scale
+sqrt(beta) >= 1e-2 per coordinate dwarfs float32's relative error of about
+1e-6. The chain states and their noise, the mixture gradient, the energies,
+the loss, the parameter gradient, Adam and the parameters stay float64, and
+so do the returned model and its archive. Training is bitwise reproducible
+per seed.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from .energy_net import EnergyMlp, flat_params, mlp_energy, mlp_entries, mlp_fro
     mlp_from_params, mlp_grad_input, mlp_grad_params, mlp_init
 from .featurestore import FeatureSet, minibatch_indices
 from .mog import GaussianMixture, gaussian_energy_grad, mixture_entries, mixture_from_entries
-from .sgld import SgldSchedule, sgld_init, sgld_sample
+from .sgld import SgldDivergenceError, SgldSchedule, sgld_init, sgld_sample
 from .tensorio import archive_scalar, read_archive, write_archive
 
 _MODEL_KINDS = {1: "correction", 2: "ebm"}
@@ -136,23 +144,37 @@ class AdamState:
 
 def adam_step(params, grads, state: AdamState, lr: float, betas=(0.9, 0.999),
               eps: float = 1e-8):
-    """One bias-corrected Adam update; returns (new params, new state)."""
+    """One bias-corrected Adam update; returns (new params, new state).
+
+    The moments are updated in place, in ``state``'s arrays; each new
+    parameter is a fresh array. The operations and their order are those of
+    p - lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), so the result is
+    the same bit for bit.
+    """
     if len(params) != len(grads):
         raise ValueError("params and grads must pair up")
-    b1, b2 = betas
-    t = state.t + 1
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g in zip(params, grads):  # all checked before any moment is touched
         if p.shape != g.shape:
             raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, AdamState(new_m, new_v, t)
+    b1, b2 = betas
+    t = state.t + 1
+    new_params = []
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        step = np.multiply(1 - b1, g)
+        m *= b1
+        m += step                       # b1 m + (1 - b1) g
+        np.multiply(1 - b2, g, out=step)
+        step *= g
+        v *= b2
+        v += step                       # b2 v + ((1 - b2) g) g
+        denom = np.divide(v, 1 - b2 ** t)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        np.divide(m, 1 - b1 ** t, out=step)
+        np.multiply(lr, step, out=step)
+        step /= denom
+        new_params.append(np.subtract(p, step, out=step))
+    return new_params, AdamState(state.m, state.v, t)
 
 
 def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
@@ -167,6 +189,7 @@ def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
     dims = [d] + [cfg.hidden_dim] * cfg.num_hidden + [1]
     net = mlp_init(dims, np.random.default_rng(ss_init), cfg.activation)
     params = flat_params(net)
+    chain_net = mlp_from_params([p.astype(np.float32) for p in params], cfg.activation)
     state = AdamState.zeros_like(params)
 
     log_fh = open(log_path, "w") if log_path is not None else None
@@ -186,7 +209,7 @@ def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
                 grad_norms = []
 
                 def energy_grad(z):
-                    g = mlp_grad_input(net, z) / cfg.net_temperature
+                    g = mlp_grad_input(chain_net, z).astype(np.float64) / cfg.net_temperature
                     if gm is not None:
                         g = g + gaussian_energy_grad(gm, z)
                     grad_norms.append(float(np.mean(np.linalg.norm(g, axis=1))))
@@ -194,8 +217,13 @@ def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
 
                 # stream domain 4: disjoint from the spawn keys of the rngs above
                 start = sgld_init(gm, b, d, neg_rng)
-                neg = sgld_sample(start, energy_grad, cfg.sgld,
-                                  seed=(cfg.seed, 4, gstep), chain_ids=np.arange(b))
+                try:
+                    neg = sgld_sample(start, energy_grad, cfg.sgld,
+                                      seed=(cfg.seed, 4, gstep), chain_ids=np.arange(b))
+                except SgldDivergenceError as exc:
+                    raise TrainingDivergedError(
+                        f"Langevin chains diverged at epoch {epoch}, step {gstep}: {exc}"
+                    ) from exc
 
                 e_pos = mlp_energy(net, pos) / cfg.net_temperature
                 e_neg = mlp_energy(net, neg) / cfg.net_temperature
@@ -214,11 +242,15 @@ def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
                 ]) / cfg.net_temperature
                 grads = mlp_grad_params(net, np.concatenate([pos, neg]), upstream)
                 params, state = adam_step(params, flat_params(grads), state, cfg.learning_rate)
-                if not all(np.isfinite(p).all() for p in params):
+                # a parameter beyond the float32 range is inf in the chains' copy
+                with np.errstate(over="ignore"):
+                    chain_params = [p.astype(np.float32) for p in params]
+                if not all(np.isfinite(p).all() for p in chain_params):
                     raise TrainingDivergedError(
-                        f"non-finite parameters after epoch {epoch}, step {gstep}"
+                        f"non-finite parameters (in float32) after epoch {epoch}, step {gstep}"
                     )
                 net = mlp_from_params(params, net.activation)
+                chain_net = mlp_from_params(chain_params, net.activation)
 
                 sums["mle_loss"] += loss_mle
                 sums["l2_reg"] += loss_reg

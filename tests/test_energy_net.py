@@ -11,10 +11,13 @@ from energy_ood.energy_net import (
     _sigmoid,
     flat_params,
     mlp_energy,
+    mlp_entries,
+    mlp_from_params,
     mlp_grad_input,
     mlp_grad_params,
     mlp_init,
 )
+from energy_ood.tensorio import read_archive, write_archive
 from energy_ood.trainer import CorrectionModel, load_model, save_model
 
 
@@ -376,3 +379,96 @@ def test_mlp_archive_round_trip(tmp_path):
     assert loaded.dims == net.dims
     z = np.random.default_rng(12).standard_normal((20, 4))
     np.testing.assert_array_equal(mlp_energy(loaded, z), mlp_energy(net, z))
+
+
+# ---------------------------------------------------------------- float32 copy
+
+def as_float32(net):
+    return mlp_from_params([p.astype(np.float32) for p in flat_params(net)], net.activation)
+
+
+def test_network_dtype_is_float32_only_when_every_array_is():
+    net = mlp_init([3, 4, 1], np.random.default_rng(16))
+    assert net.dtype == np.float64
+    assert as_float32(net).dtype == np.float32
+    assert all(p.dtype == np.float32 for p in flat_params(as_float32(net)))
+    w, b = net.weights, net.biases
+    for mixed in (EnergyMlp((w[0].astype(np.float32), w[1]), b),
+                  EnergyMlp(tuple(a.astype(np.float16) for a in w),
+                            tuple(a.astype(np.float32) for a in b))):
+        assert mixed.dtype == np.float64
+        assert all(p.dtype == np.float64 for p in flat_params(mixed))
+    with pytest.raises(ValueError, match="non-finite"):
+        EnergyMlp((np.full((4, 3), np.inf, np.float32), w[1].astype(np.float32)),
+                  tuple(a.astype(np.float32) for a in b))
+
+
+@pytest.mark.parametrize("n", [1, 7, 256])
+@pytest.mark.parametrize("activation", ["silu", "tanh"])
+def test_float32_input_gradient_matches_reference_in_float32(activation, n):
+    # the same operations as the float64 pass, every one of them in float32
+    rng = np.random.default_rng(17)
+    net = as_float32(mlp_init([3, 32, 24, 32, 1], rng, activation))
+    z = rng.uniform(-2.0, 2.0, (n, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, want, _, _ = reference_passes(net, z.astype(np.float32), np.ones(n, np.float32))
+        got = mlp_grad_input(net, z)
+    assert got.dtype == want.dtype == np.float32
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dims, rows", [([2] + [128] * 4 + [1], 256),
+                                        ([512] + [1024] * 4 + [1], 64)])
+@pytest.mark.parametrize("activation", ["silu", "tanh"])
+def test_float32_input_gradient_tracks_float64(activation, dims, rows):
+    # max |g32 - g64| / max |g64| <= 1e-5, about 84 float32 epsilons; these
+    # four cases measure 8.3e-7 to 9.3e-7
+    rng = np.random.default_rng(18)
+    net = mlp_init(dims, rng, activation)
+    z = rng.standard_normal((rows, dims[0]))
+    exact = mlp_grad_input(net, z)
+    approx = mlp_grad_input(as_float32(net), z)
+    assert approx.dtype == np.float32
+    assert np.abs(approx - exact).max() <= 1e-5 * np.abs(exact).max()
+
+
+def test_float32_input_gradient_beyond_range_is_nonfinite_without_warning():
+    # 1e39 is inf in float32: that row's gradient is non-finite, for the
+    # sampler's finiteness check to report, and the other rows are unaffected
+    rng = np.random.default_rng(19)
+    net = as_float32(mlp_init([2, 16, 16, 1], rng))
+    z = rng.standard_normal((4, 2))
+    in_range = mlp_grad_input(net, z)
+    z[2, 0] = 1e39
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grad = mlp_grad_input(net, z)
+    assert not np.isfinite(grad[2]).all()
+    assert np.isfinite(grad[[0, 1, 3]]).all()
+    np.testing.assert_array_equal(grad[[0, 1, 3]], in_range[[0, 1, 3]])
+
+
+def test_float32_network_is_never_stored(tmp_path):
+    net = as_float32(mlp_init([4, 8, 1], np.random.default_rng(20)))
+    with pytest.raises(ValueError, match="float64"):
+        mlp_entries(net)
+    with pytest.raises(ValueError, match="float64"):
+        save_model(tmp_path / "net.ftar", CorrectionModel(net))
+    assert not (tmp_path / "net.ftar").exists()
+
+
+def test_float32_archive_entries_load_as_float64(tmp_path):
+    # an archive this program did not write may store float32 layers; the
+    # network built from it is still float64
+    net = mlp_init([4, 8, 1], np.random.default_rng(21))
+    path = tmp_path / "net.ftar"
+    save_model(path, CorrectionModel(net))
+    entries = read_archive(path)
+    for key in [k for k in entries if k[:5] in ("net.w", "net.b")]:
+        entries[key] = entries[key].astype(np.float32)
+    write_archive(path, entries)
+    _, model = load_model(path)
+    assert model.net.dtype == np.float64
+    np.testing.assert_array_equal(model.net.weights[0],
+                                  net.weights[0].astype(np.float32).astype(np.float64))

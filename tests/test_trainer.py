@@ -1,14 +1,16 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from energy_ood.detectors import score_correction
-from energy_ood.energy_net import flat_params, mlp_energy, mlp_grad_params, mlp_init
+from energy_ood.energy_net import flat_params, mlp_energy, mlp_from_params, mlp_grad_input, \
+    mlp_grad_params, mlp_init
 from energy_ood.featurestore import FeatureSet
 from energy_ood.mog import fit_mog, gaussian_energy
-from energy_ood.sgld import SgldSchedule
+from energy_ood.sgld import SgldDivergenceError, SgldSchedule, sgld_sample
 from energy_ood.tensorio import read_archive, write_archive
 from energy_ood.trainer import (
     AdamState,
@@ -327,3 +329,115 @@ def test_correction_archive_without_temperature_loads_at_one(tmp_path):
     z = fs.features[:20]
     np.testing.assert_array_equal(score_correction(loaded, z),
                                   mlp_energy(model.net, z) + gaussian_energy(model.gm, z))
+
+
+# ---------------------------------------------------------------- float32 chains
+
+def float32_copy(net):
+    return mlp_from_params([p.astype(np.float32) for p in flat_params(net)], net.activation)
+
+
+def test_adam_in_place_matches_reference_bit_for_bit():
+    def reference(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+        # the update as first written, one fresh array per operation
+        t += 1
+        out_p, out_m, out_v = [], [], []
+        for p, g, mi, vi in zip(params, grads, m, v):
+            mi = b1 * mi + (1 - b1) * g
+            vi = b2 * vi + (1 - b2) * g * g
+            m_hat = mi / (1 - b1 ** t)
+            v_hat = vi / (1 - b2 ** t)
+            out_p.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+            out_m.append(mi)
+            out_v.append(vi)
+        return out_p, out_m, out_v, t
+
+    rng = np.random.default_rng(30)
+    params = [rng.standard_normal((7, 5)), rng.standard_normal(7), rng.standard_normal((1, 7))]
+    ref_p, ref_m, ref_v, ref_t = params, [np.zeros_like(p) for p in params], \
+        [np.zeros_like(p) for p in params], 0
+    state = AdamState.zeros_like(params)
+    for _ in range(5):
+        grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-8, 3) for p in params]
+        ref_p, ref_m, ref_v, ref_t = reference(ref_p, grads, ref_m, ref_v, ref_t, lr=3e-3)
+        params, state = adam_step(params, grads, state, lr=3e-3)
+    assert state.t == ref_t == 5
+    for got, want in zip(params + state.m + state.v, ref_p + ref_m + ref_v):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_adam_leaves_params_and_grads_alone():
+    params = [np.arange(3.0)]
+    grads = [np.ones(3)]
+    state = AdamState.zeros_like(params)
+    new, _ = adam_step(params, grads, state, lr=0.1)
+    np.testing.assert_array_equal(params[0], np.arange(3.0))
+    np.testing.assert_array_equal(grads[0], np.ones(3))
+    assert not np.shares_memory(new[0], params[0])
+
+
+def test_sgld_end_states_with_float32_network_gradient_track_float64():
+    # 20 steps at the plain-EBM step sizes on a 2 -> 128 x 4 network, from the
+    # same init with the same noise. The float32 gradient's relative error
+    # (about 1e-6) scales only the drift, which is at most the distance the
+    # chains moved, so the end states may differ by 1e-6 of it; 3.5e-10 measured
+    rng = np.random.default_rng(31)
+    net = mlp_init([2] + [128] * 4 + [1], rng)
+    schedule = SgldSchedule(20, (1e-2, 1e-3), (1e-2, 1e-3))
+    init = rng.standard_normal((64, 2))
+    ends = [sgld_sample(init, lambda z, n=n: mlp_grad_input(n, z).astype(np.float64),
+                        schedule, seed=5)
+            for n in (net, float32_copy(net))]
+    moved = np.abs(ends[0] - init).max()
+    assert moved > 1e-2
+    assert np.abs(ends[1] - ends[0]).max() <= 1e-6 * moved
+
+
+def test_chains_take_the_float32_network_gradient(monkeypatch):
+    # perfbench times the chain gradient through this module-level name
+    import energy_ood.trainer as trainer
+
+    nets = []
+
+    def recorder(net, z):
+        nets.append(net)
+        return mlp_grad_input(net, z)
+
+    monkeypatch.setattr(trainer, "mlp_grad_input", recorder)
+    fs = two_class_fs(n=64, seed=32)
+    cfg = small_cfg(epochs=1)
+    model, _ = train_correction(fs, fit_mog(fs, temperature=1.0), cfg)
+    assert len(nets) == cfg.sgld.steps
+    assert all(p.dtype == np.float32 for net in nets for p in flat_params(net))
+    assert all(p.dtype == np.float64 for p in flat_params(model.net))
+
+
+def test_trained_model_is_float64_and_saves(tmp_path):
+    fs = two_class_fs(seed=33)
+    model, _ = train_correction(fs, fit_mog(fs, temperature=1.0), small_cfg(seed=4))
+    assert model.net.dtype == np.float64
+    save_model(tmp_path / "model.ftar", model)
+    with pytest.raises(ValueError, match="float64"):
+        save_model(tmp_path / "f32.ftar", replace(model, net=float32_copy(model.net)))
+
+
+def test_divergence_beyond_float32_parameters_names_epoch_and_step():
+    # float64 weights of about 1e200 are finite but have no float32 copy
+    fs = two_class_fs(seed=9)
+    gm = fit_mog(fs, temperature=1.0)
+    with pytest.raises(TrainingDivergedError, match=r"epoch 0, step 0"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            train_correction(fs, gm, small_cfg(learning_rate=1e200))
+
+
+def test_chain_state_beyond_float32_raises_training_error_without_warning():
+    # features of size 1e39 start chains that float32 cannot hold; the chain
+    # gradient is non-finite, the sampler reports it and training names where
+    fs = two_class_fs(seed=34)
+    fs = FeatureSet(fs.features * 1e39, fs.labels, fs.num_classes)
+    gm = fit_mog(fs, temperature=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDivergedError, match=r"epoch 0, step 0") as exc:
+            train_correction(fs, gm, small_cfg(epochs=1))
+    assert isinstance(exc.value.__cause__, SgldDivergenceError)
