@@ -294,6 +294,9 @@ def _load_scores(path) -> np.ndarray:
     arr = load_tensor(path)
     if arr.ndim != 1 or arr.dtype != np.float32:
         raise UsageError(f"{path}: score file must be a rank-1 f32 tensor")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise UsageError(f"{path}: row {bad[0]} holds non-finite score {arr[bad[0]]}")
     return arr.astype(np.float64)
 
 

@@ -64,8 +64,8 @@ def score_msp(logits) -> float | np.ndarray:
 
 def score_odin_temperature(logits, temperature: float) -> float | np.ndarray:
     """Negated maximum softmax probability at temperature T (no input preprocessing)."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    if not 0 < temperature < np.inf:  # NaN fails too
+        raise ValueError("temperature must be finite and positive")
     batch, single = as_batch(logits)
     score = score_msp(batch / temperature)
     return float(score[0]) if single else score
@@ -73,8 +73,8 @@ def score_odin_temperature(logits, temperature: float) -> float | np.ndarray:
 
 def score_energy_logits(logits, temperature: float = 1.0) -> float | np.ndarray:
     """-T * logsumexp(logits / T), computed with the max-shift trick."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    if not 0 < temperature < np.inf:  # NaN fails too
+        raise ValueError("temperature must be finite and positive")
     batch, single = as_batch(logits)
     scaled = batch / temperature
     m = scaled.max(axis=1)

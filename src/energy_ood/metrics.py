@@ -6,7 +6,7 @@ count one half in AUROC; thresholds use inclusive >= semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -91,15 +91,7 @@ class EvalReport:
     params: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "auroc": self.auroc,
-            "fpr95": self.fpr95,
-            "threshold": self.threshold,
-            "n_id": self.n_id,
-            "n_ood": self.n_ood,
-            "detector": self.detector,
-            "params": self.params,
-        }
+        return asdict(self)
 
 
 def evaluate(id_scores, ood_scores, tpr: float = 0.95, detector: str = "",

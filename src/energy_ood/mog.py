@@ -63,10 +63,11 @@ class GaussianMixture:
             arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.float64))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.shrinkage < 0:
-            raise ValueError("shrinkage must be nonnegative")
+        # written so that NaN fails each check
+        if not 0 < self.temperature < np.inf:
+            raise ValueError("temperature must be finite and positive")
+        if not 0 <= self.shrinkage < np.inf:
+            raise ValueError("shrinkage must be finite and nonnegative")
 
     @cached_property
     def whitener(self) -> np.ndarray:
@@ -168,8 +169,8 @@ def fit_mog(fs: FeatureSet, shrinkage: float | None = None,
     within-class scatter summed over classes and divided by N, then shrunk by
     ``shrinkage * I`` (default 1e-6 * trace / D) before factorization.
     """
-    if shrinkage is not None and not shrinkage >= 0:
-        raise MixtureFitError(f"shrinkage must be nonnegative, got {shrinkage}")
+    if shrinkage is not None and not 0 <= shrinkage < np.inf:
+        raise MixtureFitError(f"shrinkage must be finite and nonnegative, got {shrinkage}")
     feats, labels = fs.features, fs.labels
     n, d = feats.shape
     counts = np.bincount(labels, minlength=fs.num_classes)

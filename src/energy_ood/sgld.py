@@ -1,10 +1,11 @@
 """Langevin sampler with linearly decayed step-size and noise schedules.
 
-Each chain's noise comes from its own counter-based stream keyed by
-(seed, chain id), so results do not depend on how chains are batched or in
-what order they run. The sampler is model-agnostic: it only ever calls the
-gradient callback the caller composed (correction + reference, or the
-network alone for the plain-EBM ablation).
+Step t's noise is one standard-normal block drawn from a generator keyed by
+(seed, t), and chain c takes its row c. A chain's noise thus depends only on
+the seed, the step and its id, so results do not depend on how chains are
+batched or in what order they run. The sampler is model-agnostic: it only
+ever calls the gradient callback the caller composed (correction + reference,
+or the network alone for the plain-EBM ablation).
 """
 
 from __future__ import annotations
@@ -14,9 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mog import GaussianMixture, sample_mog
-
-# cap on predrawn noise block size, in float64 cells
-_NOISE_CELLS = 1 << 23
 
 
 class SgldDivergenceError(RuntimeError):
@@ -73,41 +71,37 @@ def _seed_key(seed) -> tuple:
 
 def sgld_sample(init: np.ndarray, energy_grad, schedule: SgldSchedule, seed,
                 chain_ids=None) -> np.ndarray:
-    """Run the update z <- z - alpha_t * grad(z) + sqrt(beta_t) * eps for all chains.
+    """Run the update z <- z - alpha_t * grad(z) + sqrt(beta_t) * eps_t for all chains.
 
     ``energy_grad`` maps an (n, d) state matrix to its (n, d) gradient and is
-    called exactly once per step. ``seed`` (an int or tuple of ints) and the
-    optional ``chain_ids`` (default 0..n-1) key the per-chain noise streams.
+    called exactly once per step. Step t draws eps_t as one standard-normal
+    block of max(chain_ids) + 1 rows from ``default_rng([*seed, t])``, where
+    ``seed`` is an int or tuple of ints, and chain c takes row c. The ids
+    (nonnegative integers, default 0..n-1) thus key each chain's noise, and the
+    cost of a step grows with the largest id.
     """
     z = np.array(init, dtype=np.float64)
-    if z.ndim != 2:
-        raise ValueError("init must be an (n_chains, dim) matrix")
+    if z.ndim != 2 or z.size == 0:
+        raise ValueError("init must be a non-empty (n_chains, dim) matrix")
     if not np.isfinite(z).all():
         raise ValueError("init contains non-finite entries")
     n, d = z.shape
-    if chain_ids is None:
-        chain_ids = np.arange(n)
-    chain_ids = np.asarray(chain_ids)
-    if chain_ids.shape != (n,):
+    ids = np.arange(n) if chain_ids is None else np.asarray(chain_ids)
+    if ids.shape != (n,):
         raise ValueError("chain_ids must supply one id per chain")
+    if ids.dtype.kind not in "iu" or ids.min() < 0:
+        raise ValueError("chain_ids must be nonnegative integers")
+    rows = int(ids.max()) + 1
+    key = _seed_key(seed)
 
-    base = _seed_key(seed)
-    streams = [np.random.default_rng(np.random.SeedSequence([*base, int(c)]))
-               for c in chain_ids]
-
-    block = max(1, _NOISE_CELLS // max(1, n * d))
-    t = 0
-    while t < schedule.steps:
-        steps_here = min(block, schedule.steps - t)
-        noise = np.stack([s.standard_normal((steps_here, d)) for s in streams])
-        for i in range(steps_here):
-            alpha, beta = schedule_at(schedule, t)
-            grad = np.asarray(energy_grad(z), dtype=np.float64)
-            if grad.shape != z.shape:
-                raise ValueError(f"gradient shape {grad.shape} != state shape {z.shape}")
-            finite = np.isfinite(grad).all(axis=1)
-            if not finite.all():
-                raise SgldDivergenceError(t, int(np.argmin(finite)))
-            z = z - alpha * grad + np.sqrt(beta) * noise[:, i, :]
-            t += 1
+    for t in range(schedule.steps):
+        alpha, beta = schedule_at(schedule, t)
+        grad = np.asarray(energy_grad(z), dtype=np.float64)
+        if grad.shape != z.shape:
+            raise ValueError(f"gradient shape {grad.shape} != state shape {z.shape}")
+        finite = np.isfinite(grad).all(axis=1)
+        if not finite.all():
+            raise SgldDivergenceError(t, int(np.argmin(finite)))
+        noise = np.random.default_rng([*key, t]).standard_normal((rows, d))
+        z = z - alpha * grad + np.sqrt(beta) * noise[ids]
     return z

@@ -40,6 +40,8 @@ class ToySpec:
             raise ValueError(f"unknown toy kind {self.kind!r}")
         if self.samples_per_class < 1:
             raise ValueError("samples_per_class must be at least 1")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not all(g > 0 for g in (self.arm_length, self.arm_thickness, self.grid_pitch)):
             raise ValueError("geometry parameters must be positive")
         # samples lie within a few thicknesses of the arms; ten leaves ample room

@@ -66,6 +66,8 @@ class TrainConfig:
             raise ValueError("net_temperature must be finite and positive")
         if self.hidden_dim < 1 or self.num_hidden < 1:
             raise ValueError("need at least one hidden layer of width >= 1")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def correction_defaults(toy: bool = False, seed: int = 0) -> TrainConfig:
@@ -219,7 +221,7 @@ def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
                 start = sgld_init(gm, b, d, neg_rng)
                 try:
                     neg = sgld_sample(start, energy_grad, cfg.sgld,
-                                      seed=(cfg.seed, 4, gstep), chain_ids=np.arange(b))
+                                      seed=(cfg.seed, 4, gstep))
                 except SgldDivergenceError as exc:
                     raise TrainingDivergedError(
                         f"Langevin chains diverged at epoch {epoch}, step {gstep}: {exc}"

@@ -373,6 +373,22 @@ def test_eval_bad_ood_spec(tmp_path):
                "--out", tmp_path / "r.json") == 2
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("which", ["id", "ood"])
+def test_eval_nonfinite_scores_exit_2(tmp_path, capsys, which, bad):
+    # a report threshold of inf would be written as Infinity, which is not JSON
+    id_s, ood_s = tmp_path / "id.scores", tmp_path / "ood.scores"
+    scores = {"id": np.zeros(5, dtype=np.float32), "ood": np.ones(5, dtype=np.float32)}
+    scores[which][3] = bad
+    write_tensor(id_s, scores["id"])
+    write_tensor(ood_s, scores["ood"])
+    report_path = tmp_path / "r.json"
+    assert run("eval", "--id", id_s, "--ood", f"far:x={ood_s}", "--out", report_path) == 2
+    err = capsys.readouterr().err
+    assert f"{which}.scores: row 3" in err
+    assert not report_path.exists()
+
+
 # ---------------------------------------------------------------- grid
 
 def test_grid_from_archives(tmp_path, scored):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,54 @@ def test_init_is_one_draw_from_the_generator():
                                   sample_mog(gm, 16, np.random.default_rng(15)))
     np.testing.assert_array_equal(sgld_init(None, 16, 3, np.random.default_rng(16)),
                                   np.random.default_rng(16).standard_normal((16, 3)))
+
+
+# ---------------------------------------------------------------- noise keying
+
+def test_matches_straight_line_reference():
+    # step t's noise is one block drawn by default_rng([*seed, t]); chain c takes row c
+    rng = np.random.default_rng(17)
+    init = rng.standard_normal((6, 3))
+    ids = np.array([9, 4, 12, 5, 7, 6])
+    grad = lambda z: np.tanh(z) + 0.1 * z
+    s = SgldSchedule(7, (0.1, 0.02), (0.3, 0.05))
+    z = init.copy()
+    for t in range(s.steps):
+        a, b = schedule_at(s, t)
+        z = z - a * grad(z) + np.sqrt(b) * np.random.default_rng([21, 3, t]).standard_normal(
+            (13, 3))[ids]
+    np.testing.assert_array_equal(sgld_sample(init, grad, s, seed=(21, 3), chain_ids=ids), z)
+
+
+def test_unit_noise_moments():
+    # one step at beta = 1 from zero with zero gradient leaves exactly the noise;
+    # bounds are about 4 standard errors at n = 4096 (1/sqrt(n) = 0.016)
+    s = SgldSchedule(1, (1.0, 1.0), (1.0, 1.0))
+    eps = sgld_sample(np.zeros((4096, 8)), np.zeros_like, s, seed=18)
+    assert np.abs(eps.mean(axis=0)).max() < 0.06
+    assert np.abs(eps.var(axis=0) - 1.0).max() < 0.09
+    corr = np.corrcoef(eps, rowvar=False)
+    assert np.abs(corr - np.eye(8)).max() < 0.07
+
+
+def test_memory_does_not_grow_with_steps():
+    # 256 chains at 512-d for 200 steps, the EBM recipe's size: one state is 1 MiB
+    init = np.zeros((256, 512))
+    tracemalloc.start()
+    try:
+        sgld_sample(init, np.zeros_like, constant_schedule(200, 0.1), seed=19)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("init, ids", [
+    (np.zeros((3, 2)), [0, -1, 2]),
+    (np.zeros((3, 2)), [0.0, 1.0, 2.0]),
+    (np.zeros((2, 2)), [True, False]),
+    (np.zeros((0, 2)), None),
+], ids=["negative-id", "float-ids", "bool-ids", "empty-init"])
+def test_bad_chain_ids_and_empty_init_rejected(init, ids):
+    with pytest.raises(ValueError):
+        sgld_sample(init, np.zeros_like, constant_schedule(2, 0.1), seed=20, chain_ids=ids)

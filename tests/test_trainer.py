@@ -5,13 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from energy_ood.detectors import score_correction
+from energy_ood.detectors import score_correction, score_energy_logits, score_odin_temperature
 from energy_ood.energy_net import flat_params, mlp_energy, mlp_from_params, mlp_grad_input, \
     mlp_grad_params, mlp_init
 from energy_ood.featurestore import FeatureSet
-from energy_ood.mog import fit_mog, gaussian_energy
+from energy_ood.mog import GaussianMixture, fit_mog, gaussian_energy
 from energy_ood.sgld import SgldDivergenceError, SgldSchedule, sgld_sample
 from energy_ood.tensorio import read_archive, write_archive
+from energy_ood.toy import ToySpec
 from energy_ood.trainer import (
     AdamState,
     CorrectionModel,
@@ -139,6 +140,32 @@ def test_config_validation():
         "step-start-nan", "step-start-inf", "noise-end-nan", "noise-both-inf"])
 def test_nonfinite_config_values_rejected(make):
     with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+def _mixture(**kw):
+    return GaussianMixture.from_moments([[0.0, 0.0]], np.eye(2), **kw)
+
+
+@pytest.mark.parametrize("make, option", [
+    (lambda: _mixture(temperature=np.nan), "temperature"),
+    (lambda: _mixture(temperature=np.inf), "temperature"),
+    (lambda: _mixture(shrinkage=np.nan), "shrinkage"),
+    (lambda: _mixture(shrinkage=np.inf), "shrinkage"),
+    (lambda: fit_mog(FeatureSet(np.eye(4), np.array([0, 0, 1, 1]), 2), shrinkage=np.inf),
+     "shrinkage"),
+    (lambda: score_odin_temperature(np.zeros((2, 3)), np.nan), "temperature"),
+    (lambda: score_odin_temperature(np.zeros((2, 3)), np.inf), "temperature"),
+    (lambda: score_energy_logits(np.zeros((2, 3)), np.nan), "temperature"),
+    (lambda: score_energy_logits(np.zeros((2, 3)), np.inf), "temperature"),
+    (lambda: TrainConfig(seed=-1), "seed"),
+    (lambda: ToySpec(seed=-1), "seed"),
+], ids=["mog-temp-nan", "mog-temp-inf", "mog-shrink-nan", "mog-shrink-inf", "fit-shrink-inf",
+        "odin-temp-nan", "odin-temp-inf", "energy-temp-nan", "energy-temp-inf",
+        "train-seed-neg", "toy-seed-neg"])
+def test_nan_inf_and_negative_values_rejected(make, option):
+    # each check is written so that NaN fails it, and its message names the option
+    with pytest.raises(ValueError, match=option):
         make()
 
 
