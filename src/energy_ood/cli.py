@@ -8,7 +8,8 @@ the subcommand name, so argparse parses and checks them like any other flag,
 and flags on the command line come later and win. Exit codes: 0 success,
 1 computational failure (divergence, non-positive-definite covariance, a
 score beyond float32), 2 usage or input error, including an input path that
-is missing, a directory or unreadable.
+is missing, a directory or unreadable, and a tensor file that ``read_input``
+rejects.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ import numpy as np
 
 from . import detectors, metrics
 from .featurestore import (
+    ScoreRangeError,
+    as_f32_scores,
     load_feature_set,
-    load_rows,
     normalize_features,
     normalize_rows,
+    read_input,
     save_feature_set,
 )
 from .mog import (
@@ -40,7 +43,7 @@ from .mog import (
     mahalanobis_ood_score,
     save_mixture,
 )
-from .tensorio import ScoreRangeError, as_f32_scores, load_tensor, write_tensor
+from .tensorio import write_tensor
 from .toy import GridEvaluationError, ToySpec, energy_grid, gen_toy, save_grid_csv, \
     save_grid_tensor
 from .trainer import (
@@ -154,7 +157,7 @@ def cmd_toy(args) -> int:
 
 def cmd_fit_mog(args) -> int:
     started = time.time()
-    fs = load_feature_set(args.features, args.labels, args.num_classes)
+    fs = load_feature_set(args.features, args.labels)
     if args.normalize:
         fs = normalize_features(fs)
     gm = fit_mog(fs, shrinkage=args.shrinkage, temperature=args.temperature)
@@ -239,7 +242,7 @@ LOGIT_SCORERS = {
 
 
 def _score_features(args) -> np.ndarray:
-    x = load_rows(args.features)
+    x = read_input(args.features, "features")
     if args.normalize:
         x = normalize_rows(x)
     if args.detector == "knn":
@@ -247,7 +250,7 @@ def _score_features(args) -> np.ndarray:
             raise UsageError("knn needs --train-features")
         if args.k is None:
             raise UsageError("knn needs --k")
-        train = load_rows(args.train_features, "train features")
+        train = read_input(args.train_features, "features")
         if args.normalize:
             train = normalize_rows(train)
         return detectors.score_knn(train, x, args.k)
@@ -257,7 +260,7 @@ def _score_features(args) -> np.ndarray:
 
 
 def _score_logits(args) -> np.ndarray:
-    return LOGIT_SCORERS[args.detector](load_rows(args.logits, "logits"), args.temperature)
+    return LOGIT_SCORERS[args.detector](read_input(args.logits, "logits"), args.temperature)
 
 
 def cmd_score(args) -> int:
@@ -290,23 +293,13 @@ def _parse_ood_arg(raw: str) -> tuple[str, str, str]:
     return group or "all", name, path
 
 
-def _load_scores(path) -> np.ndarray:
-    arr = load_tensor(path)
-    if arr.ndim != 1 or arr.dtype != np.float32:
-        raise UsageError(f"{path}: score file must be a rank-1 f32 tensor")
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        raise UsageError(f"{path}: row {bad[0]} holds non-finite score {arr[bad[0]]}")
-    return arr.astype(np.float64)
-
-
 def cmd_eval(args) -> int:
     started = time.time()
-    id_scores = _load_scores(args.id)
+    id_scores = read_input(args.id, "scores")
     datasets = [_parse_ood_arg(raw) for raw in args.ood]
     reports = []
     for group, name, path in datasets:
-        rep = metrics.evaluate(id_scores, _load_scores(path), tpr=args.tpr)
+        rep = metrics.evaluate(id_scores, read_input(path, "scores"), tpr=args.tpr)
         reports.append({"group": group, "name": name, "path": str(path),
                         **rep.to_dict()})
 
@@ -388,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("fit-mog", cmd_fit_mog, "fit the class-conditional Gaussian mixture")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--num-classes", type=int)
     p.add_argument("--shrinkage", type=finite_float,
                    help="diagonal shrinkage; default 1e-6 * trace/D")
     p.add_argument("--temperature", type=finite_float, default=1e3)

@@ -1,7 +1,8 @@
-"""In-distribution feature sets: loading, validation, normalization, batching.
+"""Input tensor files, in-distribution feature sets, normalization, batching.
 
-Features and logits travel as rank-2 f32 tensor files, labels as rank-1 u32
-files. Everything is promoted to float64 for computation.
+``FILE_KINDS`` is the one table of what each kind of input tensor file
+holds, and ``read_input`` the one reader that checks a file against it.
+Floats are promoted to float64 for computation.
 """
 
 from __future__ import annotations
@@ -63,12 +64,42 @@ class FeatureSet:
         return self.features.shape[1]
 
 
-def load_rows(path, what: str = "features") -> np.ndarray:
-    """The rows of a features or logits file, which must hold a rank-2 f32 tensor, as f64."""
-    rows = load_tensor(path)
-    if rows.ndim != 2 or rows.dtype != np.float32:
-        raise ValueError(f"{path}: {what} file must be a rank-2 f32 tensor")
-    return rows.astype(np.float64)
+# rank and dtype of each kind of input tensor file
+FILE_KINDS = {"features": (2, "f32"), "logits": (2, "f32"), "labels": (1, "u32"),
+              "scores": (1, "f32")}
+_DTYPES = {"f32": np.float32, "u32": np.uint32}
+
+
+def read_input(path, kind: str) -> np.ndarray:
+    """The tensor in a ``kind`` file, checked for its rank, its dtype and finite
+    entries, naming the path and the first non-finite row; floats come as f64."""
+    rank, dtype = FILE_KINDS[kind]
+    arr = load_tensor(path)
+    if arr.ndim != rank or arr.dtype != _DTYPES[dtype]:
+        raise ValueError(f"{path}: {kind} file must be a rank-{rank} {dtype} tensor")
+    finite = np.isfinite(arr.reshape(len(arr), -1)).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}: row {int(np.argmin(finite))} of the {kind} file is not finite")
+    return arr.astype(np.float64) if dtype == "f32" else arr
+
+
+class ScoreRangeError(RuntimeError):
+    """A score that a float32 score file cannot hold."""
+
+
+def as_f32_scores(scores) -> np.ndarray:
+    """``scores`` as float32, refusing a non-finite one or one beyond the float32 range.
+
+    The error names the first bad value's row in row-major order, which for a
+    2-D energy grid is its row in the grid CSV.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    bad = ~(np.abs(scores) <= np.finfo(np.float32).max)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ScoreRangeError(f"score {scores.flat[row]!r} of row {row} does not fit a "
+                              f"float32 score file")
+    return scores.astype(np.float32)
 
 
 def load_feature_set(features_path, labels_path, num_classes: int | None = None) -> FeatureSet:
@@ -76,12 +107,10 @@ def load_feature_set(features_path, labels_path, num_classes: int | None = None)
 
     ``num_classes`` defaults to ``max(labels) + 1``.
     """
-    feats = load_rows(features_path)
-    labels = load_tensor(labels_path)
-    if labels.ndim != 1 or labels.dtype != np.uint32:
-        raise ValueError(f"{labels_path}: labels file must be a rank-1 u32 tensor")
+    feats = read_input(features_path, "features")
+    labels = read_input(labels_path, "labels")
     if num_classes is None:
-        num_classes = int(labels.max()) + 1 if labels.size else 1
+        num_classes = int(labels.max()) + 1
     return FeatureSet(feats, labels, num_classes)
 
 

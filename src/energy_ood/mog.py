@@ -18,9 +18,10 @@ works in whitened space. With L L^T = Sigma and W = L^-1,
 once as ``z @ W.T`` and all n x C quadratic forms come from one matrix
 product against the whitened means, at O(n d^2 + n C d) instead of a
 triangular solve per difference vector. L is inverted once per mixture:
-``from_moments`` and the archive loader keep the W they invert for the
-precision, and a mixture built directly derives it on first use. The
-whitened means are derived on first use too; both are cached.
+``_from_factor``, which builds the mixtures of ``from_moments`` and of the
+archive loader, keeps the W it inverts for the precision, and a mixture built
+directly derives it on first use. The whitened means are derived on first
+use too; both are cached.
 """
 
 from __future__ import annotations
@@ -72,15 +73,10 @@ class GaussianMixture:
     @cached_property
     def whitener(self) -> np.ndarray:
         """W = L^-1, so that W Sigma W^T = I; lower-triangular, computed on first use
-        unless the mixture's builder already set it."""
+        unless ``_from_factor`` already set it."""
         w = _inverse_lower(self.chol_lower)
         w.setflags(write=False)
         return w
-
-    def _set_whitener(self, w: np.ndarray) -> None:
-        # fills the cache of ``whitener`` with the W its builder already inverted
-        w.setflags(write=False)
-        self.__dict__["whitener"] = w
 
     @cached_property
     def white_means(self) -> np.ndarray:
@@ -114,13 +110,7 @@ class GaussianMixture:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(shrinkage) from exc
-        w = _inverse_lower(chol)
-        precision = w.T @ w
-        precision = 0.5 * (precision + precision.T)
-        gm = cls(means, cov, chol, precision, np.asarray(mixing, dtype=np.float64),
-                 temperature, shrinkage)
-        gm._set_whitener(w)
-        return gm
+        return _from_factor(means, cov, chol, mixing, temperature, shrinkage)
 
     def validate(self) -> None:
         """Recheck structural invariants; raises ValueError on violation.
@@ -134,6 +124,18 @@ class GaussianMixture:
             raise ValueError("covariance is not symmetric")
         if not np.allclose(self.precision @ self.covariance, np.eye(self.dim), atol=1e-8):
             raise ValueError("precision is not the inverse of the covariance")
+
+
+def _from_factor(means, cov, chol, mixing, temperature, shrinkage) -> GaussianMixture:
+    """The mixture whose covariance ``cov`` has Cholesky factor ``chol``: W = L^-1
+    gives the symmetrized precision W^T W and fills the ``whitener`` cache."""
+    w = _inverse_lower(chol)
+    precision = w.T @ w
+    gm = GaussianMixture(means, cov, chol, 0.5 * (precision + precision.T), mixing,
+                         temperature, shrinkage)
+    w.setflags(write=False)
+    gm.__dict__["whitener"] = w
+    return gm
 
 
 def _inverse_lower(chol: np.ndarray) -> np.ndarray:
@@ -173,9 +175,12 @@ def fit_mog(fs: FeatureSet, shrinkage: float | None = None,
         raise MixtureFitError(f"shrinkage must be finite and nonnegative, got {shrinkage}")
     feats, labels = fs.features, fs.labels
     n, d = feats.shape
-    counts = np.bincount(labels, minlength=fs.num_classes)
+    # n samples cannot give classes 0..n//2 two each, so the first short class, if
+    # any, is below ``head``: nothing is sized by a huge num_classes before it is found
+    head = min(fs.num_classes, n // 2 + 1)
+    counts = np.bincount(labels[labels < head], minlength=head)
     if counts.min() < 2:
-        bad = int(np.argmin(counts))
+        bad = int(np.argmax(counts < 2))
         raise MixtureFitError(
             f"class {bad} has {counts[bad]} samples; need at least 2 per class"
         )
@@ -305,22 +310,17 @@ def mixture_from_entries(entries: dict[str, np.ndarray], prefix: str = "") -> Ga
     temperature = archive_scalar(entries, prefix + "temperature")
     shrinkage = archive_scalar(entries, prefix + "shrinkage")
     check_parameters(means, chol, mixing, temperature, shrinkage)
-    # the factor GaussianMixture stores, so W below is the whitener it would derive
+    # the factor GaussianMixture stores, so W is the whitener it would derive
     chol = np.ascontiguousarray(chol, dtype=np.float64)
     overflow = ValueError("mixture overflows float64: its covariance, precision or "
                           "Mahalanobis distances between its means are not finite")
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            w = _inverse_lower(chol)
-        except np.linalg.LinAlgError as exc:  # a pivot underflowed to 0
+            gm = _from_factor(means, chol @ chol.T, chol, mixing, temperature, shrinkage)
+        except np.linalg.LinAlgError as exc:  # a pivot of L^-1 underflowed to 0
             raise overflow from exc
-        cov = chol @ chol.T
-        precision = w.T @ w
-        precision = 0.5 * (precision + precision.T)
-        gm = GaussianMixture(means, cov, chol, precision, mixing, temperature, shrinkage)
-        gm._set_whitener(w)
         spread = _quad_forms(gm, gm.means)
-    if not all(np.isfinite(a).all() for a in (cov, precision, spread)):
+    if not all(np.isfinite(a).all() for a in (gm.covariance, gm.precision, spread)):
         raise overflow
     return gm
 

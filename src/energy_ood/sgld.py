@@ -101,7 +101,7 @@ def sgld_sample(init: np.ndarray, energy_grad, schedule: SgldSchedule, seed,
             raise ValueError(f"gradient shape {grad.shape} != state shape {z.shape}")
         finite = np.isfinite(grad).all(axis=1)
         if not finite.all():
-            raise SgldDivergenceError(t, int(np.argmin(finite)))
+            raise SgldDivergenceError(t, int(ids[np.argmin(finite)]))
         noise = np.random.default_rng([*key, t]).standard_normal((rows, d))
         z = z - alpha * grad + np.sqrt(beta) * noise[ids]
     return z

@@ -3,8 +3,9 @@
 Single-tensor files are little-endian throughout: magic ``FTSR``, a version
 byte (1), a dtype byte (1 = f32, 2 = u32, 3 = f64), a rank byte (1 or 2),
 one zero pad byte, ``rank`` u64 extents, then the payload row-major.
-Interchange files on disk use f32 for features/logits and u32 for labels;
-the f64 code exists so model archives reload bit-exactly.
+Which dtype and rank each kind of input file must have is
+``featurestore.FILE_KINDS``; the f64 code exists so model archives reload
+bit-exactly.
 
 Archives hold named tensors in one file: magic ``FTAR``, a version byte,
 a u16 entry count, then per entry a u16 name length, the UTF-8 name, and a
@@ -90,25 +91,6 @@ def read_record(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
         )
     flat = np.frombuffer(buf, dtype=dtype, count=count, offset=payload_off)
     return flat.reshape(dims).copy(), payload_off + need
-
-
-class ScoreRangeError(RuntimeError):
-    """A score that a float32 score file cannot hold."""
-
-
-def as_f32_scores(scores) -> np.ndarray:
-    """``scores`` as float32, refusing a non-finite one or one beyond the float32 range.
-
-    The error names the first bad value's row in row-major order, which for a
-    2-D energy grid is its row in the grid CSV.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    bad = ~(np.abs(scores) <= np.finfo(np.float32).max)
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise ScoreRangeError(f"score {scores.flat[row]!r} of row {row} does not fit a "
-                              f"float32 score file")
-    return scores.astype(np.float32)
 
 
 def tensor_bytes(arr: np.ndarray) -> bytes:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featurestore import FeatureSet
-from .tensorio import as_f32_scores, write_tensor
+from .featurestore import FeatureSet, as_f32_scores
+from .tensorio import write_tensor
 
 KINDS = ("cross", "grid_crosses")
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from energy_ood.cli import main
 from energy_ood.energy_net import mlp_energy, mlp_init
-from energy_ood.featurestore import load_feature_set, normalize_features
+from energy_ood.featurestore import FeatureSet, load_feature_set, normalize_features
 from energy_ood.mog import fit_mog, gaussian_energy, load_mixture, save_mixture
 from energy_ood.tensorio import load_tensor, read_archive, write_archive, write_tensor
 from energy_ood.toy import ToySpec, gen_toy
@@ -105,6 +105,26 @@ def test_ill_conditioned_mixture_archive_scores(tmp_path):
     assert run("score", "--detector", "mahalanobis", "--model", mog,
                "--features", feats, "--out", out) == 0
     assert np.isfinite(load_tensor(out)).all()
+
+
+def test_fit_mog_num_classes_is_not_an_option(tmp_path, toy_files, capsys):
+    # the class count comes from the labels file alone
+    feats, labels = toy_files
+    out = tmp_path / "m.ftar"
+    assert run("fit-mog", "--features", feats, "--labels", labels, "--num-classes", 2,
+               "--out", out) == 2
+    assert "unrecognized arguments: --num-classes 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_mog_largest_u32_label_exits_2(tmp_path, capsys):
+    # 2**32 classes: counting every one of them would allocate 32 GiB
+    feats, labels, out = tmp_path / "f.f32", tmp_path / "l.u32", tmp_path / "m.ftar"
+    write_tensor(feats, np.arange(8, dtype=np.float32).reshape(4, 2))
+    write_tensor(labels, np.array([0, 0, 1, 2**32 - 1], dtype=np.uint32))
+    assert run("fit-mog", "--features", feats, "--labels", labels, "--out", out) == 2
+    assert "class 1 has 1 samples; need at least 2 per class" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_corrupt_tensor_exits_2(tmp_path):
@@ -373,20 +393,48 @@ def test_eval_bad_ood_spec(tmp_path):
                "--out", tmp_path / "r.json") == 2
 
 
+# every float input slot of the CLI; the file of the slot holds the non-finite entry
+NONFINITE_SLOTS = {
+    "id": ["eval", "--id", "{id}", "--ood", "far:x={ood}"],
+    "ood": ["eval", "--id", "{id}", "--ood", "far:x={ood}"],
+    "features": ["score", "--detector", "mahalanobis", "--model", "{mog}",
+                 "--features", "{features}"],
+    "train-features": ["score", "--detector", "knn", "--k", 2,
+                       "--train-features", "{train-features}", "--features", "{good}"],
+    "logits": ["score", "--detector", "msp", "--logits", "{logits}"],
+    "fit-mog": ["fit-mog", "--features", "{fit-mog}", "--labels", "{labels}"],
+    "train": ["train", "--ebm", "--features", "{train}", "--labels", "{labels}",
+              *fast_train_args()],
+}
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-@pytest.mark.parametrize("which", ["id", "ood"])
+@pytest.mark.parametrize("which", list(NONFINITE_SLOTS))
 def test_eval_nonfinite_scores_exit_2(tmp_path, capsys, which, bad):
-    # a report threshold of inf would be written as Infinity, which is not JSON
-    id_s, ood_s = tmp_path / "id.scores", tmp_path / "ood.scores"
+    # an input error naming the file and row, before any output is written; for
+    # eval, a report threshold of inf would be written as Infinity, which is not JSON
+    x = np.random.default_rng(0).standard_normal((20, 2))
+    y = np.arange(20) % 2
+    files = {"good": tmp_path / "good.f32", "labels": tmp_path / "labels.u32",
+             "mog": tmp_path / "mog.ftar"}
+    write_tensor(files["good"], x.astype(np.float32))
+    write_tensor(files["labels"], y.astype(np.uint32))
+    save_mixture(files["mog"], fit_mog(FeatureSet(x, y, 2)))
     scores = {"id": np.zeros(5, dtype=np.float32), "ood": np.ones(5, dtype=np.float32)}
-    scores[which][3] = bad
-    write_tensor(id_s, scores["id"])
-    write_tensor(ood_s, scores["ood"])
-    report_path = tmp_path / "r.json"
-    assert run("eval", "--id", id_s, "--ood", f"far:x={ood_s}", "--out", report_path) == 2
+    for name, data in scores.items():
+        files[name] = tmp_path / f"{name}.scores"
+        write_tensor(files[name], data)
+    if which not in scores:
+        files[which] = tmp_path / f"{which}.f32"
+    data = scores.get(which, x.astype(np.float32))
+    data.reshape(len(data), -1)[3, -1] = bad
+    write_tensor(files[which], data)
+    out = tmp_path / "out"
+    argv = [str(a).format(**files) for a in NONFINITE_SLOTS[which]]
+    assert run(*argv, "--out", out) == 2
     err = capsys.readouterr().err
-    assert f"{which}.scores: row 3" in err
-    assert not report_path.exists()
+    assert f"{files[which].name}: row 3" in err
+    assert not out.exists() and not (tmp_path / "out.manifest.json").exists()
 
 
 # ---------------------------------------------------------------- grid

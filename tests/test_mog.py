@@ -90,6 +90,14 @@ def test_fit_rejects_tiny_class():
         fit_mog(fs)
 
 
+def test_fit_rejects_tiny_class_at_the_largest_u32_label():
+    # 2**32 classes: counting every one of them would allocate 32 GiB; the first
+    # short class is one with no sample at all
+    fs = FeatureSet(np.arange(8.0).reshape(4, 2), [0, 0, 2**32 - 1, 2**32 - 1], 2**32)
+    with pytest.raises(MixtureFitError, match="class 1 has 0 samples; need at least 2"):
+        fit_mog(fs)
+
+
 def test_fit_warns_when_underdetermined():
     fs = FeatureSet(np.random.default_rng(0).standard_normal((3, 5)), [0, 0, 0], 1)
     with pytest.warns(RuntimeWarning, match="ill-conditioned"):

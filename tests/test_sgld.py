@@ -146,6 +146,18 @@ def test_divergence_reports_step_and_chain():
     assert exc.value.chain == 3
 
 
+def test_divergence_names_the_chain_id_not_the_row():
+    def grad(z):
+        g = np.zeros_like(z)
+        g[1, 0] = np.nan
+        return g
+
+    with pytest.raises(SgldDivergenceError, match="chain 7") as exc:
+        sgld_sample(np.zeros((2, 2)), grad, constant_schedule(3, 0.1), seed=0,
+                    chain_ids=[5, 7])
+    assert exc.value.chain == 7
+
+
 # ---------------------------------------------------------------- init modes
 
 def test_init_standard_normal_moments():
