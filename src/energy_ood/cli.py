@@ -7,14 +7,15 @@ hashes, seed and artifact paths. ``--config FILE`` stands for the flags its
 the subcommand name, so argparse parses and checks them like any other flag,
 and flags on the command line come later and win. Exit codes: 0 success,
 1 computational failure (divergence, non-positive-definite covariance, a
-score beyond float32), 2 usage or input error, including an input path that
-is missing, a directory or unreadable, and a tensor file that ``read_input``
-rejects.
+score beyond float32, running out of memory), 2 usage or input error,
+including an input path that is missing, a directory or unreadable, and a
+tensor file that ``read_input`` rejects.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -168,7 +169,7 @@ def cmd_fit_mog(args) -> int:
 
 # train flags that override one TrainConfig field each, and the SgldSchedule fields
 TRAIN_FIELDS = ("epochs", "batch_size", "learning_rate", "l2_coeff", "input_noise_std",
-                "hidden_dim", "num_hidden", "net_temperature", "activation")
+                "hidden_dim", "num_hidden", "net_temperature")
 SGLD_FIELDS = {"sgld_steps": "steps", "sgld_step_size": "step_size", "sgld_noise": "noise_scale"}
 
 
@@ -326,13 +327,14 @@ def cmd_eval(args) -> int:
         fh.write("\n")
 
     if args.csv is not None:
-        with open(args.csv, "w") as fh:
-            fh.write("scope,group,name,fpr95,auroc\n")
-            for r in reports:
-                fh.write(f"dataset,{r['group']},{r['name']},{r['fpr95']:.4f},{r['auroc']:.4f}\n")
-            for g in groups:
-                fh.write(f"group,{g['group']},,{g['fpr95']:.4f},{g['auroc']:.4f}\n")
-            fh.write(f"average,,,{overall['fpr95']:.4f},{overall['auroc']:.4f}\n")
+        with open(args.csv, "w", newline="") as fh:
+            table = csv.writer(fh, lineterminator="\n")
+            table.writerow(["scope", "group", "name", "fpr95", "auroc"])
+            rows = ([("dataset", r["group"], r["name"], r) for r in reports]
+                    + [("group", g["group"], "", g) for g in groups]
+                    + [("average", "", "", overall)])
+            for *keys, m in rows:
+                table.writerow([*keys, f"{m['fpr95']:.4f}", f"{m['auroc']:.4f}"])
 
     inputs = [args.id] + [path for _, _, path in datasets]
     artifacts = [args.out] + ([args.csv] if args.csv else [])
@@ -407,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden-dim", type=int)
     p.add_argument("--num-hidden", type=int)
     p.add_argument("--net-temperature", type=finite_float)
-    p.add_argument("--activation", choices=["silu", "tanh"])
     p.add_argument("--log", help="JSON-lines training log path")
     p.add_argument("--out", required=True)
 
@@ -453,6 +454,9 @@ def main(argv=None) -> int:
     except (NotPositiveDefiniteError, TrainingDivergedError, GridEvaluationError,
             ScoreRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

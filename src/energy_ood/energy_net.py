@@ -1,15 +1,14 @@
 """Scalar-output MLP energy with hand-derived input and parameter gradients.
 
-The architecture is fixed: dense layers with a smooth activation on every
+The architecture is fixed: dense layers with SiLU, x * sigmoid(x), on every
 hidden layer and an identity output, so the energy is differentiable
 everywhere and Langevin sampling sees a continuous input gradient. Gradients
 are exact reverse-mode passes written out by hand; there is no autodiff.
 
-Each pass computes every hidden unit's activation once. The forward pass
-saves what the reverse pass needs, (pre-activation, sigmoid) for SiLU and
-tanh(pre-activation) for tanh, and the reverse pass consumes it: it forms the
-activation's derivative in those same buffers. The energy-only pass saves
-nothing and reuses each layer's buffer in place.
+Each pass computes every hidden unit's sigmoid once. The forward pass saves
+what the reverse pass needs, (pre-activation, sigmoid), and the reverse pass
+consumes it: it forms SiLU's derivative in those same buffers. The
+energy-only pass saves nothing and reuses each layer's buffer in place.
 
 A network holds one float dtype: float64, or float32 when every array it is
 given is float32. The passes run in that dtype. Training keeps a float32 copy
@@ -39,11 +38,8 @@ def _sigmoid(x):
     return np.divide(1.0, s, out=s)
 
 
-# every activation must be smooth everywhere and have an archive code below
-ACTIVATIONS = ("silu", "tanh")
-
-_ACTIVATION_CODES = {"silu": 1, "tanh": 2}
-_CODE_ACTIVATIONS = {v: k for k, v in _ACTIVATION_CODES.items()}
+# the archive's ``activation`` entry; 1 (SiLU) is the only code
+_SILU_CODE = 1
 
 
 @dataclass(frozen=True)
@@ -55,7 +51,6 @@ class EnergyMlp:
 
     weights: tuple
     biases: tuple
-    activation: str = "silu"
 
     def __post_init__(self):
         ws = [np.asarray(w) for w in self.weights]
@@ -65,8 +60,6 @@ class EnergyMlp:
         bs = tuple(np.ascontiguousarray(b, dtype=dtype) for b in bs)
         if not ws or len(ws) != len(bs):
             raise ValueError("need matching, nonempty weight and bias lists")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         for i, (w, b) in enumerate(zip(ws, bs)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise ValueError(f"layer {i}: weight {w.shape} and bias {b.shape} mismatch")
@@ -111,13 +104,17 @@ def flat_params(layers) -> list:
     return [p for w, b in zip(layers.weights, layers.biases) for p in (w, b)]
 
 
-def mlp_from_params(params, activation: str = "silu") -> EnergyMlp:
+def mlp_from_params(params) -> EnergyMlp:
     """Rebuild a network from a ``flat_params`` list."""
-    return EnergyMlp(tuple(params[0::2]), tuple(params[1::2]), activation)
+    return EnergyMlp(tuple(params[0::2]), tuple(params[1::2]))
 
 
 def mlp_init(dims, rng: np.random.Generator, activation: str = "silu") -> EnergyMlp:
     """Uniform init in +-sqrt(6 / (fan_in + fan_out)); biases zero."""
+    # ``activation`` is kept only for perfbench/workloads.py, which passes
+    # TrainConfig.activation; SiLU is the only activation
+    if activation != "silu":
+        raise ValueError(f"unknown activation {activation!r}; SiLU is the only one")
     dims = list(dims)
     if len(dims) < 2:
         raise ValueError("need an input and an output dimension")
@@ -128,18 +125,17 @@ def mlp_init(dims, rng: np.random.Generator, activation: str = "silu") -> Energy
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return EnergyMlp(tuple(weights), tuple(biases), activation)
+    return EnergyMlp(tuple(weights), tuple(biases))
 
 
 def _forward(net: EnergyMlp, x: np.ndarray, saved=None, inputs=None) -> np.ndarray:
-    """Energies of the rows of x, computing each hidden unit's activation once.
+    """Energies of the rows of x, computing each hidden unit's sigmoid once.
 
-    With ``saved``, each hidden layer appends what the reverse pass needs:
-    (pre, sigmoid(pre)) for SiLU, tanh(pre) for tanh. With ``inputs``, each
-    layer appends its input, which only the parameter gradient reads.
-    Without either, every layer's buffers are reused in place.
+    With ``saved``, each hidden layer appends what the reverse pass needs,
+    (pre, sigmoid(pre)). With ``inputs``, each layer appends its input, which
+    only the parameter gradient reads. Without either, every layer's buffers
+    are reused in place.
     """
-    silu = net.activation == "silu"
     h = x
     last = len(net.weights) - 1
     with np.errstate(over="ignore"):
@@ -151,11 +147,7 @@ def _forward(net: EnergyMlp, x: np.ndarray, saved=None, inputs=None) -> np.ndarr
             pre += b
             if i == last:
                 break
-            if not silu:
-                h = np.tanh(pre, out=pre)
-                if saved is not None:
-                    saved.append(h)
-            elif saved is None:
+            if saved is None:
                 h = np.multiply(pre, _sigmoid(pre), out=pre)
             else:
                 s = _sigmoid(pre)
@@ -164,15 +156,11 @@ def _forward(net: EnergyMlp, x: np.ndarray, saved=None, inputs=None) -> np.ndarr
     return pre[:, 0]
 
 
-def _act_grad(act) -> np.ndarray:
-    """act'(pre), formed in the buffers of what _forward saved for the layer."""
-    if isinstance(act, tuple):  # SiLU: s (1 + pre (1 - s))
-        pre, s = act
-        np.multiply(pre, np.subtract(1.0, s), out=pre)
-        pre += 1.0
-        return np.multiply(s, pre, out=pre)
-    np.multiply(act, act, out=act)  # tanh: 1 - t^2
-    return np.subtract(1.0, act, out=act)
+def _act_grad(pre, s) -> np.ndarray:
+    """silu'(pre) = s (1 + pre (1 - s)), formed in the buffers _forward saved."""
+    np.multiply(pre, np.subtract(1.0, s), out=pre)
+    pre += 1.0
+    return np.multiply(s, pre, out=pre)
 
 
 def _backward(net: EnergyMlp, saved: list, upstream: np.ndarray, inputs=None):
@@ -190,7 +178,7 @@ def _backward(net: EnergyMlp, saved: list, upstream: np.ndarray, inputs=None):
             gb[i] = delta.sum(axis=0)
         if i == 0:
             break
-        dact = _act_grad(saved.pop())
+        dact = _act_grad(*saved.pop())
         delta = delta @ net.weights[i]
         delta *= dact
     return delta @ net.weights[0] if inputs is None else ParamGradient(gw, gb)
@@ -239,9 +227,7 @@ def mlp_entries(net: EnergyMlp, prefix: str = "") -> dict[str, np.ndarray]:
     """Archive entries of a float64 network; a float32 one is refused with ValueError."""
     if net.dtype != np.float64:
         raise ValueError(f"only float64 networks are stored, this one is {net.dtype}")
-    entries: dict[str, np.ndarray] = {
-        prefix + "activation": np.array([_ACTIVATION_CODES[net.activation]], dtype=np.uint32)
-    }
+    entries = {prefix + "activation": np.array([_SILU_CODE], dtype=np.uint32)}
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         entries[f"{prefix}w{i}"] = w
         entries[f"{prefix}b{i}"] = b
@@ -253,7 +239,7 @@ def mlp_from_entries(entries: dict[str, np.ndarray], prefix: str = "") -> Energy
     if prefix + "activation" not in entries or prefix + "w0" not in entries:
         raise ValueError("not a network archive: missing activation/layer entries")
     code = archive_scalar(entries, prefix + "activation")
-    if code not in _CODE_ACTIVATIONS:
+    if code != _SILU_CODE:
         raise ValueError(f"unknown activation code {code:g}")
     weights, biases = [], []
     while f"{prefix}w{len(weights)}" in entries:
@@ -262,4 +248,4 @@ def mlp_from_entries(entries: dict[str, np.ndarray], prefix: str = "") -> Energy
             raise ValueError(f"network archive has {prefix}w{i} but no {prefix}b{i}")
         weights.append(np.asarray(entries[f"{prefix}w{i}"], dtype=np.float64))
         biases.append(np.asarray(entries[f"{prefix}b{i}"], dtype=np.float64))
-    return EnergyMlp(tuple(weights), tuple(biases), _CODE_ACTIVATIONS[code])
+    return EnergyMlp(tuple(weights), tuple(biases))

@@ -112,19 +112,6 @@ class GaussianMixture:
             raise NotPositiveDefiniteError(shrinkage) from exc
         return _from_factor(means, cov, chol, mixing, temperature, shrinkage)
 
-    def validate(self) -> None:
-        """Recheck structural invariants; raises ValueError on violation.
-
-        Beyond the stored parameters this checks the derived covariance and
-        precision, whose round-off grows with the condition number.
-        """
-        check_parameters(self.means, self.chol_lower, self.mixing, self.temperature,
-                         self.shrinkage)
-        if not np.allclose(self.covariance, self.covariance.T, atol=1e-10, rtol=0):
-            raise ValueError("covariance is not symmetric")
-        if not np.allclose(self.precision @ self.covariance, np.eye(self.dim), atol=1e-8):
-            raise ValueError("precision is not the inverse of the covariance")
-
 
 def _from_factor(means, cov, chol, mixing, temperature, shrinkage) -> GaussianMixture:
     """The mixture whose covariance ``cov`` has Cholesky factor ``chol``: W = L^-1
@@ -299,8 +286,8 @@ def mixture_from_entries(entries: dict[str, np.ndarray], prefix: str = "") -> Ga
     factor with entries of 1e200, or a 1e-200 diagonal, overflows them, and
     one whose inverse meets a pivot that underflows to 0 has none), and
     the quadratic forms between the means (means of 1e300 overflow their
-    whitened squares). ``validate``'s consistency checks could not catch a
-    corrupt file, only reject a badly conditioned mixture.
+    whitened squares). Checking that the precision inverts the covariance
+    could not catch a corrupt file, only reject a badly conditioned mixture.
     """
     missing = [k for k in ("means", "chol_lower", "mixing", "temperature", "shrinkage")
                if prefix + k not in entries]

@@ -14,6 +14,8 @@ complete single-tensor record.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -50,11 +52,11 @@ class TruncatedPayloadError(TensorFormatError):
     pass
 
 
-def read_record(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Decode one tensor record from ``buf`` at ``offset``.
+def read_record(buf, offset: int = 0) -> tuple[np.ndarray, int]:
+    """Decode one tensor record from the bytes-like ``buf`` at ``offset``.
 
-    Returns the decoded array (owning its memory) and the offset one past
-    the record's last byte.
+    Returns the decoded array, a view of ``buf`` (writable if ``buf`` is),
+    and the offset one past the record's last byte.
     """
     if len(buf) < offset + 8:
         raise TruncatedPayloadError("file ends inside the fixed header", len(buf))
@@ -82,7 +84,7 @@ def read_record(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
 
     dtype = _CODE_TO_DTYPE[code]
     payload_off = dims_off + 8 * rank
-    count = int(np.prod(dims, dtype=np.uint64))
+    count = math.prod(dims)  # Python ints: a product past 2**64 must not wrap
     need = count * dtype.itemsize
     if len(buf) < payload_off + need:
         raise TruncatedPayloadError(
@@ -90,7 +92,7 @@ def read_record(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
             len(buf),
         )
     flat = np.frombuffer(buf, dtype=dtype, count=count, offset=payload_off)
-    return flat.reshape(dims).copy(), payload_off + need
+    return flat.reshape(dims), payload_off + need
 
 
 def tensor_bytes(arr: np.ndarray) -> bytes:
@@ -110,9 +112,15 @@ def tensor_bytes(arr: np.ndarray) -> bytes:
 
 
 def load_tensor(path) -> np.ndarray:
-    """Read a single-tensor file, validating header and payload length."""
+    """Read a single-tensor file, validating header and payload length.
+
+    The file is read once into a buffer, and the array returned is a
+    writable view of it.
+    """
     with open(path, "rb") as fh:
-        buf = fh.read()
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        del buf[fh.readinto(buf):]
+        buf += fh.read()  # whatever lies past the size fstat gave, as in a pipe
     arr, end = read_record(buf)
     if end != len(buf):
         raise TensorFormatError(f"{len(buf) - end} trailing bytes after payload", end)
@@ -170,7 +178,10 @@ def read_archive(path) -> dict[str, np.ndarray]:
             raise TruncatedPayloadError("file ends inside an entry name", len(buf))
         name = buf[off : off + nlen].decode("utf-8")
         off += nlen
-        entries[name], off = read_record(buf, off)
+        # a copy: an entry's payload offset depends on the name lengths, so a
+        # view of it could be unaligned
+        arr, off = read_record(buf, off)
+        entries[name] = arr.copy()
     if off != len(buf):
         raise TensorFormatError(f"{len(buf) - off} trailing bytes after last entry", off)
     return entries

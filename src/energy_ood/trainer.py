@@ -51,7 +51,9 @@ class TrainConfig:
     hidden_dim: int = 1024
     num_hidden: int = 4
     net_temperature: float = 1.0
-    activation: str = "silu"
+    # not a field (no annotation): a constant kept only for perfbench/workloads.py,
+    # which passes it to mlp_init; SiLU is the network's only activation
+    activation = "silu"
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -189,9 +191,9 @@ def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
     neg_rng = np.random.default_rng(ss_neg)
 
     dims = [d] + [cfg.hidden_dim] * cfg.num_hidden + [1]
-    net = mlp_init(dims, np.random.default_rng(ss_init), cfg.activation)
+    net = mlp_init(dims, np.random.default_rng(ss_init))
     params = flat_params(net)
-    chain_net = mlp_from_params([p.astype(np.float32) for p in params], cfg.activation)
+    chain_net = mlp_from_params([p.astype(np.float32) for p in params])
     state = AdamState.zeros_like(params)
 
     log_fh = open(log_path, "w") if log_path is not None else None
@@ -251,8 +253,8 @@ def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
                     raise TrainingDivergedError(
                         f"non-finite parameters (in float32) after epoch {epoch}, step {gstep}"
                     )
-                net = mlp_from_params(params, net.activation)
-                chain_net = mlp_from_params(chain_params, net.activation)
+                net = mlp_from_params(params)
+                chain_net = mlp_from_params(chain_params)
 
                 sums["mle_loss"] += loss_mle
                 sums["l2_reg"] += loss_reg

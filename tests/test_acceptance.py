@@ -86,11 +86,11 @@ def test_criterion_1_gradient_correctness():
                     plus[li][idx] += h
                     minus[li][idx] -= h
                     if arrays is net.weights:
-                        up = EnergyMlp(tuple(plus), net.biases, net.activation)
-                        dn = EnergyMlp(tuple(minus), net.biases, net.activation)
+                        up = EnergyMlp(tuple(plus), net.biases)
+                        dn = EnergyMlp(tuple(minus), net.biases)
                     else:
-                        up = EnergyMlp(net.weights, tuple(plus), net.activation)
-                        dn = EnergyMlp(net.weights, tuple(minus), net.activation)
+                        up = EnergyMlp(net.weights, tuple(plus))
+                        dn = EnergyMlp(net.weights, tuple(minus))
                     fd[idx] = (total(up) - total(dn)) / (2 * h)
                 worst = max(worst, rel_err(grad_got, fd).max())
     elapsed = time.monotonic() - start

@@ -1,3 +1,4 @@
+import csv
 import json
 import tempfile
 from pathlib import Path
@@ -115,6 +116,27 @@ def test_fit_mog_num_classes_is_not_an_option(tmp_path, toy_files, capsys):
                "--out", out) == 2
     assert "unrecognized arguments: --num-classes 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_activation_is_not_an_option(tmp_path, toy_files, capsys):
+    # SiLU is the network's only activation
+    feats, labels = toy_files
+    out = tmp_path / "m.ftar"
+    assert run("train", "--features", feats, "--labels", labels, "--ebm",
+               "--activation", "silu", "--out", out, *fast_train_args()) == 2
+    assert "unrecognized arguments: --activation silu" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_1(tmp_path, capsys):
+    # 7.1 PiB for the first block: beyond the address space, so the allocation
+    # fails at once instead of paging anything in
+    feats, labels = tmp_path / "f.f32", tmp_path / "l.u32"
+    assert run("toy", "--samples-per-class", 10**15,
+               "--out-features", feats, "--out-labels", labels) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and len(err.splitlines()) == 1
+    assert not feats.exists() and not labels.exists()
 
 
 def test_fit_mog_largest_u32_label_exits_2(tmp_path, capsys):
@@ -336,18 +358,23 @@ def test_eval_report_and_csv(tmp_path, scored):
                "--ood", f"near:uniform={ood_scores}",
                "--ood", f"mid:uniform2={ood_scores}",
                "--ood", f"far:uniform3={ood_scores}",
+               "--ood", f'near:a,"q"={ood_scores}',
                "--out", report_path, "--csv", csv_path) == 0
     report = json.loads(report_path.read_text())
     assert report["schema"] == 1
-    assert len(report["datasets"]) == 3
+    assert len(report["datasets"]) == 4
     assert {g["group"] for g in report["groups"]} == {"near", "mid", "far"}
     assert 0.0 <= report["average"]["auroc"] <= 1.0
 
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "scope,group,name,fpr95,auroc"
-    scopes = [line.split(",")[0] for line in lines[1:]]
-    assert scopes.count("dataset") == 3 and scopes.count("group") == 3
+    rows = list(csv.reader(lines))
+    assert all(len(row) == 5 for row in rows)
+    scopes = [row[0] for row in rows[1:]]
+    assert scopes.count("dataset") == 4 and scopes.count("group") == 3
     assert scopes.count("average") == 1
+    # a name with a comma and quotes reads back as it was given
+    assert [row[2] for row in rows[1:5]] == ["uniform", "uniform2", "uniform3", 'a,"q"']
 
 
 def test_eval_disjoint_scores_auroc_one(tmp_path):
@@ -611,6 +638,11 @@ def _set_activation_9(entries):
     entries["net.activation"] = np.array([9], dtype=np.uint32)
 
 
+def _set_activation_2(entries):
+    # once tanh's code; SiLU is the only activation
+    entries["net.activation"] = np.array([2], dtype=np.uint32)
+
+
 def _drop_first_bias(entries):
     del entries["net.b0"]
 
@@ -619,7 +651,8 @@ def _transpose_cholesky(entries):
     entries["mog.chol_lower"] = np.ascontiguousarray(entries["mog.chol_lower"].T)
 
 
-@pytest.mark.parametrize("corrupt", [_set_activation_9, _drop_first_bias, _transpose_cholesky])
+@pytest.mark.parametrize("corrupt", [_set_activation_9, _set_activation_2, _drop_first_bias,
+                                     _transpose_cholesky])
 def test_malformed_model_archive_exits_2(tmp_path, capsys, corrupt):
     model, _, feats = _tiny_models(tmp_path)
     entries = read_archive(model)

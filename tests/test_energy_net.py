@@ -18,7 +18,7 @@ from energy_ood.energy_net import (
     mlp_init,
 )
 from energy_ood.tensorio import read_archive, write_archive
-from energy_ood.trainer import CorrectionModel, load_model, save_model
+from energy_ood.trainer import CorrectionModel, TrainConfig, load_model, save_model
 
 
 def test_activations_match_expit():
@@ -67,10 +67,7 @@ def forward_oracle(net, z):
             for col in range(w.shape[1]):
                 s += w[row, col] * h[col]
             if li < len(net.weights) - 1:
-                if net.activation == "silu":
-                    s = s / (1.0 + math.exp(-s))
-                else:
-                    s = math.tanh(s)
+                s = s / (1.0 + math.exp(-s))
             out.append(s)
         h = out
     return h[0]
@@ -90,8 +87,8 @@ def param_fd(net, batch, upstream, h=1e-6):
             w_minus = [w.copy() for w in net.weights]
             w_plus[li][idx] += h
             w_minus[li][idx] -= h
-            up = EnergyMlp(tuple(w_plus), net.biases, net.activation)
-            dn = EnergyMlp(tuple(w_minus), net.biases, net.activation)
+            up = EnergyMlp(tuple(w_plus), net.biases)
+            dn = EnergyMlp(tuple(w_minus), net.biases)
             gw[idx] = (total(up) - total(dn)) / (2 * h)
         grads_w.append(gw)
         gb = np.zeros_like(net.biases[li])
@@ -100,8 +97,8 @@ def param_fd(net, batch, upstream, h=1e-6):
             b_minus = [b.copy() for b in net.biases]
             b_plus[li][idx] += h
             b_minus[li][idx] -= h
-            up = EnergyMlp(net.weights, tuple(b_plus), net.activation)
-            dn = EnergyMlp(net.weights, tuple(b_minus), net.activation)
+            up = EnergyMlp(net.weights, tuple(b_plus))
+            dn = EnergyMlp(net.weights, tuple(b_minus))
             gb[idx] = (total(up) - total(dn)) / (2 * h)
         grads_b.append(gb)
     return grads_w, grads_b
@@ -145,6 +142,20 @@ def test_init_rejects_bad_dims():
         mlp_init([4, 8, 2], np.random.default_rng(0))
 
 
+def test_silu_is_the_only_activation():
+    for other in ("tanh", "relu", ""):
+        with pytest.raises(ValueError, match="SiLU is the only one"):
+            mlp_init([2, 4, 1], np.random.default_rng(0), other)
+    net = mlp_init([2, 4, 1], np.random.default_rng(0), "silu")
+    with pytest.raises(TypeError):
+        EnergyMlp(net.weights, net.biases, "silu")
+    with pytest.raises(TypeError):
+        mlp_from_params(flat_params(net), "silu")
+    with pytest.raises(TypeError):
+        TrainConfig(activation="silu")
+    assert TrainConfig().activation == "silu"
+
+
 # ---------------------------------------------------------------- forward
 
 def test_energy_linear_map():
@@ -157,7 +168,7 @@ def test_energy_constant_network():
     np.testing.assert_array_equal(mlp_energy(net, z), np.full(10, 2.5))
 
 
-@pytest.mark.parametrize("activation", ["silu", "tanh"])
+@pytest.mark.parametrize("activation", ["silu"])
 def test_energy_matches_straight_line_oracle(activation):
     rng = np.random.default_rng(3)
     net = mlp_init([4, 6, 5, 1], rng, activation)
@@ -267,14 +278,11 @@ def reference_passes(net, x, upstream):
             return 1.0 / (1.0 + np.exp(-v))
 
     def act(v):
-        return v * sigmoid(v) if net.activation == "silu" else np.tanh(v)
+        return v * sigmoid(v)
 
     def dact(v):
-        if net.activation == "silu":
-            s = sigmoid(v)
-            return s * (1.0 + v * (1.0 - s))
-        t = np.tanh(v)
-        return 1.0 - t * t
+        s = sigmoid(v)
+        return s * (1.0 + v * (1.0 - s))
 
     inputs, pres = [x], []
     h = x
@@ -297,7 +305,7 @@ def reference_passes(net, x, upstream):
 
 @pytest.mark.parametrize("scale", [1.0, 1e3])
 @pytest.mark.parametrize("n", [1, 7, 256])
-@pytest.mark.parametrize("activation", ["silu", "tanh"])
+@pytest.mark.parametrize("activation", ["silu"])
 def test_passes_match_reference_bit_for_bit(activation, n, scale):
     rng = np.random.default_rng(13)
     net = mlp_init([3, 32, 24, 32, 1], rng, activation)
@@ -316,7 +324,7 @@ def test_passes_match_reference_bit_for_bit(activation, n, scale):
         np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("activation", ["silu", "tanh"])
+@pytest.mark.parametrize("activation", ["silu"])
 def test_passes_leave_inputs_alone_and_repeat(activation):
     rng = np.random.default_rng(14)
     net = mlp_init([4, 16, 16, 1], rng, activation)
@@ -354,12 +362,11 @@ def traced_peak_layers(fn, *args) -> float:
     return (peak - base) / (2000 * 256 * 8)
 
 
-@pytest.mark.parametrize("activation, energy_peak, grad_peak",
-                         [("silu", 4.5, 12.0), ("tanh", 3.5, 13.0)])
+@pytest.mark.parametrize("activation, energy_peak, grad_peak", [("silu", 4.5, 12.0)])
 def test_passes_peak_memory(activation, energy_peak, grad_peak):
     # 2000 rows through 64 -> 256 x 4 -> 1; the passes that kept every layer's
     # pre-activation and output and recomputed the sigmoid in reverse peaked at
-    # 9.0 / 8.0 layer arrays for the energy and 12.0 / 13.0 for the input gradient
+    # 9.0 layer arrays for the energy and 12.0 for the input gradient
     rng = np.random.default_rng(15)
     net = mlp_init([64, 256, 256, 256, 256, 1], rng, activation)
     z = rng.standard_normal((2000, 64))
@@ -370,12 +377,13 @@ def test_passes_peak_memory(activation, energy_peak, grad_peak):
 # ---------------------------------------------------------------- archive
 
 def test_mlp_archive_round_trip(tmp_path):
-    net = mlp_init([4, 8, 8, 1], np.random.default_rng(11), "tanh")
+    net = mlp_init([4, 8, 8, 1], np.random.default_rng(11))
     path = tmp_path / "net.ftar"
     save_model(path, CorrectionModel(net))
+    assert read_archive(path)["net.activation"].tolist() == [1]  # SiLU's code
     kind, model = load_model(path)
     loaded = model.net
-    assert kind == "ebm" and loaded.activation == "tanh"
+    assert kind == "ebm"
     assert loaded.dims == net.dims
     z = np.random.default_rng(12).standard_normal((20, 4))
     np.testing.assert_array_equal(mlp_energy(loaded, z), mlp_energy(net, z))
@@ -384,7 +392,7 @@ def test_mlp_archive_round_trip(tmp_path):
 # ---------------------------------------------------------------- float32 copy
 
 def as_float32(net):
-    return mlp_from_params([p.astype(np.float32) for p in flat_params(net)], net.activation)
+    return mlp_from_params([p.astype(np.float32) for p in flat_params(net)])
 
 
 def test_network_dtype_is_float32_only_when_every_array_is():
@@ -404,7 +412,7 @@ def test_network_dtype_is_float32_only_when_every_array_is():
 
 
 @pytest.mark.parametrize("n", [1, 7, 256])
-@pytest.mark.parametrize("activation", ["silu", "tanh"])
+@pytest.mark.parametrize("activation", ["silu"])
 def test_float32_input_gradient_matches_reference_in_float32(activation, n):
     # the same operations as the float64 pass, every one of them in float32
     rng = np.random.default_rng(17)
@@ -420,7 +428,7 @@ def test_float32_input_gradient_matches_reference_in_float32(activation, n):
 
 @pytest.mark.parametrize("dims, rows", [([2] + [128] * 4 + [1], 256),
                                         ([512] + [1024] * 4 + [1], 64)])
-@pytest.mark.parametrize("activation", ["silu", "tanh"])
+@pytest.mark.parametrize("activation", ["silu"])
 def test_float32_input_gradient_tracks_float64(activation, dims, rows):
     # max |g32 - g64| / max |g64| <= 1e-5, about 84 float32 epsilons; these
     # four cases measure 8.3e-7 to 9.3e-7

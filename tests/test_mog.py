@@ -25,6 +25,14 @@ from energy_ood.mog import (
 )
 
 
+def validate_mixture(gm):
+    """Recheck a mixture's invariants: its stored parameters, and the derived
+    covariance and precision, whose round-off grows with the condition number."""
+    mog.check_parameters(gm.means, gm.chol_lower, gm.mixing, gm.temperature, gm.shrinkage)
+    assert np.allclose(gm.covariance, gm.covariance.T, atol=1e-10, rtol=0)
+    assert np.allclose(gm.precision @ gm.covariance, np.eye(gm.dim), atol=1e-8)
+
+
 def random_mixture(seed=0, c=3, d=2, temperature=1.0):
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((c, d)) * 2
@@ -81,7 +89,7 @@ def test_fit_matches_bruteforce_accumulation():
     np.testing.assert_allclose(gm.means, means, atol=1e-10)
     np.testing.assert_allclose(gm.covariance, sigma, atol=1e-10)
     np.testing.assert_allclose(gm.mixing, np.bincount(labels) / n, atol=1e-15)
-    gm.validate()
+    validate_mixture(gm)
 
 
 def test_fit_rejects_tiny_class():
@@ -112,7 +120,7 @@ def test_default_shrinkage_rescues_rank_deficiency():
         fit_mog(fs, shrinkage=0.0)
     gm = fit_mog(fs)  # default trace-scaled shrinkage
     assert gm.shrinkage > 0
-    gm.validate()
+    validate_mixture(gm)
 
 
 # ---------------------------------------------------------------- energy
@@ -290,7 +298,7 @@ def test_mixture_archive_round_trip(tmp_path, cross_mog):
     np.testing.assert_allclose(gaussian_energy_grad(loaded, z),
                                gaussian_energy_grad(cross_mog, z), atol=1e-12)
     assert loaded.temperature == cross_mog.temperature
-    loaded.validate()
+    validate_mixture(loaded)
 
 
 # ---------------------------------------------------------------- whitened path

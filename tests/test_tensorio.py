@@ -1,4 +1,7 @@
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +81,45 @@ def test_bad_version_and_pad(tmp_path):
     with pytest.raises(TensorFormatError) as exc:
         load_tensor(path)
     assert exc.value.offset == 7
+
+
+def test_payload_size_does_not_wrap(tmp_path):
+    # (2**62 + 1) * 4 wraps to 4 in 64 bits, which 16 bytes of f32 would satisfy
+    path = tmp_path / "bad"
+    path.write_bytes(raw_file(1, [2**62 + 1, 4], np.zeros(4, "<f4").tobytes()))
+    with pytest.raises(TruncatedPayloadError, match="payload needs 73786976294838206480 "
+                                                    "bytes, file supplies 16") as exc:
+        load_tensor(path)
+    assert exc.value.offset == 40
+
+
+def test_load_holds_the_file_once(tmp_path):
+    # the array is a writable view of the one buffer the file is read into
+    path = tmp_path / "big.f32"
+    write_tensor(path, np.arange(2_000_000, dtype=np.float32).reshape(1000, 2000))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        out = load_tensor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.flags.writeable
+    out[0, 0] = -1.0
+    assert out[0, 0] == -1.0 and out[999, 1999] == 1_999_999.0
+    assert peak <= 1.25 * size
+
+
+def test_load_from_a_pipe(tmp_path):
+    # a pipe has no size to read up front, as with `score --features <(...)`
+    path, arr = tmp_path / "fifo", np.arange(6, dtype=np.float32).reshape(2, 3)
+    os.mkfifo(path)
+    writer = threading.Thread(target=write_tensor, args=(path, arr))
+    writer.start()
+    out = load_tensor(path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    np.testing.assert_array_equal(out, arr)
 
 
 def test_zero_extent_rejected(tmp_path):

@@ -142,7 +142,8 @@ def test_grid_csv_and_tensor_export(tmp_path):
     save_grid_csv(csv_path, grid)
     save_grid_tensor(tensor_path, grid)
 
-    rows = list(csv.DictReader(csv_path.open()))
+    with csv_path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 16
     first = rows[0]
     assert float(first["x"]) == -1.0 and float(first["y"]) == -1.0

@@ -361,7 +361,7 @@ def test_correction_archive_without_temperature_loads_at_one(tmp_path):
 # ---------------------------------------------------------------- float32 chains
 
 def float32_copy(net):
-    return mlp_from_params([p.astype(np.float32) for p in flat_params(net)], net.activation)
+    return mlp_from_params([p.astype(np.float32) for p in flat_params(net)])
 
 
 def test_adam_in_place_matches_reference_bit_for_bit():
