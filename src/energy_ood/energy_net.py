@@ -11,9 +11,9 @@ consumes it: it forms SiLU's derivative in those same buffers. The
 energy-only pass saves nothing and reuses each layer's buffer in place.
 
 A network holds one float dtype: float64, or float32 when every array it is
-given is float32. The passes run in that dtype. Training keeps a float32 copy
-of its weights for the Langevin chains' input gradient and everything else in
-float64; only float64 networks are stored in archives.
+given is float32. The passes run in that dtype, whatever the dtype of the
+rows. Training runs its passes on a float32 copy of its float64 weights;
+only float64 networks are stored in archives.
 """
 
 from __future__ import annotations
@@ -90,10 +90,12 @@ class EnergyMlp:
 
 @dataclass
 class ParamGradient:
-    """Per-layer gradients, shape-matched to the network they came from."""
+    """Per-layer gradients, shape-matched to the network they came from, and the
+    energies of the batch they were taken over."""
 
     weights: list
     biases: list
+    energies: np.ndarray | None = None
 
 
 def flat_params(layers) -> list:
@@ -185,7 +187,10 @@ def _backward(net: EnergyMlp, saved: list, upstream: np.ndarray, inputs=None):
 
 
 def mlp_energy(net: EnergyMlp, z) -> float | np.ndarray:
+    """Energies of a vector or of rows, computed in the network's dtype."""
     batch, single = as_batch(z, net.input_dim)
+    with np.errstate(over="ignore"):
+        batch = batch.astype(net.dtype, copy=False)
     e = _forward(net, batch)
     return float(e[0]) if single else e
 
@@ -211,16 +216,29 @@ def mlp_grad_params(net: EnergyMlp, batch, upstream) -> ParamGradient:
 
     The upstream weights let one accumulation carry the +1/B of positive
     samples, the -1/B of negatives and any regularizer coefficients at once.
+    ``upstream`` is an array of one weight per row, or a function that maps
+    the rows' energies to it, so that weights which depend on the energies
+    need no second forward pass. The pass runs in the network's dtype, and
+    the result carries the energies it computed. As in ``mlp_grad_input``, a
+    row or weight beyond the dtype's range gives non-finite results and no
+    warning; the caller checks them.
     """
     batch, _ = as_batch(batch, net.input_dim)
-    upstream = np.asarray(upstream, dtype=np.float64)
     if batch.shape[0] == 0:
         raise ValueError("batch must be nonempty")
-    if upstream.shape != (batch.shape[0],):
-        raise ValueError(f"upstream must have shape ({batch.shape[0]},), got {upstream.shape}")
-    saved, inputs = [], []
-    _forward(net, batch, saved, inputs)
-    return _backward(net, saved, upstream, inputs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = batch.astype(net.dtype, copy=False)
+        saved, inputs = [], []
+        energies = _forward(net, batch, saved, inputs)
+        if callable(upstream):
+            upstream = upstream(energies)
+        upstream = np.asarray(upstream).astype(net.dtype, copy=False)
+        if upstream.shape != (batch.shape[0],):
+            raise ValueError(
+                f"upstream must have shape ({batch.shape[0]},), got {upstream.shape}")
+        grads = _backward(net, saved, upstream, inputs)
+    grads.energies = energies
+    return grads
 
 
 def mlp_entries(net: EnergyMlp, prefix: str = "") -> dict[str, np.ndarray]:

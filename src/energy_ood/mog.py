@@ -22,6 +22,12 @@ triangular solve per difference vector. L is inverted once per mixture:
 archive loader, keeps the W it inverts for the precision, and a mixture built
 directly derives it on first use. The whitened means are derived on first
 use too; both are cached.
+
+A mixture holds one float dtype, like a network: float64, or float32 when
+every array it is given is float32. ``float32_mixture`` makes the float32
+copy that training's Langevin chains take the mixture gradient from; the
+batch functions compute in the mixture's dtype, and only float64 mixtures
+are stored.
 """
 
 from __future__ import annotations
@@ -49,6 +55,9 @@ class NotPositiveDefiniteError(ValueError):
         self.shrinkage = shrinkage
 
 
+_ARRAYS = ("means", "covariance", "chol_lower", "precision", "mixing")
+
+
 @dataclass(frozen=True)
 class GaussianMixture:
     means: np.ndarray        # (C, D) component means
@@ -60,8 +69,11 @@ class GaussianMixture:
     shrinkage: float = 0.0
 
     def __post_init__(self):
-        for name in ("means", "covariance", "chol_lower", "precision", "mixing"):
-            arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.float64))
+        arrays = {name: np.asarray(getattr(self, name)) for name in _ARRAYS}
+        dtype = np.float32 if all(a.dtype == np.float32 for a in arrays.values()) \
+            else np.float64
+        for name, arr in arrays.items():
+            arr = np.ascontiguousarray(arr, dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         # written so that NaN fails each check
@@ -84,6 +96,10 @@ class GaussianMixture:
         wm = self.means @ self.whitener.T
         wm.setflags(write=False)
         return wm
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.means.dtype
 
     @property
     def n_components(self) -> int:
@@ -123,6 +139,21 @@ def _from_factor(means, cov, chol, mixing, temperature, shrinkage) -> GaussianMi
     w.setflags(write=False)
     gm.__dict__["whitener"] = w
     return gm
+
+
+def float32_mixture(gm: GaussianMixture) -> GaussianMixture:
+    """``gm`` with every array in float32. The whitener and whitened means are
+    cast from ``gm``'s float64 ones, not derived again in float32; an entry
+    beyond the float32 range becomes inf."""
+    with np.errstate(over="ignore"):
+        arrays = [getattr(gm, name).astype(np.float32) for name in _ARRAYS]
+        cached = {name: getattr(gm, name).astype(np.float32)
+                  for name in ("whitener", "white_means")}
+    copy = GaussianMixture(*arrays, gm.temperature, gm.shrinkage)
+    for name, arr in cached.items():
+        arr.setflags(write=False)
+        copy.__dict__[name] = arr
+    return copy
 
 
 def _inverse_lower(chol: np.ndarray) -> np.ndarray:
@@ -201,15 +232,38 @@ def _quad_forms(gm: GaussianMixture, z: np.ndarray) -> np.ndarray:
     close to a mean. So each row's nearest component is recomputed in
     difference form, |W (z - mu_c)|^2, which makes the row minimum as exact
     as a triangular solve (0 at a mean); the rest are clipped at 0.
+
+    The forms are computed in the mixture's dtype; a row or form beyond its
+    range gives inf or NaN and no warning.
     """
-    white = z @ gm.whitener.T
-    wm = gm.white_means
-    q = (white ** 2).sum(axis=1)[:, None] + (wm ** 2).sum(axis=1)[None, :]
-    q -= 2.0 * (white @ wm.T)
-    nearest = q.argmin(axis=1)
-    exact = (z - gm.means[nearest]) @ gm.whitener.T
-    q[np.arange(z.shape[0]), nearest] = (exact ** 2).sum(axis=1)
-    return np.maximum(q, 0.0, out=q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = z.astype(gm.dtype, copy=False)
+        white = z @ gm.whitener.T
+        wm = gm.white_means
+        q = (white ** 2).sum(axis=1)[:, None] + (wm ** 2).sum(axis=1)[None, :]
+        q -= 2.0 * (white @ wm.T)
+        nearest = q.argmin(axis=1)
+        exact = (z - gm.means[nearest]) @ gm.whitener.T
+        q[np.arange(z.shape[0]), nearest] = (exact ** 2).sum(axis=1)
+        return np.maximum(q, 0.0, out=q)
+
+
+def _weights(q: np.ndarray) -> np.ndarray:
+    """Softmax of -q over each row, shifted by the row minimum.
+
+    A term whose exponent q_min - q_c is below log(tiny) + log(C), for the
+    dtype's smallest normal number tiny, is set to exactly 0: every other
+    term and weight is then a normal number. Subnormal weights make the
+    product with the means several times slower in float32, where the cut
+    is about -83; in float64 it is about -704, where a weight is below 1e-305
+    and is lost to rounding anyway.
+    """
+    shifted = q.min(axis=1)[:, None] - q
+    cut = np.log(np.finfo(q.dtype).tiny) + np.log(q.shape[1])
+    small = shifted < cut
+    np.exp(shifted, out=shifted)
+    shifted[small] = 0.0
+    return np.divide(shifted, shifted.sum(axis=1, keepdims=True), out=shifted)
 
 
 def gaussian_energy(gm: GaussianMixture, z) -> float | np.ndarray:
@@ -230,13 +284,15 @@ def gaussian_energy_grad(gm: GaussianMixture, z) -> np.ndarray:
 
     With w_c the softmax of the negated quadratic forms, the gradient is
     (2 / T) sum_c w_c Sigma^-1 (z - mu_c); since the weights sum to one this
-    collapses to (2 / T) (z - w @ means) Sigma^-1.
+    collapses to (2 / T) (z - w @ means) Sigma^-1. It is computed in the
+    mixture's dtype; a row beyond its range gets a non-finite gradient and no
+    warning, which the Langevin sampler's finiteness check reports.
     """
     batch, single = as_batch(z, gm.dim)
-    q = _quad_forms(gm, batch)
-    shifted = np.exp(q.min(axis=1)[:, None] - q)
-    w = shifted / shifted.sum(axis=1, keepdims=True)
-    grad = (2.0 / gm.temperature) * (batch - w @ gm.means) @ gm.precision
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = batch.astype(gm.dtype, copy=False)
+        w = _weights(_quad_forms(gm, batch))
+        grad = (2.0 / gm.temperature) * (batch - w @ gm.means) @ gm.precision
     return grad[0] if single else grad
 
 
@@ -269,6 +325,9 @@ def log_density(gm: GaussianMixture, z) -> float | np.ndarray:
 
 
 def mixture_entries(gm: GaussianMixture, prefix: str = "") -> dict[str, np.ndarray]:
+    """Archive entries of a float64 mixture; a float32 one is refused with ValueError."""
+    if gm.dtype != np.float64:
+        raise ValueError(f"only float64 mixtures are stored, this one is {gm.dtype}")
     return {
         prefix + "means": gm.means,
         prefix + "chol_lower": gm.chol_lower,

@@ -7,13 +7,19 @@ correction model starts chains from the fitted mixture and follows the
 gradient of the full energy; the plain-EBM ablation is the same model without
 the mixture term, whose chains start from N(0, I).
 
-The chains take the network's input gradient in float32, from a copy of the
-weights made once per step after the Adam update: Langevin noise of scale
-sqrt(beta) >= 1e-2 per coordinate dwarfs float32's relative error of about
-1e-6. The chain states and their noise, the mixture gradient, the energies,
-the loss, the parameter gradient, Adam and the parameters stay float64, and
-so do the returned model and its archive. Training is bitwise reproducible
-per seed.
+Each step computes in float32 and keeps float64 master weights, as in
+mixed-precision training (Micikevicius et al. 2018, arXiv 1710.03740). A
+float32 copy of the weights, made once per step after the Adam update, gives
+the chains' network input gradient and then the step's one parameter-gradient
+pass, whose forward half also yields the energies of the positives and
+negatives. A float32 copy of the mixture, made once per run, gives the
+chains' mixture gradient. Langevin noise of scale sqrt(beta) >= 1e-2 per
+coordinate dwarfs float32's relative error of about 1e-6. The chain states
+and their noise, the loss, Adam and the parameters stay float64, and so do
+the returned model and its archive. Rows or chain states above about 1e19,
+whose squared whitened norms overflow float32, and weights beyond its range
+make training stop with TrainingDivergedError.
+Training is bitwise reproducible per seed.
 """
 
 from __future__ import annotations
@@ -23,10 +29,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+# mlp_energy is no longer called here; perfbench/workloads.py still traces it
+# under this module's name, so it stays imported until the benchmark drops it
 from .energy_net import EnergyMlp, flat_params, mlp_energy, mlp_entries, mlp_from_entries, \
     mlp_from_params, mlp_grad_input, mlp_grad_params, mlp_init
 from .featurestore import FeatureSet, minibatch_indices
-from .mog import GaussianMixture, gaussian_energy_grad, mixture_entries, mixture_from_entries
+from .mog import GaussianMixture, float32_mixture, gaussian_energy_grad, mixture_entries, \
+    mixture_from_entries
 from .sgld import SgldDivergenceError, SgldSchedule, sgld_init, sgld_sample
 from .tensorio import archive_scalar, read_archive, write_archive
 
@@ -157,9 +166,11 @@ def adam_step(params, grads, state: AdamState, lr: float, betas=(0.9, 0.999),
     """
     if len(params) != len(grads):
         raise ValueError("params and grads must pair up")
-    for p, g in zip(params, grads):  # all checked before any moment is touched
+    for i, (p, g) in enumerate(zip(params, grads)):  # all checked before any moment is touched
         if p.shape != g.shape:
             raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
+        if p.dtype != g.dtype:  # the step is written into a buffer typed like g
+            raise ValueError(f"dtype mismatch at params[{i}]: param {p.dtype} vs grad {g.dtype}")
     b1, b2 = betas
     t = state.t + 1
     new_params = []
@@ -191,9 +202,9 @@ def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
     neg_rng = np.random.default_rng(ss_neg)
 
     dims = [d] + [cfg.hidden_dim] * cfg.num_hidden + [1]
-    net = mlp_init(dims, np.random.default_rng(ss_init))
-    params = flat_params(net)
-    chain_net = mlp_from_params([p.astype(np.float32) for p in params])
+    params = flat_params(mlp_init(dims, np.random.default_rng(ss_init)))
+    net32 = mlp_from_params([p.astype(np.float32) for p in params])
+    gm32 = float32_mixture(gm) if gm is not None else None
     state = AdamState.zeros_like(params)
 
     log_fh = open(log_path, "w") if log_path is not None else None
@@ -213,10 +224,12 @@ def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
                 grad_norms = []
 
                 def energy_grad(z):
-                    g = mlp_grad_input(chain_net, z).astype(np.float64) / cfg.net_temperature
-                    if gm is not None:
-                        g = g + gaussian_energy_grad(gm, z)
-                    grad_norms.append(float(np.mean(np.linalg.norm(g, axis=1))))
+                    # a non-finite gradient is reported by the sampler, not warned about
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        g = mlp_grad_input(net32, z).astype(np.float64) / cfg.net_temperature
+                        if gm32 is not None:
+                            g = g + gaussian_energy_grad(gm32, z)
+                        grad_norms.append(float(np.mean(np.linalg.norm(g, axis=1))))
                     return g
 
                 # stream domain 4: disjoint from the spawn keys of the rngs above
@@ -229,32 +242,37 @@ def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
                         f"Langevin chains diverged at epoch {epoch}, step {gstep}: {exc}"
                     ) from exc
 
-                e_pos = mlp_energy(net, pos) / cfg.net_temperature
-                e_neg = mlp_energy(net, neg) / cfg.net_temperature
-                loss_mle = mle_loss(e_pos, e_neg)
-                loss_reg = l2_reg(e_pos, e_neg)
+                def scaled(energies):
+                    return energies.astype(np.float64) / cfg.net_temperature
+
+                def upstream(energies):
+                    # d(L_mle + l2 * L_reg)/d(raw E) as one upstream weight per sample
+                    sign = np.repeat([1.0, -1.0], b)
+                    return (sign + cfg.l2_coeff * scaled(energies)) / (b * cfg.net_temperature)
+
+                # one float32 pass: the energies and, from them, the parameter gradient
+                grads = mlp_grad_params(net32, np.concatenate([pos, neg]), upstream)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    energies = scaled(grads.energies)
+                    e_pos, e_neg = energies[:b], energies[b:]
+                    loss_mle = mle_loss(e_pos, e_neg)
+                    loss_reg = l2_reg(e_pos, e_neg)
                 if not (np.isfinite(loss_mle) and np.isfinite(loss_reg)):
                     raise TrainingDivergedError(
                         f"non-finite loss at epoch {epoch}, step {gstep}"
                     )
-
-                # d(L_mle + l2 * L_reg)/d(raw E) as one upstream weight per sample
-                total = 2 * b
-                upstream = np.concatenate([
-                    1.0 / b + 2.0 * cfg.l2_coeff * e_pos / total,
-                    -1.0 / b + 2.0 * cfg.l2_coeff * e_neg / total,
-                ]) / cfg.net_temperature
-                grads = mlp_grad_params(net, np.concatenate([pos, neg]), upstream)
-                params, state = adam_step(params, flat_params(grads), state, cfg.learning_rate)
-                # a parameter beyond the float32 range is inf in the chains' copy
-                with np.errstate(over="ignore"):
-                    chain_params = [p.astype(np.float32) for p in params]
-                if not all(np.isfinite(p).all() for p in chain_params):
+                # a non-finite gradient makes Adam's step NaN, and a parameter
+                # beyond the float32 range is inf in the float32 copy
+                with np.errstate(over="ignore", invalid="ignore"):
+                    params, state = adam_step(
+                        params, [g.astype(np.float64) for g in flat_params(grads)], state,
+                        cfg.learning_rate)
+                    params32 = [p.astype(np.float32) for p in params]
+                if not all(np.isfinite(p).all() for p in params32):
                     raise TrainingDivergedError(
                         f"non-finite parameters (in float32) after epoch {epoch}, step {gstep}"
                     )
-                net = mlp_from_params(params)
-                chain_net = mlp_from_params(chain_params)
+                net32 = mlp_from_params(params32)
 
                 sums["mle_loss"] += loss_mle
                 sums["l2_reg"] += loss_reg
@@ -272,7 +290,7 @@ def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
     finally:
         if log_fh is not None:
             log_fh.close()
-    return CorrectionModel(net, gm, cfg.net_temperature), history
+    return CorrectionModel(mlp_from_params(params), gm, cfg.net_temperature), history
 
 
 def train_correction(fs: FeatureSet, gm: GaussianMixture, cfg: TrainConfig,

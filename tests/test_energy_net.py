@@ -480,3 +480,48 @@ def test_float32_archive_entries_load_as_float64(tmp_path):
     assert model.net.dtype == np.float64
     np.testing.assert_array_equal(model.net.weights[0],
                                   net.weights[0].astype(np.float32).astype(np.float64))
+
+
+# ---------------------------------------------------------------- one pass per step
+
+def test_float32_network_gives_float32_parameter_gradient_from_float64_rows():
+    # float64 rows and upstream weights are cast, not allowed to promote the
+    # pass to float64: the result is the float32 pass on float32 rows
+    rng = np.random.default_rng(22)
+    net = as_float32(mlp_init([3, 32, 24, 1], rng))
+    z = rng.uniform(-2.0, 2.0, (9, 3))
+    upstream = rng.standard_normal(9)
+    got = mlp_grad_params(net, z, upstream)
+    want = mlp_grad_params(net, z.astype(np.float32), upstream.astype(np.float32))
+    assert got.energies.dtype == np.float32
+    assert all(g.dtype == np.float32 for g in flat_params(got))
+    np.testing.assert_array_equal(got.energies, want.energies)
+    for a, b in zip(flat_params(got), flat_params(want)):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(got.energies, mlp_energy(net, z.astype(np.float32)))
+
+
+@pytest.mark.parametrize("to32", [False, True], ids=["float64", "float32"])
+def test_grad_params_upstream_from_energies_matches_two_passes(to32):
+    # one pass with upstream weights formed from its own energies equals the
+    # energy pass followed by a gradient pass with those weights, bit for bit
+    rng = np.random.default_rng(23)
+    net = mlp_init([4, 16, 16, 1], rng)
+    net = as_float32(net) if to32 else net
+    z = rng.standard_normal((12, 4))
+
+    def upstream(e):
+        return np.repeat([1.0, -1.0], 6) / 6 + 0.3 * e.astype(np.float64)
+
+    energies = mlp_energy(net, z.astype(net.dtype))
+    one = mlp_grad_params(net, z, upstream)
+    two = mlp_grad_params(net, z, upstream(energies))
+    np.testing.assert_array_equal(one.energies, energies)
+    for a, b in zip(flat_params(one), flat_params(two)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_grad_params_rejects_upstream_of_wrong_length():
+    net = mlp_init([3, 4, 1], np.random.default_rng(24))
+    with pytest.raises(ValueError, match="upstream"):
+        mlp_grad_params(net, np.ones((5, 3)), lambda e: np.ones(4))

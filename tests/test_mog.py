@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from energy_ood.mog import (
     sample_mog,
     save_mixture,
 )
+from energy_ood.sgld import SgldSchedule, sgld_sample
 
 
 def validate_mixture(gm):
@@ -437,3 +439,91 @@ def test_cholesky_factor_is_inverted_once_per_mixture(monkeypatch):
     fresh = GaussianMixture(gm.means, gm.covariance, gm.chol_lower, gm.precision, gm.mixing)
     for built in (gm, loaded):
         np.testing.assert_array_equal(built.whitener, fresh.whitener)
+
+
+# ---------------------------------------------------------------- float32 copy
+
+def test_mixture_dtype_is_float32_only_when_every_array_is():
+    gm = random_mixture(seed=40, c=4, d=3)
+    assert gm.dtype == np.float64
+    low = mog.float32_mixture(gm)
+    assert low.dtype == np.float32
+    assert all(getattr(low, name).dtype == np.float32
+               for name in ("means", "covariance", "chol_lower", "precision", "mixing"))
+    # cast from the float64 whitener, not inverted again in float32
+    np.testing.assert_array_equal(low.whitener, gm.whitener.astype(np.float32))
+    np.testing.assert_array_equal(low.white_means, gm.white_means.astype(np.float32))
+    assert (low.temperature, low.shrinkage) == (gm.temperature, gm.shrinkage)
+    mixed = GaussianMixture(gm.means.astype(np.float32), gm.covariance, gm.chol_lower,
+                            gm.precision, gm.mixing)
+    assert mixed.dtype == np.float64 and mixed.means.dtype == np.float64
+
+
+def test_float32_mixture_is_never_stored(tmp_path):
+    low = mog.float32_mixture(random_mixture(seed=41))
+    with pytest.raises(ValueError, match="float64"):
+        mog.mixture_entries(low)
+    with pytest.raises(ValueError, match="float64"):
+        save_mixture(tmp_path / "m.ftar", low)
+    assert not (tmp_path / "m.ftar").exists()
+
+
+def wide_mixture(cond):
+    """conditioned_mixture at training's temperature of 1e3, with 256 rows drawn from it."""
+    gm = replace(conditioned_mixture(42, 10, 32, cond), temperature=1e3)
+    return gm, sample_mog(gm, 256, np.random.default_rng(43))
+
+
+@pytest.mark.parametrize("cond", [10.0, 1e4, 1e8])
+def test_float32_mixture_gradient_tracks_float64(cond):
+    # W has condition number sqrt(cond), so float32 whitening loses about
+    # eps32 * sqrt(cond); the bound is 10x that. Measured: 4.7e-7, 4.9e-6, 3.9e-4
+    gm, z = wide_mixture(cond)
+    exact = gaussian_energy_grad(gm, z)
+    approx = gaussian_energy_grad(mog.float32_mixture(gm), z)
+    assert approx.dtype == np.float32
+    bound = 10 * np.finfo(np.float32).eps * np.sqrt(cond)
+    assert np.abs(approx - exact).max() <= bound * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("cond", [10.0, 1e4])
+def test_sgld_end_states_with_float32_mixture_gradient_track_float64(cond):
+    # 20 steps at the plain-EBM step sizes from the same init with the same
+    # noise; the end states may differ by 1e-6 of the distance the chains
+    # moved. Measured: 1.6e-10 and 4.0e-8
+    gm, init = wide_mixture(cond)
+    schedule = SgldSchedule(20, (1e-2, 1e-3), (1e-2, 1e-3))
+    ends = [sgld_sample(init, lambda z, m=m: gaussian_energy_grad(m, z), schedule, seed=6)
+            for m in (gm, mog.float32_mixture(gm))]
+    moved = np.abs(ends[0] - init).max()
+    assert moved > 0.5
+    assert np.abs(ends[1] - ends[0]).max() <= 1e-6 * moved
+
+
+def test_no_float32_weight_is_subnormal():
+    # exponents q_min - q_c from -103 to -87 give subnormal exp() in float32,
+    # which slow the product with the means; they are flushed to exactly 0
+    exponents = np.linspace(-103.0, -87.0, 99)
+    q = np.concatenate([np.zeros((4, 1)), np.tile(-exponents, (4, 1))], axis=1)
+    q += 5.0 * np.arange(4)[:, None]  # the cut is relative to each row's minimum
+    w = mog._weights(q.astype(np.float32))
+    assert w.dtype == np.float32
+    tiny = np.finfo(np.float32).tiny
+    assert not ((w != 0) & (np.abs(w) < tiny)).any()
+    np.testing.assert_array_equal(w[:, 0], 1.0)
+    assert np.array_equal(w[:, 1:], np.zeros_like(w[:, 1:]))
+
+
+def test_float64_gradient_is_unchanged_by_the_flush():
+    # components at exponents -706 to -740, beyond float64's cut of about
+    # -704: the flushed gradient equals the unflushed one bit for bit
+    means = [[0.0, 0.0], [np.sqrt(706.0), 0.0], [0.0, np.sqrt(720.0)], [-np.sqrt(740.0), 0.0]]
+    gm = GaussianMixture.from_moments(means, np.eye(2), temperature=2.0)
+    z = 0.01 * np.random.default_rng(43).standard_normal((64, 2))
+    q = mog._quad_forms(gm, z)
+    assert ((q[:, 1:] > 704.0) & (q[:, 1:] < 745.0)).all()
+    shifted = np.exp(q.min(axis=1)[:, None] - q)
+    w = shifted / shifted.sum(axis=1, keepdims=True)
+    assert (w[:, 1:] > 0).any()
+    want = (2.0 / gm.temperature) * (z - w @ gm.means) @ gm.precision
+    np.testing.assert_array_equal(gaussian_energy_grad(gm, z), want)
