@@ -2,10 +2,11 @@
 
 Every command takes flat ``--key value`` flags and writes a JSON manifest
 next to its primary output recording the resolved configuration, input
-hashes, seed and artifact paths. ``--config FILE`` stands for the flags its
-``key = value`` lines spell out (``with_config_flags``); they go right after
-the subcommand name, so argparse parses and checks them like any other flag,
-and flags on the command line come later and win. Exit codes: 0 success,
+hashes, seed, artifact paths and the environment the run computed in.
+``--config FILE`` stands for the flags its ``key = value`` lines spell out
+(``with_config_flags``); they go right after the subcommand name, so argparse
+parses and checks them like any other flag, and flags on the command line
+come later and win. Exit codes: 0 success,
 1 computational failure (divergence, non-positive-definite covariance, a
 score beyond float32, running out of memory), 2 usage or input error,
 including an input path that is missing, a directory or unreadable, and a
@@ -19,6 +20,8 @@ import csv
 import hashlib
 import json
 import math
+import os
+import platform
 import shlex
 import sys
 import time
@@ -58,6 +61,8 @@ from .trainer import (
 )
 
 SCHEMA = 1
+# the thread-count variables of the BLAS builds NumPy ships with
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class UsageError(Exception):
@@ -80,12 +85,23 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _blas() -> str:
+    """Name and version of the BLAS NumPy was built with, from its build config."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # NumPy before 1.26 has no config dicts
+        return "unknown"
+
+
 def _write_manifest(args, primary_out, inputs: list, artifacts: list, started: float,
                     resolved: dict | None = None) -> None:
     """Record the parsed arguments as ``config``, with ``resolved`` filling in
-    values the command derived from them (such as a training preset's)."""
+    values the command derived from them (such as a training preset's), and
+    the versions, BLAS and threads the run computed with as ``environment``."""
     config = {k: v for k, v in vars(args).items() if k not in ("command", "config", "func")}
     config.update(resolved or {})
+    finished = time.time()
     manifest = {
         "schema": SCHEMA,
         "command": args.command,
@@ -94,7 +110,16 @@ def _write_manifest(args, primary_out, inputs: list, artifacts: list, started: f
         "inputs": {str(p): _sha256(p) for p in inputs},
         "artifacts": [str(a) for a in artifacts],
         "started": started,
-        "finished": time.time(),
+        "finished": finished,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas": _blas(),
+            "threads": {v: os.environ.get(v) for v in _THREAD_VARS},
+            "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count(),
+            "elapsed_s": finished - started,
+        },
     }
     with open(f"{primary_out}.manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)

@@ -7,6 +7,8 @@ accept a single vector or a batch of rows.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .energy_net import mlp_energy
@@ -14,8 +16,21 @@ from .featurestore import as_batch
 from .mog import gaussian_energy
 from .trainer import CorrectionModel
 
-# distance-matrix chunking bound for the brute-force KNN scan
+# cell bounds of one block of the brute-force KNN scan: every block has at
+# most _KNN_CELLS cells, and at most _KNN_CELLS_PER_DIM cells per feature
 _KNN_CELLS = 1 << 24
+_KNN_CELLS_PER_DIM = 1 << 17
+
+
+def _knn_block_rows(n: int, d: int) -> int:
+    """Query rows per block of the scan over n training rows of width d.
+
+    Narrow rows get a block of a few MiB, so its passes and its partition run
+    in cache. Wide rows get one of up to 2^24 cells, so the GEMM amortises
+    packing the training set: 58 rows for 4500 rows of width 2, and 335 for
+    50000 rows of width 512.
+    """
+    return max(1, min(_KNN_CELLS, _KNN_CELLS_PER_DIM * d) // n)
 
 
 def score_correction(model: CorrectionModel, z) -> float | np.ndarray:
@@ -28,29 +43,44 @@ def score_correction(model: CorrectionModel, z) -> float | np.ndarray:
 
 
 def score_knn(train: np.ndarray, z, k: int) -> float | np.ndarray:
-    """Exact k-th nearest Euclidean distance to the training set, by full scan."""
+    """Exact k-th nearest Euclidean distance to the training set, by full scan.
+
+    The squared distances are |q|^2 + |x|^2 - 2 q.x, so the error in one is
+    about eps * (|q|^2 + |x|^2), which is large against a small distance
+    between rows far from the origin: features with a large common offset
+    should be normalised first (``--normalize``).
+    The scan holds one block of at most 2^24 squared distances (128 MiB),
+    sized by ``_knn_block_rows``, and reuses it for every block of queries.
+    A query's distance may differ in the last bits with the block it falls
+    in, since BLAS rounds a product differently for different row counts.
+    """
+    if isinstance(k, bool):  # operator.index takes True as 1; NumPy's bool it refuses
+        raise ValueError(f"k must be an integer, got {k!r}")
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
     train = np.asarray(train, dtype=np.float64)
     if train.ndim != 2:
         raise ValueError("train must be an (n, d) matrix")
-    n = train.shape[0]
+    n, d = train.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    queries, single = as_batch(z, train.shape[1])
-    # in place throughout: the only (rows, n) array is d2, and no (n, d) copy
-    # of the training set is made, so a scan allocates the same few blocks
-    # each call instead of faulting in fresh pages for several temporaries
+    queries, single = as_batch(z, d)
+    # a row's order is kept by adding its |q|^2 and by the clip at 0, so a
+    # block holds only |x|^2 - 2 q.x, and only the k-th values get the rest
     train_sq = np.einsum("ij,ij->i", train, train)
-    out = np.empty(queries.shape[0])
-    chunk = max(1, _KNN_CELLS // n)
-    for start in range(0, queries.shape[0], chunk):
-        rows = queries[start : start + chunk]
-        d2 = rows @ train.T
-        d2 *= -2.0
-        d2 += (rows ** 2).sum(axis=1)[:, None]
+    rows = _knn_block_rows(n, d)
+    block = np.empty((min(rows, len(queries)), n))
+    kth = np.empty(len(queries))
+    for start in range(0, len(queries), rows):
+        part = queries[start : start + rows]
+        d2 = np.matmul(part * -2.0, train.T, out=block[: len(part)])
         d2 += train_sq
-        np.maximum(d2, 0.0, out=d2)
         d2.partition(k - 1, axis=1)
-        out[start : start + chunk] = np.sqrt(d2[:, k - 1])
+        kth[start : start + rows] = d2[:, k - 1]
+    kth += np.einsum("ij,ij->i", queries, queries)
+    out = np.sqrt(np.maximum(kth, 0.0, out=kth), out=kth)
     return float(out[0]) if single else out
 
 

@@ -188,9 +188,7 @@ def _backward(net: EnergyMlp, saved: list, upstream: np.ndarray, inputs=None):
 
 def mlp_energy(net: EnergyMlp, z) -> float | np.ndarray:
     """Energies of a vector or of rows, computed in the network's dtype."""
-    batch, single = as_batch(z, net.input_dim)
-    with np.errstate(over="ignore"):
-        batch = batch.astype(net.dtype, copy=False)
+    batch, single = as_batch(z, net.input_dim, net.dtype)
     e = _forward(net, batch)
     return float(e[0]) if single else e
 
@@ -202,9 +200,8 @@ def mlp_grad_input(net: EnergyMlp, z) -> np.ndarray:
     non-finite gradient and no warning; the Langevin sampler's finiteness
     check is what reports it.
     """
-    batch, single = as_batch(z, net.input_dim)
+    batch, single = as_batch(z, net.input_dim, net.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        batch = batch.astype(net.dtype, copy=False)
         saved = []
         _forward(net, batch, saved)
         grad = _backward(net, saved, np.ones(batch.shape[0], dtype=net.dtype))
@@ -223,11 +220,10 @@ def mlp_grad_params(net: EnergyMlp, batch, upstream) -> ParamGradient:
     row or weight beyond the dtype's range gives non-finite results and no
     warning; the caller checks them.
     """
-    batch, _ = as_batch(batch, net.input_dim)
+    batch, _ = as_batch(batch, net.input_dim, net.dtype)
     if batch.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     with np.errstate(over="ignore", invalid="ignore"):
-        batch = batch.astype(net.dtype, copy=False)
         saved, inputs = [], []
         energies = _forward(net, batch, saved, inputs)
         if callable(upstream):

@@ -119,15 +119,17 @@ def save_feature_set(fs: FeatureSet, features_path, labels_path) -> None:
     write_tensor(labels_path, fs.labels.astype(np.uint32))
 
 
-def as_batch(z, dim: int | None = None) -> tuple[np.ndarray, bool]:
-    """View a vector or a matrix of rows as float64 rows, flagging the vector case.
+def as_batch(z, dim: int | None = None, dtype=np.float64) -> tuple[np.ndarray, bool]:
+    """View a vector or a matrix of rows as rows of ``dtype``, flagging the vector case.
 
     This is the package's one single-vs-batch convention: every scorer,
     energy and gradient accepts either form, computes on rows, and returns
     the first row's result when ``single`` is set. ``dim``, when given, is the
-    required row width.
+    required row width. Rows already of ``dtype`` are not copied; a value
+    beyond a narrower ``dtype``'s range becomes inf, with no warning.
     """
-    z = np.asarray(z, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        z = np.asarray(z, dtype=dtype)
     single = z.ndim == 1
     batch = z[None, :] if single else z
     if batch.ndim != 2 or (dim is not None and batch.shape[1] != dim):

@@ -233,11 +233,10 @@ def _quad_forms(gm: GaussianMixture, z: np.ndarray) -> np.ndarray:
     difference form, |W (z - mu_c)|^2, which makes the row minimum as exact
     as a triangular solve (0 at a mean); the rest are clipped at 0.
 
-    The forms are computed in the mixture's dtype; a row or form beyond its
-    range gives inf or NaN and no warning.
+    ``z`` holds rows in the mixture's dtype, and the forms are computed in
+    it; a form beyond its range gives inf or NaN and no warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        z = z.astype(gm.dtype, copy=False)
         white = z @ gm.whitener.T
         wm = gm.white_means
         q = (white ** 2).sum(axis=1)[:, None] + (wm ** 2).sum(axis=1)[None, :]
@@ -272,7 +271,7 @@ def gaussian_energy(gm: GaussianMixture, z) -> float | np.ndarray:
     Evaluated with the max-shift trick so far-away points do not underflow to
     -inf inside the log.
     """
-    batch, single = as_batch(z, gm.dim)
+    batch, single = as_batch(z, gm.dim, gm.dtype)
     q = _quad_forms(gm, batch)
     m = q.min(axis=1)
     e = (m - np.log(np.exp(m[:, None] - q).sum(axis=1))) / gm.temperature
@@ -288,9 +287,8 @@ def gaussian_energy_grad(gm: GaussianMixture, z) -> np.ndarray:
     mixture's dtype; a row beyond its range gets a non-finite gradient and no
     warning, which the Langevin sampler's finiteness check reports.
     """
-    batch, single = as_batch(z, gm.dim)
+    batch, single = as_batch(z, gm.dim, gm.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        batch = batch.astype(gm.dtype, copy=False)
         w = _weights(_quad_forms(gm, batch))
         grad = (2.0 / gm.temperature) * (batch - w @ gm.means) @ gm.precision
     return grad[0] if single else grad
@@ -298,7 +296,7 @@ def gaussian_energy_grad(gm: GaussianMixture, z) -> np.ndarray:
 
 def mahalanobis_ood_score(gm: GaussianMixture, z) -> float | np.ndarray:
     """Squared Mahalanobis distance to the nearest component mean (higher = OOD)."""
-    batch, single = as_batch(z, gm.dim)
+    batch, single = as_batch(z, gm.dim, gm.dtype)
     q = _quad_forms(gm, batch).min(axis=1)
     return float(q[0]) if single else q
 
@@ -314,7 +312,7 @@ def sample_mog(gm: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndar
 
 def log_density(gm: GaussianMixture, z) -> float | np.ndarray:
     """Log of the normalized mixture density (mixing weights and 1/2 included)."""
-    batch, single = as_batch(z, gm.dim)
+    batch, single = as_batch(z, gm.dim, gm.dtype)
     q = _quad_forms(gm, batch)
     log_det = 2.0 * np.log(np.diag(gm.chol_lower)).sum()
     log_norm = -0.5 * (gm.dim * np.log(2.0 * np.pi) + log_det)

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -314,6 +315,14 @@ def test_score_knn_and_range_error(tmp_path, toy_files):
                "--features", feats, "--k", 100000, "--out", out) == 2
 
 
+@pytest.mark.parametrize("k", [0, -1, 1000, 2.5, "true"])
+def test_score_knn_bad_k_exits_2(tmp_path, toy_files, k):
+    feats, _ = toy_files
+    out = tmp_path / "knn.scores"
+    assert run("score", "--detector", "knn", "--train-features", feats,
+               "--features", feats, "--k", k, "--out", out) == 2
+    assert not out.exists()
+
 @pytest.mark.parametrize("dtype", [np.uint32, np.float64])
 def test_score_train_features_must_be_rank2_f32(tmp_path, toy_files, dtype, capsys):
     feats, _ = toy_files
@@ -538,6 +547,37 @@ def test_manifest_written_and_replayable(tmp_path, toy_files):
     assert run(*argv) == 0
     assert out2.read_bytes() == first_bytes
 
+
+def test_every_manifest_records_its_environment(tmp_path, monkeypatch):
+    feats, labels = tmp_path / "f.f32", tmp_path / "l.u32"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    mog, model, scores = tmp_path / "mog.ftar", tmp_path / "m.ftar", tmp_path / "s.f32"
+    runs = {
+        feats: ["toy", "--samples-per-class", 20, "--out-features", feats,
+                "--out-labels", labels],
+        mog: ["fit-mog", "--features", feats, "--labels", labels, "--out", mog],
+        model: ["train", "--ebm", "--features", feats, "--labels", labels,
+                *fast_train_args(), "--out", model],
+        scores: ["score", "--detector", "knn", "--k", 3, "--train-features", feats,
+                 "--features", feats, "--out", scores],
+        tmp_path / "r.json": ["eval", "--id", scores, "--ood", f"far:x={scores}",
+                              "--out", tmp_path / "r.json"],
+        tmp_path / "g.csv": ["grid", "--model", mog, "--detector", "gaussian-energy",
+                             "--bounds", -1, 1, -1, 1, "--resolution", 3,
+                             "--out-csv", tmp_path / "g.csv"],
+    }
+    for out, argv in runs.items():
+        assert run(*argv) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "blas", "threads", "nproc", "elapsed_s"}
+        assert env["numpy"] == np.__version__ and env["blas"]
+        assert env["threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                  "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+                                  "MKL_NUM_THREADS": None}
+        assert env["nproc"] >= 1
+        assert env["elapsed_s"] == manifest["finished"] - manifest["started"] >= 0
 
 def test_config_file_with_flag_override(tmp_path, toy_files):
     feats, labels = toy_files

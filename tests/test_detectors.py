@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from energy_ood import detectors
 from energy_ood.detectors import (
     score_correction,
     score_energy_logits,
@@ -96,6 +99,67 @@ def test_knn_k_out_of_range():
     with pytest.raises(ValueError):
         score_knn(train, np.zeros(2), 6)
 
+
+
+@pytest.mark.parametrize("k", [2.5, True, np.True_, "3", None])
+def test_knn_rejects_non_integer_k(k):
+    with pytest.raises(ValueError, match="k must be an integer"):
+        score_knn(np.zeros((5, 2)), np.zeros(2), k)
+
+
+def test_knn_takes_numpy_integer_k():
+    train = np.array([[0.0], [1.0], [3.0]])
+    assert score_knn(train, np.array([0.5]), np.int64(2)) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_knn_block_rows_follow_the_row_width():
+    # cache-sized blocks for narrow rows, 2^24-cell blocks for wide ones
+    assert detectors._knn_block_rows(4500, 2) == 58
+    assert detectors._knn_block_rows(50000, 512) == 335
+    assert detectors._knn_block_rows(1 << 20, 2) == 1
+
+
+@pytest.mark.parametrize("d, n, m, cells", [(2, 4500, 200, None), (512, 1000, 50, 1 << 14)])
+def test_knn_matches_sort_oracle_across_blocks(monkeypatch, d, n, m, cells):
+    # at least three full blocks and a partial last one; at d=512 the cell
+    # bound is lowered so that a small training set still needs several
+    if cells is not None:
+        monkeypatch.setattr(detectors, "_KNN_CELLS", cells)
+    rows = detectors._knn_block_rows(n, d)
+    assert m > 3 * rows and m % rows
+    rng = np.random.default_rng(6)
+    train, queries = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+    got = score_knn(train, queries, 10)
+    want = [np.sort(np.linalg.norm(train - q, axis=1))[9] for q in queries]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("d, rtol", [(1, 0.0), (16, 1e-13)])
+def test_knn_does_not_depend_on_the_block_size(monkeypatch, d, rtol):
+    # one-row blocks against a single block. At d=1 every product is one
+    # multiplication, so the results are bit for bit the same. Wider rows
+    # agree only to rounding: OpenBLAS computes a one-row product with GEMV
+    # and picks GEMM kernels by the product's shape, which round differently
+    rng = np.random.default_rng(7)
+    train, queries = rng.standard_normal((700, d)), rng.standard_normal((45, d))
+    monkeypatch.setattr(detectors, "_knn_block_rows", lambda n, d: 1)
+    one_row = score_knn(train, queries, 7)
+    monkeypatch.setattr(detectors, "_knn_block_rows", lambda n, d: 1 << 30)
+    single = score_knn(train, queries, 7)
+    np.testing.assert_allclose(one_row, single, rtol=rtol, atol=0.0)
+
+
+def test_knn_holds_one_small_block_for_narrow_rows():
+    # the toy-grid shape: one 58-row block of about 2 MiB, reused for every block
+    rng = np.random.default_rng(8)
+    train, queries = rng.standard_normal((4500, 2)), rng.standard_normal((1800, 2))
+    tracemalloc.start()
+    try:
+        score_knn(train, queries, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 # ------------------------------------------------------------- logit detectors
 

@@ -116,3 +116,42 @@ def test_minibatches_cover_everything():
     assert sorted(seen) == list(range(25))
     sizes = [len(b) for b in minibatch_indices(25, 8, np.random.default_rng(1))]
     assert sizes == [8, 8, 8, 1]
+
+
+def test_float32_rows_reach_float32_network_and_mixture_uncopied(monkeypatch):
+    # float32 rows given to a float32 network or mixture are computed on as
+    # they are, and give what the same rows cast from float64 give, bit for bit
+    from energy_ood import energy_net, featurestore, mog
+
+    rng = np.random.default_rng(30)
+    net = energy_net.mlp_from_params(
+        [p.astype(np.float32) for p in
+         energy_net.flat_params(energy_net.mlp_init([3, 16, 1], rng))])
+    means, a = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
+    gm = mog.float32_mixture(mog.GaussianMixture.from_moments(means, a @ a.T + np.eye(3)))
+    rows64 = rng.standard_normal((12, 3))
+    rows32 = rows64.astype(np.float32)
+    upstream = rng.standard_normal(12).astype(np.float32)
+
+    batches = []
+
+    def spy(*args):
+        batch, single = featurestore.as_batch(*args)
+        batches.append(batch)
+        return batch, single
+
+    monkeypatch.setattr(energy_net, "as_batch", spy)
+    monkeypatch.setattr(mog, "as_batch", spy)
+    calls = [(energy_net.mlp_energy, net), (energy_net.mlp_grad_input, net),
+             (mog.gaussian_energy, gm), (mog.gaussian_energy_grad, gm),
+             (mog.mahalanobis_ood_score, gm), (mog.log_density, gm)]
+    for fn, model in calls:
+        got = fn(model, rows32)
+        assert np.shares_memory(batches[-1], rows32), fn.__name__
+        np.testing.assert_array_equal(got, fn(model, rows64))
+    got = energy_net.mlp_grad_params(net, rows32, upstream)
+    assert np.shares_memory(batches[-1], rows32)
+    want = energy_net.mlp_grad_params(net, rows64, upstream)
+    np.testing.assert_array_equal(got.energies, want.energies)
+    for g, w in zip(energy_net.flat_params(got), energy_net.flat_params(want)):
+        np.testing.assert_array_equal(g, w)
