@@ -325,7 +325,7 @@ def cmd_eval(args) -> int:
     datasets = [_parse_ood_arg(raw) for raw in args.ood]
     reports = []
     for group, name, path in datasets:
-        rep = metrics.evaluate(id_scores, read_input(path, "scores"), tpr=args.tpr)
+        rep = metrics.evaluate(id_scores, read_input(path, "scores"))
         reports.append({"group": group, "name": name, "path": str(path),
                         **rep.to_dict()})
 
@@ -340,8 +340,8 @@ def cmd_eval(args) -> int:
     overall = {"auroc": _avg(reports, "auroc"), "fpr95": _avg(reports, "fpr95")}
     report = {
         "schema": SCHEMA,
-        "tpr": args.tpr,
-        "threshold_gamma_id": metrics.threshold_gamma_id(id_scores, args.tpr),
+        "tpr": metrics.TPR,
+        "threshold_gamma_id": metrics.threshold_gamma_id(id_scores),
         "n_id": int(id_scores.size),
         "datasets": reports,
         "groups": groups,
@@ -453,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True, help="rank-1 f32 tensor of ID scores")
     p.add_argument("--ood", action="extend", nargs="+", required=True,
                    metavar="[GROUP:]NAME=PATH", help="OOD score files; repeatable")
-    p.add_argument("--tpr", type=finite_float, default=0.95)
     p.add_argument("--csv", help="optional per-dataset/group table")
     p.add_argument("--out", required=True, help="JSON report path")
 

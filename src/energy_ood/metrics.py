@@ -6,9 +6,12 @@ count one half in AUROC; thresholds use inclusive >= semantics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+
+TPR = 0.95  # the true positive rate of every reported FPR and ID threshold
 
 
 def _checked(scores, name: str) -> np.ndarray:
@@ -20,45 +23,43 @@ def _checked(scores, name: str) -> np.ndarray:
     return arr
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the mean rank of their group."""
-    uniq, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    avg = (starts + 1 + ends) / 2.0
-    return avg[inverse]
+def _min_count(fraction: float, n: int) -> int:
+    """Smallest k with k / n >= fraction, for fraction in (0, 1]."""
+    k = math.ceil(fraction * n)
+    if (k - 1) / n >= fraction:  # float slop in the product
+        k -= 1
+    if k / n < fraction:
+        k += 1
+    return k
 
 
 def auroc(id_scores, ood_scores) -> float:
     """Probability a random OOD score exceeds a random ID score, ties counted 1/2."""
-    id_s = _checked(id_scores, "id")
-    ood_s = _checked(ood_scores, "ood")
-    ranks = _average_ranks(np.concatenate([id_s, ood_s]))
-    n_o = ood_s.size
-    rank_sum = ranks[id_s.size :].sum()
-    return float((rank_sum - n_o * (n_o + 1) / 2.0) / (id_s.size * n_o))
+    id_s = np.sort(_checked(id_scores, "id"))
+    ood_s = np.sort(_checked(ood_scores, "ood"))
+    # per OOD score, left + right = 2 * (ID scores below) + (ID scores equal)
+    twice_pairs = (np.searchsorted(id_s, ood_s, "left").sum()
+                   + np.searchsorted(id_s, ood_s, "right").sum())
+    return float(twice_pairs / (2 * id_s.size * ood_s.size))
 
 
-def fpr_at_tpr(id_scores, ood_scores, tpr: float = 0.95) -> tuple[float, float]:
+def fpr_at_tpr(id_scores, ood_scores, tpr: float = TPR) -> tuple[float, float]:
     """FPR at the largest threshold gamma detecting at least ``tpr`` of the OOD set.
 
     Returns (fpr, gamma) where gamma is a score value; a sample is flagged
-    OOD when its score is >= gamma.
+    OOD when its score is >= gamma. Gamma is the k-th largest OOD score for
+    the smallest k reaching ``tpr``: any larger score detects at most k - 1.
     """
     if not 0 < tpr <= 1:
         raise ValueError("tpr must be in (0, 1]")
     id_s = _checked(id_scores, "id")
     ood_s = _checked(ood_scores, "ood")
-    ood_sorted = np.sort(ood_s)
-    candidates = np.unique(ood_s)
-    detected = ood_s.size - np.searchsorted(ood_sorted, candidates, side="left")
-    feasible = candidates[detected / ood_s.size >= tpr]
-    gamma = float(feasible.max())  # nonempty: the minimum detects everything
-    fpr = float(np.mean(id_s >= gamma))
-    return fpr, gamma
+    i = ood_s.size - _min_count(tpr, ood_s.size)
+    gamma = float(np.partition(ood_s, i)[i])
+    return float(np.count_nonzero(id_s >= gamma) / id_s.size), gamma
 
 
-def threshold_gamma_id(id_scores, keep: float = 0.95) -> float:
+def threshold_gamma_id(id_scores, keep: float = TPR) -> float:
     """Smallest gamma keeping at least ``keep`` of the ID scores strictly below it.
 
     Candidates are the distinct score values plus one ulp above the maximum,
@@ -67,15 +68,8 @@ def threshold_gamma_id(id_scores, keep: float = 0.95) -> float:
     if not 0 < keep <= 1:
         raise ValueError("keep must be in (0, 1]")
     id_s = np.sort(_checked(id_scores, "id"))
-    n = id_s.size
-    k = int(np.ceil(keep * n))
-    if k > 0 and (k - 1) / n >= keep:  # float slop in the ceil
-        k -= 1
-    if k / n < keep:
-        k += 1
-    cutoff = id_s[k - 1]
-    above = id_s[id_s > cutoff]
-    return float(above[0]) if above.size else float(np.nextafter(id_s[-1], np.inf))
+    i = np.searchsorted(id_s, id_s[_min_count(keep, id_s.size) - 1], "right")
+    return float(id_s[i]) if i < id_s.size else float(np.nextafter(id_s[-1], np.inf))
 
 
 @dataclass
@@ -94,11 +88,11 @@ class EvalReport:
         return asdict(self)
 
 
-def evaluate(id_scores, ood_scores, tpr: float = 0.95, detector: str = "",
+def evaluate(id_scores, ood_scores, detector: str = "",
              params: dict | None = None) -> EvalReport:
     id_s = _checked(id_scores, "id")
     ood_s = _checked(ood_scores, "ood")
-    fpr, gamma = fpr_at_tpr(id_s, ood_s, tpr)
+    fpr, gamma = fpr_at_tpr(id_s, ood_s)
     return EvalReport(
         auroc=auroc(id_s, ood_s),
         fpr95=fpr,

@@ -32,6 +32,7 @@ are stored.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -315,7 +316,7 @@ def log_density(gm: GaussianMixture, z) -> float | np.ndarray:
     batch, single = as_batch(z, gm.dim, gm.dtype)
     q = _quad_forms(gm, batch)
     log_det = 2.0 * np.log(np.diag(gm.chol_lower)).sum()
-    log_norm = -0.5 * (gm.dim * np.log(2.0 * np.pi) + log_det)
+    log_norm = -0.5 * (gm.dim * math.log(2.0 * math.pi) + log_det)
     terms = np.log(gm.mixing)[None, :] - 0.5 * q + log_norm
     m = terms.max(axis=1)
     out = m + np.log(np.exp(terms - m[:, None]).sum(axis=1))

@@ -88,6 +88,11 @@ def gen_toy(spec: ToySpec, rng: np.random.Generator | None = None) -> FeatureSet
     return FeatureSet(np.concatenate(blocks), np.concatenate(labels), spec.num_classes)
 
 
+def _check_bounds(x_min, x_max, y_min, y_max) -> None:
+    if not (x_min < x_max and y_min < y_max):
+        raise ValueError("grid bounds must be well-ordered")
+
+
 @dataclass(frozen=True)
 class EnergyGrid:
     x_min: float
@@ -97,8 +102,7 @@ class EnergyGrid:
     values: np.ndarray  # (R, R), values[i, j] = score at (x_i, y_j)
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError("grid bounds must be well-ordered")
+        _check_bounds(self.x_min, self.x_max, self.y_min, self.y_max)
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -125,6 +129,7 @@ def energy_grid(score_fn, bounds, resolution: int) -> EnergyGrid:
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     x_min, x_max, y_min, y_max = map(float, bounds)
+    _check_bounds(x_min, x_max, y_min, y_max)
     xs = np.linspace(x_min, x_max, resolution)
     ys = np.linspace(y_min, y_max, resolution)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")

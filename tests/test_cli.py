@@ -396,6 +396,18 @@ def test_eval_disjoint_scores_auroc_one(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["datasets"][0]["auroc"] == 1.0
     assert report["datasets"][0]["fpr95"] == 0.0
+    assert report["tpr"] == 0.95
+
+
+def test_eval_tpr_flag_exits_2(tmp_path):
+    # fpr95 is FPR at 95% TPR; there is no flag to report another rate under that name
+    id_s, ood_s = tmp_path / "id.scores", tmp_path / "ood.scores"
+    write_tensor(id_s, np.zeros(50, dtype=np.float32))
+    write_tensor(ood_s, np.ones(50, dtype=np.float32))
+    report_path = tmp_path / "r.json"
+    assert run("eval", "--id", id_s, "--ood", f"far:ones={ood_s}", "--tpr", 0.9,
+               "--out", report_path) == 2
+    assert not report_path.exists()
 
 
 def test_eval_ood_from_config_file(tmp_path):

@@ -120,7 +120,8 @@ def test_minibatches_cover_everything():
 
 def test_float32_rows_reach_float32_network_and_mixture_uncopied(monkeypatch):
     # float32 rows given to a float32 network or mixture are computed on as
-    # they are, and give what the same rows cast from float64 give, bit for bit
+    # they are, return the model's dtype, and give what the same rows cast
+    # from float64 give, bit for bit
     from energy_ood import energy_net, featurestore, mog
 
     rng = np.random.default_rng(30)
@@ -148,6 +149,7 @@ def test_float32_rows_reach_float32_network_and_mixture_uncopied(monkeypatch):
     for fn, model in calls:
         got = fn(model, rows32)
         assert np.shares_memory(batches[-1], rows32), fn.__name__
+        assert got.dtype == model.dtype, fn.__name__
         np.testing.assert_array_equal(got, fn(model, rows64))
     got = energy_net.mlp_grad_params(net, rows32, upstream)
     assert np.shares_memory(batches[-1], rows32)

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from energy_ood.metrics import EvalReport, auroc, evaluate, fpr_at_tpr, threshold_gamma_id
+
+# fractions whose product with many n in 1..200 is on or within float slop of an integer
+SMALL_N_FRACTIONS = (0.95, 0.9, 0.99, 1 / 3)
 
 
 def pair_count_auroc(id_s, ood_s):
@@ -41,7 +46,7 @@ def test_auroc_matches_pairwise_oracle():
         # coarse integer grid forces plenty of ties
         id_s = rng.integers(0, 40, 1000).astype(float)
         ood_s = rng.integers(10, 50, 1000).astype(float)
-        assert abs(auroc(id_s, ood_s) - pair_count_auroc(id_s, ood_s)) <= 1e-12
+        assert auroc(id_s, ood_s) == pair_count_auroc(id_s, ood_s)
 
 
 def test_auroc_complement_identity():
@@ -65,7 +70,20 @@ def test_auroc_invariant_under_increasing_transform():
 def test_auroc_complement_property(a, b):
     a, b = np.asarray(a, float), np.asarray(b, float)
     assert auroc(a, b) + auroc(b, a) == pytest.approx(1.0, abs=1e-12)
-    assert abs(auroc(a, b) - pair_count_auroc(a, b)) <= 1e-12
+    assert auroc(a, b) == pair_count_auroc(a, b)
+
+
+def test_auroc_memory_is_linear_in_the_scores():
+    # 200k scores per side; average ranks of the concatenation peaked at 27.9 MiB
+    rng = np.random.default_rng(7)
+    id_s, ood_s = rng.standard_normal(200_000), rng.standard_normal(200_000) + 1
+    tracemalloc.start()
+    try:
+        auroc(id_s, ood_s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
 
 
 def test_auroc_rejects_bad_input():
@@ -95,6 +113,12 @@ def test_fpr_matches_sweep_oracle():
         got = fpr_at_tpr(id_s, ood_s, 0.95)
         want = sweep_fpr(id_s, ood_s, 0.95)
         assert got == want
+    # every small n: tpr * n lands on or next to an integer for many of them
+    for n in range(1, 201):
+        id_s = rng.integers(0, 10, n).astype(float)
+        ood_s = rng.integers(3, 13, n).astype(float)
+        for tpr in SMALL_N_FRACTIONS:
+            assert fpr_at_tpr(id_s, ood_s, tpr) == sweep_fpr(id_s, ood_s, tpr), (n, tpr)
 
 
 def test_fpr_monotone_in_tpr():
@@ -141,14 +165,16 @@ def test_gamma_id_constant_scores():
 
 def test_gamma_id_direct_count_oracle():
     rng = np.random.default_rng(5)
-    scores = rng.integers(0, 30, 200).astype(float)
-    for keep in (0.5, 0.9, 0.95, 1.0):
-        gamma = threshold_gamma_id(scores, keep)
-        assert np.mean(scores < gamma) >= keep
-        # no smaller candidate from the score grid works
-        smaller = scores[scores < gamma]
-        if smaller.size:
-            assert np.mean(scores < smaller.max()) < keep
+    cases = [(rng.integers(0, 30, 200).astype(float), (0.5, 0.9, 0.95, 1.0))]
+    cases += [(rng.integers(0, 10, n).astype(float), SMALL_N_FRACTIONS) for n in range(1, 201)]
+    for scores, keeps in cases:
+        for keep in keeps:
+            gamma = threshold_gamma_id(scores, keep)
+            assert np.mean(scores < gamma) >= keep
+            # no smaller candidate from the score grid works
+            smaller = scores[scores < gamma]
+            if smaller.size:
+                assert np.mean(scores < smaller.max()) < keep
 
 
 # ---------------------------------------------------------------- report

@@ -131,6 +131,17 @@ def test_grid_validation():
         energy_grid(lambda p: 0.0, (0, 1, 0, 1), 1)
     with pytest.raises(ValueError):
         EnergyGrid(1.0, 0.0, 0.0, 1.0, np.zeros((2, 2)))
+    # reversed or equal bounds are refused before a single point is scored
+    calls = []
+
+    def fn(pts):
+        calls.append(len(pts))
+        return np.zeros(len(pts))
+
+    for bounds in [(1, -1, -1, 1), (-1, 1, 1, -1), (0, 0, -1, 1), (-1, 1, 2, 2)]:
+        with pytest.raises(ValueError, match="well-ordered"):
+            energy_grid(fn, bounds, 300)
+    assert calls == []
 
 
 # ---------------------------------------------------------------- export
