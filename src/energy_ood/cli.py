@@ -1,12 +1,16 @@
 """Command-line pipeline: toy, fit-mog, train, score, eval, grid.
 
-Every command takes flat ``--key value`` flags and writes a JSON manifest
-next to its primary output recording the resolved configuration, input
-hashes, seed, artifact paths and the environment the run computed in.
-``--config FILE`` stands for the flags its ``key = value`` lines spell out
+Every command takes flat ``--key value`` flags. ``main`` takes the files a
+command reads (``INPUT_OPTIONS`` and the ``--ood`` paths) and writes
+(``OUTPUT_OPTIONS``) from its options, refuses an output that names an input,
+another output or the manifest, hashes the inputs, runs the ``cmd_*``
+function, which only computes, and then writes a JSON manifest next to the
+first output: the resolved configuration, the input hashes, the seed, every
+file written and the environment the run computed in. ``--config FILE``
+stands for the flags its ``key = value`` lines spell out
 (``with_config_flags``); they go right after the subcommand name, so argparse
 parses and checks them like any other flag, and flags on the command line
-come later and win. Exit codes: 0 success,
+come later and win. A config file cannot name another. Exit codes: 0 success,
 1 computational failure (divergence, non-positive-definite covariance, a
 score beyond float32, running out of memory), 2 usage or input error,
 including an input path that is missing, a directory or unreadable, and a
@@ -94,20 +98,41 @@ def _blas() -> str:
         return "unknown"
 
 
-def _write_manifest(args, primary_out, inputs: list, artifacts: list, started: float,
-                    resolved: dict | None = None) -> None:
-    """Record the parsed arguments as ``config``, with ``resolved`` filling in
-    values the command derived from them (such as a training preset's), and
-    the versions, BLAS and threads the run computed with as ``environment``."""
+# option dests that name files a command reads, then files it writes, in
+# manifest order; eval's --ood paths follow the inputs, and the manifest goes
+# next to the first output
+INPUT_OPTIONS = ("features", "labels", "mog", "model", "logits", "train_features", "id")
+OUTPUT_OPTIONS = ("out", "out_features", "out_labels", "out_csv", "out_tensor", "csv", "log")
+
+
+def _named_files(args, dests) -> list:
+    """(flag, path) of each option among ``dests`` that ``args`` sets."""
+    return [("--" + d.replace("_", "-"), path) for d in dests
+            if (path := getattr(args, d, None)) is not None]
+
+
+def _check_outputs(inputs: list, outputs: list) -> None:
+    """Raise UsageError if an output is the same file as an input or an earlier output."""
+    seen = {os.path.realpath(path): f"{flag} {path}" for flag, path in inputs}
+    for flag, path in outputs:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise UsageError(f"{flag} {path} is the same file as {seen[real]}")
+        seen[real] = f"{flag} {path}"
+
+
+def _write_manifest(args, path, inputs: dict, artifacts: list, started: float) -> None:
+    """Record the parsed arguments as ``config``, the input hashes taken
+    before the command ran, the files it wrote, and the versions, BLAS and
+    threads the run computed with as ``environment``."""
     config = {k: v for k, v in vars(args).items() if k not in ("command", "config", "func")}
-    config.update(resolved or {})
     finished = time.time()
     manifest = {
         "schema": SCHEMA,
         "command": args.command,
         "config": config,
         "seed": config.get("seed"),
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": inputs,
         "artifacts": [str(a) for a in artifacts],
         "started": started,
         "finished": finished,
@@ -121,7 +146,7 @@ def _write_manifest(args, primary_out, inputs: list, artifacts: list, started: f
             "elapsed_s": finished - started,
         },
     }
-    with open(f"{primary_out}.manifest.json", "w") as fh:
+    with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
@@ -146,6 +171,8 @@ def _load_config_file(path) -> list:
                 raise UsageError(f"{path}:{lineno}: {exc}") from exc
             if not key or not values:
                 raise UsageError(f"{path}:{lineno}: expected key = value")
+            if key == "config":
+                raise UsageError(f"{path}:{lineno}: a config file cannot name another config")
             flag = "--" + key.replace("_", "-")
             if values == ["true"]:
                 flags.append(flag)
@@ -165,8 +192,7 @@ def with_config_flags(argv: list) -> list:
     return [argv[0], *_load_config_file(known.config), *argv[1:]]
 
 
-def cmd_toy(args) -> int:
-    started = time.time()
+def cmd_toy(args) -> None:
     spec = ToySpec(
         kind=args.kind.replace("-", "_"),
         samples_per_class=args.samples_per_class,
@@ -177,19 +203,14 @@ def cmd_toy(args) -> int:
     )
     fs = gen_toy(spec)
     save_feature_set(fs, args.out_features, args.out_labels)
-    _write_manifest(args, args.out_features, [], [args.out_features, args.out_labels], started)
-    return 0
 
 
-def cmd_fit_mog(args) -> int:
-    started = time.time()
+def cmd_fit_mog(args) -> None:
     fs = load_feature_set(args.features, args.labels)
     if args.normalize:
         fs = normalize_features(fs)
     gm = fit_mog(fs, shrinkage=args.shrinkage, temperature=args.temperature)
     save_mixture(args.out, gm)
-    _write_manifest(args, args.out, [args.features, args.labels], [args.out], started)
-    return 0
 
 
 # train flags that override one TrainConfig field each, and the SgldSchedule fields
@@ -217,23 +238,18 @@ def _train_flags(cfg) -> dict:
     return flags
 
 
-def cmd_train(args) -> int:
-    started = time.time()
+def cmd_train(args) -> None:
     fs = load_feature_set(args.features, args.labels)
     if args.normalize:
         fs = normalize_features(fs)
     cfg = _train_config(args)
-    inputs = [args.features, args.labels]
+    # the manifest's config holds the values the preset resolved
+    vars(args).update(_train_flags(cfg))
     if args.ebm:
         model, _ = train_ebm(fs, cfg, log_path=args.log)
     else:
-        gm = load_mixture(args.mog)
-        inputs.append(args.mog)
-        model, _ = train_correction(fs, gm, cfg, log_path=args.log)
+        model, _ = train_correction(fs, load_mixture(args.mog), cfg, log_path=args.log)
     save_model(args.out, model)
-    artifacts = [args.out] + ([args.log] if args.log else [])
-    _write_manifest(args, args.out, inputs, artifacts, started, _train_flags(cfg))
-    return 0
 
 
 # archive kind (as load_model names it) and batched scorer of each model-based detector
@@ -289,25 +305,16 @@ def _score_logits(args) -> np.ndarray:
     return LOGIT_SCORERS[args.detector](read_input(args.logits, "logits"), args.temperature)
 
 
-def cmd_score(args) -> int:
-    started = time.time()
+def cmd_score(args) -> None:
     if args.detector in LOGIT_SCORERS:
         if args.logits is None:
             raise UsageError(f"detector {args.detector} needs --logits")
         scores = _score_logits(args)
-        inputs = [args.logits]
     else:
         if args.features is None:
             raise UsageError(f"detector {args.detector} needs --features")
         scores = _score_features(args)
-        inputs = [args.features]
-        if args.model is not None:
-            inputs.append(args.model)
-        if args.train_features is not None:
-            inputs.append(args.train_features)
     write_tensor(args.out, as_f32_scores(scores))
-    _write_manifest(args, args.out, inputs, [args.out], started)
-    return 0
 
 
 def _parse_ood_arg(raw: str) -> tuple[str, str, str]:
@@ -319,8 +326,7 @@ def _parse_ood_arg(raw: str) -> tuple[str, str, str]:
     return group or "all", name, path
 
 
-def cmd_eval(args) -> int:
-    started = time.time()
+def cmd_eval(args) -> None:
     id_scores = read_input(args.id, "scores")
     datasets = [_parse_ood_arg(raw) for raw in args.ood]
     reports = []
@@ -361,24 +367,14 @@ def cmd_eval(args) -> int:
             for *keys, m in rows:
                 table.writerow([*keys, f"{m['fpr95']:.4f}", f"{m['auroc']:.4f}"])
 
-    inputs = [args.id] + [path for _, _, path in datasets]
-    artifacts = [args.out] + ([args.csv] if args.csv else [])
-    _write_manifest(args, args.out, inputs, artifacts, started)
-    return 0
 
-
-def cmd_grid(args) -> int:
-    started = time.time()
+def cmd_grid(args) -> None:
     fn = _model_scorer(args.model, args.detector)
     grid = energy_grid(fn, args.bounds, args.resolution)
-    artifacts = [args.out_csv]
     if args.out_tensor is not None:
         # first: a value beyond float32 raises before any file is written
         save_grid_tensor(args.out_tensor, grid)
-        artifacts.append(args.out_tensor)
     save_grid_csv(args.out_csv, grid)
-    _write_manifest(args, args.out_csv, [args.model], artifacts, started)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,7 +470,16 @@ def main(argv=None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
         args = parser.parse_args(with_config_flags(argv))
-        return args.func(args)
+        inputs = _named_files(args, INPUT_OPTIONS) + [
+            ("--ood", _parse_ood_arg(raw)[2]) for raw in getattr(args, "ood", ())]
+        outputs = _named_files(args, OUTPUT_OPTIONS)
+        manifest = f"{outputs[0][1]}.manifest.json"
+        _check_outputs(inputs, [*outputs, ("the manifest", manifest)])
+        started = time.time()
+        hashes = {str(path): _sha256(path) for _, path in inputs}
+        args.func(args)
+        _write_manifest(args, manifest, hashes, [path for _, path in outputs], started)
+        return 0
     except (NotPositiveDefiniteError, TrainingDivergedError, GridEvaluationError,
             ScoreRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import tempfile
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from energy_ood import cli
 from energy_ood.cli import main
 from energy_ood.energy_net import mlp_energy, mlp_init
 from energy_ood.featurestore import FeatureSet, load_feature_set, normalize_features
@@ -565,23 +567,30 @@ def test_every_manifest_records_its_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     mog, model, scores = tmp_path / "mog.ftar", tmp_path / "m.ftar", tmp_path / "s.f32"
+    log, report, table = tmp_path / "train.jsonl", tmp_path / "r.json", tmp_path / "r.csv"
+    grid_csv, grid_tensor = tmp_path / "g.csv", tmp_path / "g.ftsr"
+    # out: argv, the inputs the manifest hashes and the artifacts it lists, in order
     runs = {
-        feats: ["toy", "--samples-per-class", 20, "--out-features", feats,
-                "--out-labels", labels],
-        mog: ["fit-mog", "--features", feats, "--labels", labels, "--out", mog],
-        model: ["train", "--ebm", "--features", feats, "--labels", labels,
-                *fast_train_args(), "--out", model],
-        scores: ["score", "--detector", "knn", "--k", 3, "--train-features", feats,
-                 "--features", feats, "--out", scores],
-        tmp_path / "r.json": ["eval", "--id", scores, "--ood", f"far:x={scores}",
-                              "--out", tmp_path / "r.json"],
-        tmp_path / "g.csv": ["grid", "--model", mog, "--detector", "gaussian-energy",
-                             "--bounds", -1, 1, -1, 1, "--resolution", 3,
-                             "--out-csv", tmp_path / "g.csv"],
+        feats: (["toy", "--samples-per-class", 20, "--out-features", feats,
+                 "--out-labels", labels], [], [feats, labels]),
+        mog: (["fit-mog", "--features", feats, "--labels", labels, "--out", mog],
+              [feats, labels], [mog]),
+        model: (["train", "--ebm", "--features", feats, "--labels", labels,
+                 *fast_train_args(), "--log", log, "--out", model],
+                [feats, labels], [model, log]),
+        scores: (["score", "--detector", "knn", "--k", 3, "--train-features", feats,
+                  "--features", feats, "--out", scores], [feats], [scores]),
+        report: (["eval", "--id", scores, "--ood", f"far:x={scores}", "--csv", table,
+                  "--out", report], [scores], [report, table]),
+        grid_csv: (["grid", "--model", mog, "--detector", "gaussian-energy",
+                    "--bounds", -1, 1, -1, 1, "--resolution", 3, "--out-csv", grid_csv,
+                    "--out-tensor", grid_tensor], [mog], [grid_csv, grid_tensor]),
     }
-    for out, argv in runs.items():
+    for out, (argv, inputs, artifacts) in runs.items():
         assert run(*argv) == 0
         manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert list(manifest["inputs"]) == [str(p) for p in inputs]
+        assert manifest["artifacts"] == [str(p) for p in artifacts]
         env = manifest["environment"]
         assert set(env) == {"python", "numpy", "blas", "threads", "nproc", "elapsed_s"}
         assert env["numpy"] == np.__version__ and env["blas"]
@@ -590,6 +599,45 @@ def test_every_manifest_records_its_environment(tmp_path, monkeypatch):
                                   "MKL_NUM_THREADS": None}
         assert env["nproc"] >= 1
         assert env["elapsed_s"] == manifest["finished"] - manifest["started"] >= 0
+
+
+def test_manifest_hashes_inputs_as_read(tmp_path, toy_files, monkeypatch):
+    # a command that changes an input after reading it: the manifest holds the
+    # hash of the bytes it read
+    feats, labels = toy_files
+    read_hash = hashlib.sha256(feats.read_bytes()).hexdigest()
+
+    def fit_then_touch(*args, **kwargs):
+        gm = fit_mog(*args, **kwargs)
+        with open(feats, "ab") as fh:
+            fh.write(b"later")
+        return gm
+
+    monkeypatch.setattr(cli, "fit_mog", fit_then_touch)
+    out = tmp_path / "mog.ftar"
+    assert run("fit-mog", "--features", feats, "--labels", labels, "--out", out) == 0
+    manifest = json.loads((tmp_path / "mog.ftar.manifest.json").read_text())
+    assert manifest["inputs"][str(feats)] == read_hash
+
+
+@pytest.mark.parametrize("argv", [
+    ["toy", "--samples-per-class", 10, "--out-features", "a.bin", "--out-labels", "a.bin"],
+    ["eval", "--id", "id.f32", "--ood", "x=ood.f32", "--out", "r.json", "--csv", "r.json"],
+    ["fit-mog", "--features", "train.f32", "--labels", "train.u32", "--out", "train.u32"],
+    ["train", "--ebm", "--features", "train.f32", "--labels", "train.u32",
+     *fast_train_args(), "--log", "m.ftar", "--out", "m.ftar"],
+], ids=["toy", "eval", "fit-mog", "train"])
+def test_colliding_output_paths_exit_2(tmp_path, toy_files, monkeypatch, capsys, argv):
+    # one file named twice would be overwritten by the other output, or read
+    # and then overwritten; nothing is read or written
+    monkeypatch.chdir(tmp_path)
+    write_tensor(tmp_path / "id.f32", np.zeros(5, dtype=np.float32))
+    write_tensor(tmp_path / "ood.f32", np.ones(5, dtype=np.float32))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run(*argv) == 2
+    assert "is the same file as" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 def test_config_file_with_flag_override(tmp_path, toy_files):
     feats, labels = toy_files
@@ -630,7 +678,7 @@ def test_train_manifest_replays_to_identical_archive(tmp_path, toy_files):
     assert replay.read_bytes() == out.read_bytes()
 
 
-@pytest.mark.parametrize("line", ["temprature = 2.0", "seed = 3"])
+@pytest.mark.parametrize("line", ["temprature = 2.0", "seed = 3", "config = other.cfg"])
 def test_config_file_unknown_key_exits_2(tmp_path, toy_files, capsys, line):
     feats, labels = toy_files
     cfg_file = tmp_path / "typo.cfg"
