@@ -13,8 +13,9 @@ parses and checks them like any other flag, and flags on the command line
 come later and win. A config file cannot name another. Exit codes: 0 success,
 1 computational failure (divergence, non-positive-definite covariance, a
 score beyond float32, running out of memory), 2 usage or input error,
-including an input path that is missing, a directory or unreadable, and a
-tensor file that ``read_input`` rejects.
+including an input path that is missing, a directory, unreadable or not a
+regular file (a pipe would be drained by hashing), an output that names the
+``--config`` file, and a tensor file that ``read_input`` rejects.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 import os
 import platform
 import shlex
+import stat
 import sys
 import time
 from dataclasses import replace
@@ -82,6 +84,10 @@ def finite_float(text: str) -> float:
 
 
 def _sha256(path) -> str:
+    # stat, not open: a pipe would be empty when the command reads it, and
+    # opening a FIFO with no writer blocks
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise UsageError(f"{path}: not a regular file")
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
@@ -278,7 +284,7 @@ def _model_scorer(path, detector: str):
 # batched scorer of each logit-based detector, given the logits and --temperature
 LOGIT_SCORERS = {
     "msp": lambda x, temperature: detectors.score_msp(x),
-    "odin": detectors.score_odin_temperature,
+    "odin": detectors.score_msp,
     "energy-logits": detectors.score_energy_logits,
 }
 
@@ -474,7 +480,8 @@ def main(argv=None) -> int:
             ("--ood", _parse_ood_arg(raw)[2]) for raw in getattr(args, "ood", ())]
         outputs = _named_files(args, OUTPUT_OPTIONS)
         manifest = f"{outputs[0][1]}.manifest.json"
-        _check_outputs(inputs, [*outputs, ("the manifest", manifest)])
+        _check_outputs(inputs + _named_files(args, ("config",)),
+                       [*outputs, ("the manifest", manifest)])
         started = time.time()
         hashes = {str(path): _sha256(path) for _, path in inputs}
         args.func(args)

@@ -84,20 +84,15 @@ def score_knn(train: np.ndarray, z, k: int) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def score_msp(logits) -> float | np.ndarray:
-    """Negated maximum softmax probability."""
-    batch, single = as_batch(logits)
-    shifted = batch - batch.max(axis=1, keepdims=True)
-    score = -1.0 / np.exp(shifted).sum(axis=1)
-    return float(score[0]) if single else score
-
-
-def score_odin_temperature(logits, temperature: float) -> float | np.ndarray:
-    """Negated maximum softmax probability at temperature T (no input preprocessing)."""
+def score_msp(logits, temperature: float = 1.0) -> float | np.ndarray:
+    """Negated maximum softmax probability at temperature T; T != 1 is ODIN's
+    temperature scaling, without its input preprocessing."""
     if not 0 < temperature < np.inf:  # NaN fails too
         raise ValueError("temperature must be finite and positive")
     batch, single = as_batch(logits)
-    score = score_msp(batch / temperature)
+    scaled = batch / temperature
+    shifted = scaled - scaled.max(axis=1, keepdims=True)
+    score = -1.0 / np.exp(shifted).sum(axis=1)
     return float(score[0]) if single else score
 
 

@@ -7,7 +7,7 @@ count one half in AUROC; thresholds use inclusive >= semantics.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -82,14 +82,12 @@ class EvalReport:
     n_id: int
     n_ood: int
     detector: str = ""
-    params: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def evaluate(id_scores, ood_scores, detector: str = "",
-             params: dict | None = None) -> EvalReport:
+def evaluate(id_scores, ood_scores, detector: str = "") -> EvalReport:
     id_s = _checked(id_scores, "id")
     ood_s = _checked(ood_scores, "ood")
     fpr, gamma = fpr_at_tpr(id_s, ood_s)
@@ -100,5 +98,4 @@ def evaluate(id_scores, ood_scores, detector: str = "",
         n_id=int(id_s.size),
         n_ood=int(ood_s.size),
         detector=detector,
-        params=dict(params or {}),
     )

@@ -810,6 +810,36 @@ def test_directory_as_input_exits_2(tmp_path, capsys):
     assert err.startswith(f"error: {folder}: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("option", ["--features", "--model"])
+def test_pipe_as_input_exits_2(tmp_path, capsys, option):
+    # hashing would drain a pipe before the command reads it
+    _, mixture, feats = _tiny_models(tmp_path)
+    paths = {"--model": mixture, "--features": feats}
+    out = tmp_path / "s.scores"
+    r, w = os.pipe()
+    try:
+        os.write(w, paths[option].read_bytes())
+        os.close(w)
+        paths[option] = f"/dev/fd/{r}"
+        assert run("score", "--detector", "mahalanobis", *sum(paths.items(), ()),
+                   "--out", out) == 2
+    finally:
+        os.close(r)
+    assert capsys.readouterr().err == f"error: /dev/fd/{r}: not a regular file\n"
+    assert not out.exists() and not (tmp_path / "s.scores.manifest.json").exists()
+
+
+def test_output_naming_the_config_file_exits_2(tmp_path, toy_files, capsys):
+    feats, labels = toy_files
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("temperature = 2.0\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run("fit-mog", "--config", cfg, "--features", feats, "--labels", labels,
+               "--out", cfg) == 2
+    assert capsys.readouterr().err == f"error: --out {cfg} is the same file as --config {cfg}\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 @pytest.fixture(scope="module")
 def fuzz_sources(tmp_path_factory):
     model, mixture, feats = _tiny_models(tmp_path_factory.mktemp("fuzz"))

@@ -9,7 +9,6 @@ from energy_ood.detectors import (
     score_energy_logits,
     score_knn,
     score_msp,
-    score_odin_temperature,
 )
 from energy_ood.energy_net import EnergyMlp, mlp_init
 from energy_ood.metrics import auroc
@@ -190,11 +189,11 @@ def test_msp_permutation_invariant():
 
 def test_odin_reduces_to_msp_at_t1():
     logits = np.random.default_rng(8).standard_normal(6)
-    assert score_odin_temperature(logits, 1.0) == score_msp(logits)
+    assert score_msp(logits, 1.0) == score_msp(logits)
 
 
 def test_odin_large_t_uniform_limit():
-    assert score_odin_temperature([2.0, 0.0], 1e6) == pytest.approx(-0.5, abs=1e-6)
+    assert score_msp([2.0, 0.0], 1e6) == pytest.approx(-0.5, abs=1e-6)
 
 
 def test_odin_matches_recomputation():
@@ -202,8 +201,7 @@ def test_odin_matches_recomputation():
     logits = rng.standard_normal(12)
     t = 1000.0
     exp = np.exp(logits / t)
-    assert score_odin_temperature(logits, t) == pytest.approx(-np.max(exp / exp.sum()),
-                                                              abs=1e-12)
+    assert score_msp(logits, t) == pytest.approx(-np.max(exp / exp.sum()), abs=1e-12)
 
 
 def test_energy_logits_two_equal():
@@ -224,7 +222,7 @@ def test_energy_logits_matches_naive():
 
 def test_temperature_validation():
     with pytest.raises(ValueError):
-        score_odin_temperature([1.0], 0.0)
+        score_msp([1.0], 0.0)
     with pytest.raises(ValueError):
         score_energy_logits([1.0], -1.0)
     with pytest.raises(ValueError):
@@ -236,7 +234,7 @@ def test_temperature_validation():
 def test_all_scores_finite_and_batchable():
     rng = np.random.default_rng(11)
     logits = rng.standard_normal((30, 5))
-    for fn in (score_msp, lambda l: score_odin_temperature(l, 10.0),
+    for fn in (score_msp, lambda l: score_msp(l, 10.0),
                lambda l: score_energy_logits(l, 2.0)):
         out = fn(logits)
         assert out.shape == (30,) and np.isfinite(out).all()

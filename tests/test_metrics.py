@@ -181,10 +181,9 @@ def test_gamma_id_direct_count_oracle():
 
 def test_evaluate_report_fields():
     rng = np.random.default_rng(6)
-    rep = evaluate(rng.standard_normal(100), rng.standard_normal(120) + 2,
-                   detector="msp", params={"temperature": 1.0})
+    rep = evaluate(rng.standard_normal(100), rng.standard_normal(120) + 2, detector="msp")
     assert isinstance(rep, EvalReport)
     assert 0.0 <= rep.auroc <= 1.0 and 0.0 <= rep.fpr95 <= 1.0
     assert rep.n_id == 100 and rep.n_ood == 120
     d = rep.to_dict()
-    assert d["detector"] == "msp" and d["params"] == {"temperature": 1.0}
+    assert d["detector"] == "msp" and "params" not in d

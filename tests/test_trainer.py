@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from energy_ood.detectors import score_correction, score_energy_logits, score_odin_temperature
+from energy_ood.detectors import score_correction, score_energy_logits, score_msp
 from energy_ood.energy_net import flat_params, mlp_energy, mlp_from_params, mlp_grad_input, \
     mlp_grad_params, mlp_init
 from energy_ood.featurestore import FeatureSet, minibatch_indices
@@ -154,8 +154,8 @@ def _mixture(**kw):
     (lambda: _mixture(shrinkage=np.inf), "shrinkage"),
     (lambda: fit_mog(FeatureSet(np.eye(4), np.array([0, 0, 1, 1]), 2), shrinkage=np.inf),
      "shrinkage"),
-    (lambda: score_odin_temperature(np.zeros((2, 3)), np.nan), "temperature"),
-    (lambda: score_odin_temperature(np.zeros((2, 3)), np.inf), "temperature"),
+    (lambda: score_msp(np.zeros((2, 3)), np.nan), "temperature"),
+    (lambda: score_msp(np.zeros((2, 3)), np.inf), "temperature"),
     (lambda: score_energy_logits(np.zeros((2, 3)), np.nan), "temperature"),
     (lambda: score_energy_logits(np.zeros((2, 3)), np.inf), "temperature"),
     (lambda: TrainConfig(seed=-1), "seed"),
