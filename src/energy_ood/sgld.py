@@ -26,7 +26,12 @@ class SgldDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SgldSchedule:
-    """Step count plus (start, end) pairs for step size and noise scale."""
+    """Step count plus (start, end) pairs for step size and noise scale.
+
+    The noise scale beta is a variance: a step adds sqrt(beta) * eps, so
+    ``correction_defaults()``'s 1e-3 -> 1e-4 is a per-coordinate std of
+    0.032 -> 0.01, and ``ebm_defaults()``'s 1e-2 -> 1e-3 one of 0.1 -> 0.032.
+    """
 
     steps: int
     step_size: tuple
@@ -73,12 +78,13 @@ def sgld_sample(init: np.ndarray, energy_grad, schedule: SgldSchedule, seed,
                 chain_ids=None) -> np.ndarray:
     """Run the update z <- z - alpha_t * grad(z) + sqrt(beta_t) * eps_t for all chains.
 
-    ``energy_grad`` maps an (n, d) state matrix to its (n, d) gradient and is
-    called exactly once per step. Step t draws eps_t as one standard-normal
-    block of max(chain_ids) + 1 rows from ``default_rng([*seed, t])``, where
-    ``seed`` is an int or tuple of ints, and chain c takes row c. The ids
-    (nonnegative integers, default 0..n-1) thus key each chain's noise, and the
-    cost of a step grows with the largest id.
+    The noise scale beta_t is a variance: each coordinate's noise has std
+    sqrt(beta_t). ``energy_grad`` maps an (n, d) state matrix to its (n, d)
+    gradient and is called exactly once per step. Step t draws eps_t as one
+    standard-normal block of max(chain_ids) + 1 rows from
+    ``default_rng([*seed, t])``, where ``seed`` is an int or tuple of ints, and
+    chain c takes row c. The ids (nonnegative integers, default 0..n-1) thus
+    key each chain's noise, and the cost of a step grows with the largest id.
     """
     z = np.array(init, dtype=np.float64)
     if z.ndim != 2 or z.size == 0:

@@ -335,14 +335,22 @@ def solve_oracle(gm, z):
     return energy, m, density, grad
 
 
-@pytest.mark.parametrize("c, d", [(18, 2), (100, 512)])
-@pytest.mark.parametrize("cond", [10.0, 1e8])
-@pytest.mark.parametrize("rows", ["near", "far", "means"])
-def test_whitened_path_matches_solve_oracle(c, d, cond, rows):
-    gm = conditioned_mixture(26, c, d, cond)
+def oracle_rows(gm, rows):
+    """40 rows drawn near the means, the same rows 1e3 times farther out, the
+    means themselves, or (``mixed``) some of each in one batch; also the mask
+    of the rows that are means."""
     rng = np.random.default_rng(27)
+    c, d = gm.means.shape
     near = gm.means[rng.integers(0, c, 40)] + rng.standard_normal((40, d)) @ gm.chol_lower.T
+    if rows == "mixed":
+        z = np.concatenate([near[:14], 1e3 * near[14:27], gm.means[:13]])
+        order = rng.permutation(len(z))
+        return z[order], order >= 27
     z = {"near": near, "far": 1e3 * near, "means": gm.means}[rows]
+    return z, np.full(len(z), rows == "means")
+
+
+def assert_matches_solve_oracle(gm, z):
     energy, maha, density, grad = solve_oracle(gm, z)
     np.testing.assert_allclose(gaussian_energy(gm, z), energy, rtol=ORACLE_RTOL)
     np.testing.assert_allclose(mahalanobis_ood_score(gm, z), maha, rtol=ORACLE_RTOL)
@@ -350,8 +358,93 @@ def test_whitened_path_matches_solve_oracle(c, d, cond, rows):
     # gradient entries cancel, so the tolerance is relative to each row's largest entry
     scale = np.abs(grad).max(axis=1, keepdims=True)
     assert (np.abs(gaussian_energy_grad(gm, z) - grad) <= ORACLE_RTOL * scale).all()
-    if rows == "means":
-        np.testing.assert_array_equal(mahalanobis_ood_score(gm, z), 0.0)
+
+
+@pytest.mark.parametrize("c, d", [(18, 2), (100, 512)])
+@pytest.mark.parametrize("cond", [10.0, 1e8])
+@pytest.mark.parametrize("rows", ["near", "far", "means", "mixed"])
+def test_whitened_path_matches_solve_oracle(c, d, cond, rows):
+    gm = conditioned_mixture(26, c, d, cond)
+    z, at_mean = oracle_rows(gm, rows)
+    assert_matches_solve_oracle(gm, z)
+    np.testing.assert_array_equal(mahalanobis_ood_score(gm, z)[at_mean], 0.0)
+
+
+@pytest.mark.parametrize("c, d", [(18, 2), (100, 512), (5, 1)])
+@pytest.mark.parametrize("cond", [10.0, 1e8])
+def test_row_alone_matches_its_mixed_batch(c, d, cond):
+    # whether a row's nearest form is recomputed depends on that row alone; at
+    # d=1 every product in the forms is a single rounding, so the scores agree
+    # bit for bit (the gradient's sum over components need not)
+    gm = conditioned_mixture(26, c, d, cond)
+    z, _ = oracle_rows(gm, "mixed")
+    for score in (mahalanobis_ood_score, gaussian_energy):
+        alone = np.array([score(gm, row) for row in z])
+        if d == 1:
+            np.testing.assert_array_equal(alone, score(gm, z))
+        else:
+            np.testing.assert_allclose(alone, score(gm, z), rtol=ORACLE_RTOL)
+    grad = gaussian_energy_grad(gm, z)
+    alone = np.array([gaussian_energy_grad(gm, row) for row in z])
+    scale = np.abs(grad).max(axis=1, keepdims=True)
+    assert (np.abs(alone - grad) <= ORACLE_RTOL * scale).all()
+
+
+def count_whitener_products(gm):
+    """Swap ``gm``'s whitener for one that records, per matrix product it
+    takes part in, the number of rows multiplied; returns that record."""
+    products = []
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products.append(len(inputs[0]))
+            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+    gm.white_means  # derived from the whitener before the swap, so not counted
+    gm.__dict__["whitener"] = gm.whitener.view(Counted)
+    return products
+
+
+@pytest.mark.parametrize("c, d", [(18, 2), (100, 512)])
+def test_far_batch_whitens_once_and_mean_batch_recomputes_every_row(c, d):
+    gm = conditioned_mixture(26, c, d, 10.0)
+    far, _ = oracle_rows(gm, "far")
+    expected = mahalanobis_ood_score(gm, far), mahalanobis_ood_score(gm, gm.means)
+    products = count_whitener_products(gm)
+    np.testing.assert_array_equal(mahalanobis_ood_score(gm, far), expected[0])
+    assert products == [len(far)]
+    products.clear()
+    np.testing.assert_array_equal(mahalanobis_ood_score(gm, gm.means), expected[1])
+    assert products == [c, c]
+
+
+@pytest.mark.parametrize("d", [2, 512])
+@pytest.mark.parametrize("cond", [10.0, 1e8])
+def test_rows_either_side_of_the_recompute_bound_match_solve_oracle(d, cond):
+    # whitened rows a = b + t u with u orthogonal to b = W mu_0 and
+    # t^2 = 2 r |b|^2 / (1 - r), so q_0 / (|a|^2 + |b|^2) = r; mu_1 = -mu_0 is
+    # farther, so component 0 is nearest
+    kappa = mog._RECOMPUTE_BELOW
+    base = conditioned_mixture(46, 1, d, cond)
+    chol = base.chol_lower
+    rng = np.random.default_rng(47)
+    b = rng.standard_normal(d)
+    gm = GaussianMixture.from_moments([chol @ b, -(chol @ b)], base.covariance,
+                                      temperature=3.0)
+    ratios = kappa * np.array([1 - 1e-2, 1 - 1e-4, 1 + 1e-4, 1 + 1e-2])
+    u = rng.standard_normal((len(ratios), d))
+    u -= (u @ b)[:, None] * b / (b @ b)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    t = np.sqrt(2 * ratios * (b @ b) / (1 - ratios))
+    z = (b + t[:, None] * u) @ chol.T
+    white = solve_triangular(chol, z.T, lower=True).T
+    q0 = ((white - b) ** 2).sum(axis=1)
+    np.testing.assert_allclose(q0 / ((white ** 2).sum(axis=1) + b @ b), ratios, rtol=1e-6)
+    products = count_whitener_products(gm)
+    assert_matches_solve_oracle(gm, z)
+    # four calls, each recomputing only the two rows below the bound
+    assert products == [len(z), 2] * 4
 
 
 def test_inverse_is_exactly_lower_triangular():
@@ -482,6 +575,24 @@ def test_float32_mixture_gradient_tracks_float64(cond):
     exact = gaussian_energy_grad(gm, z)
     approx = gaussian_energy_grad(mog.float32_mixture(gm), z)
     assert approx.dtype == np.float32
+    bound = 10 * np.finfo(np.float32).eps * np.sqrt(cond)
+    assert np.abs(approx - exact).max() <= bound * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("cond", [10.0, 1e4])
+def test_float32_chain_gradient_at_512_dims_tracks_float64(cond):
+    # the shape of training's chains at CIFAR-100 scale; the means are drawn
+    # in whitened space, close enough that no row's nearest form is recomputed
+    base = conditioned_mixture(48, 1, 512, cond)
+    rng = np.random.default_rng(49)
+    means = 0.3 * rng.standard_normal((100, 512)) @ base.chol_lower.T
+    gm = GaussianMixture.from_moments(means, base.covariance, temperature=1e3)
+    z = sample_mog(gm, 256, rng)
+    exact = gaussian_energy_grad(gm, z)
+    low = mog.float32_mixture(gm)
+    products = count_whitener_products(low)
+    approx = gaussian_energy_grad(low, z)
+    assert products == [256]
     bound = 10 * np.finfo(np.float32).eps * np.sqrt(cond)
     assert np.abs(approx - exact).max() <= bound * np.abs(exact).max()
 
