@@ -8,7 +8,9 @@ are exact reverse-mode passes written out by hand; there is no autodiff.
 Each pass computes every hidden unit's sigmoid once. The forward pass saves
 what the reverse pass needs, (pre-activation, sigmoid), and the reverse pass
 consumes it: it forms SiLU's derivative in those same buffers. The
-energy-only pass saves nothing and reuses each layer's buffer in place.
+energy-only pass saves nothing and runs over the rows in blocks sized by
+``_energy_block_rows``, so no hidden activation is larger than one block,
+and each block's buffers are reused in place.
 
 A network holds one float dtype: float64, or float32 when every array it is
 given is float32. The passes run in that dtype, whatever the dtype of the
@@ -186,10 +188,35 @@ def _backward(net: EnergyMlp, saved: list, upstream: np.ndarray, inputs=None):
     return delta @ net.weights[0] if inputs is None else ParamGradient(gw, gb)
 
 
+# cells of one block of the energy-only pass, 512 KiB in float64
+_ENERGY_BLOCK_CELLS = 1 << 16
+
+
+def _energy_block_rows(width: int) -> int:
+    """Rows per block of the energy-only pass through a network whose widest
+    layer has ``width`` units.
+
+    A narrow network gets a block of 2^16 cells per layer, so its products
+    and SiLU passes run in cache: 512 rows at width 128. A wide one gets 4
+    rows per unit, so a block's activation is 4 times the size of its
+    largest weight matrix and each GEMM stays large: 4096 rows at width 1024.
+    """
+    return max(_ENERGY_BLOCK_CELLS // width, 4 * width)
+
+
 def mlp_energy(net: EnergyMlp, z) -> float | np.ndarray:
-    """Energies of a vector or of rows, computed in the network's dtype."""
+    """Energies of a vector or of rows, computed in the network's dtype.
+
+    The rows go through the network in blocks of ``_energy_block_rows``. A
+    row's energy may differ in the last bits with the block it falls in,
+    since BLAS rounds products of different shapes differently; a batch that
+    fits in one block takes one pass, as a whole.
+    """
     batch, single = as_batch(z, net.input_dim, net.dtype)
-    e = _forward(net, batch)
+    rows = _energy_block_rows(max(net.dims))
+    e = np.empty(batch.shape[0], dtype=net.dtype)
+    for start in range(0, batch.shape[0], rows):
+        e[start : start + rows] = _forward(net, batch[start : start + rows])
     return float(e[0]) if single else e
 
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from energy_ood import energy_net
+from energy_ood.detectors import score_correction
 from energy_ood.energy_net import (
     EnergyMlp,
     _sigmoid,
@@ -17,6 +19,7 @@ from energy_ood.energy_net import (
     mlp_grad_params,
     mlp_init,
 )
+from energy_ood.mog import GaussianMixture, gaussian_energy
 from energy_ood.tensorio import read_archive, write_archive
 from energy_ood.trainer import CorrectionModel, TrainConfig, load_model, save_model
 
@@ -362,16 +365,87 @@ def traced_peak_layers(fn, *args) -> float:
     return (peak - base) / (2000 * 256 * 8)
 
 
-@pytest.mark.parametrize("activation, energy_peak, grad_peak", [("silu", 4.5, 12.0)])
+@pytest.mark.parametrize("activation, energy_peak, grad_peak", [("silu", 1.1, 12.0)])
 def test_passes_peak_memory(activation, energy_peak, grad_peak):
     # 2000 rows through 64 -> 256 x 4 -> 1; the passes that kept every layer's
     # pre-activation and output and recomputed the sigmoid in reverse peaked at
-    # 9.0 layer arrays for the energy and 12.0 for the input gradient
+    # 9.0 layer arrays for the energy and 12.0 for the input gradient. The
+    # energy pass over all rows at once peaked at 2.0 (bound 4.5); in blocks
+    # of 1024 rows it peaks at 1.03, two arrays of one block and the energies
     rng = np.random.default_rng(15)
     net = mlp_init([64, 256, 256, 256, 256, 1], rng, activation)
     z = rng.standard_normal((2000, 64))
     assert traced_peak_layers(mlp_energy, net, z) <= energy_peak
     assert traced_peak_layers(mlp_grad_input, net, z) <= grad_peak
+
+
+def test_energy_peak_does_not_grow_with_the_rows():
+    # 10x the rows adds only their energies, 0.07 layer arrays; the pass over
+    # all rows at once peaked at 2.0 and 20.0 layer arrays
+    rng = np.random.default_rng(17)
+    net = mlp_init([64, 256, 256, 256, 256, 1], rng)
+    small, large = (traced_peak_layers(mlp_energy, net, rng.standard_normal((n, 64)))
+                    for n in (2000, 20000))
+    assert large - small <= energy_net._energy_block_rows(256) / 2000
+
+
+# ---------------------------------------------------------------- blocks
+
+def test_energy_block_rows_follow_the_widest_layer():
+    # 2^16-cell blocks for narrow networks, 4 rows per unit for wide ones: the
+    # toy's 14641-row grid at width 128 takes 29 blocks, while perfbench's
+    # 512-d calls (2000 rows at width 1024) and the bit-for-bit reference
+    # test's batches (256 rows at width 32) take one
+    assert energy_net._energy_block_rows(32) == 2048
+    assert energy_net._energy_block_rows(128) == 512
+    assert energy_net._energy_block_rows(1024) == 4096
+
+
+@pytest.mark.parametrize("to32", [False, True])
+@pytest.mark.parametrize("dims", [[1, 1, 1, 1], [3, 32, 24, 32, 1]])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_energy_does_not_depend_on_the_block_size(monkeypatch, to32, dims, extra):
+    # three blocks of 7 rows, one short of them or one more, against one pass.
+    # At width 1 every product is one multiplication, so the energies agree
+    # bit for bit. Wider layers agree only to rounding, since BLAS rounds
+    # products of different shapes differently; measured up to 5 eps of the
+    # largest energy, in either dtype
+    rng = np.random.default_rng(16)
+    net = mlp_init(dims, rng)
+    net = as_float32(net) if to32 else net
+    z = rng.uniform(-2.0, 2.0, (3 * 7 + extra, dims[0]))
+    widths = []
+    monkeypatch.setattr(energy_net, "_energy_block_rows", lambda width: widths.append(width) or 7)
+    blocked = mlp_energy(net, z)
+    monkeypatch.setattr(energy_net, "_energy_block_rows", lambda width: 1 << 30)
+    single = mlp_energy(net, z)
+    assert widths == [max(dims)]
+    assert blocked.dtype == single.dtype == net.dtype
+    if max(dims) == 1:
+        np.testing.assert_array_equal(blocked, single)
+    else:
+        bound = 32 * np.finfo(net.dtype).eps * np.abs(single).max()
+        assert np.abs(blocked - single).max() <= bound
+
+
+def test_energy_of_no_rows_and_of_one_vector():
+    net = mlp_init([3, 8, 1], np.random.default_rng(18))
+    empty = mlp_energy(net, np.zeros((0, 3)))
+    assert empty.shape == (0,) and empty.dtype == np.float64
+    z = np.array([0.5, -1.0, 2.0])
+    one = mlp_energy(net, z)
+    assert type(one) is float and one == mlp_energy(net, z[None, :])[0]
+
+
+def test_correction_score_is_its_two_energies_over_several_blocks():
+    # the toy's 128-wide network on 1500 rows, three 512-row blocks
+    rng = np.random.default_rng(19)
+    net = mlp_init([2, 128, 128, 1], rng)
+    gm = GaussianMixture.from_moments(rng.standard_normal((4, 2)), np.eye(2), temperature=3.0)
+    model = CorrectionModel(net, gm, net_temperature=0.5)
+    z = rng.uniform(-12.0, 12.0, (1500, 2))
+    want = mlp_energy(net, z) / model.net_temperature + gaussian_energy(gm, z)
+    assert score_correction(model, z).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- archive

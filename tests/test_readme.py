@@ -1,6 +1,10 @@
 import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
+
+import energy_ood
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -19,3 +23,14 @@ def test_readme_imports_what_it_names():
     assert imports
     for node in imports:
         exec(compile(ast.Module([node], type_ignores=[]), str(README), "exec"), {})
+
+
+def test_readme_names_resolve():
+    # every backticked `module.name` whose module is an energy_ood submodule
+    submodules = {info.name for info in pkgutil.iter_modules(energy_ood.__path__)}
+    names = [(module, name) for module, name in
+             re.findall(r"`([a-z_]+)\.([A-Za-z_][A-Za-z0-9_]*)`", README.read_text())
+             if module in submodules]
+    assert ("detectors", "score_knn") in names
+    for module, name in names:
+        assert hasattr(importlib.import_module(f"energy_ood.{module}"), name), f"{module}.{name}"
