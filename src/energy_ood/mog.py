@@ -235,9 +235,8 @@ def fit_mog(fs: FeatureSet, shrinkage: float | None = None,
 _RECOMPUTE_BELOW = 0.25
 
 
-def _quad_forms(gm: GaussianMixture, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(n, C) matrix of (z - mu_c)^T Sigma^-1 (z - mu_c) = |W z - W mu_c|^2,
-    and its (n,) row minima.
+def _quad_forms(gm: GaussianMixture, z: np.ndarray) -> np.ndarray:
+    """(n, C) matrix of (z - mu_c)^T Sigma^-1 (z - mu_c) = |W z - W mu_c|^2.
 
     The batch is whitened once, as a = W z, and every form comes from one
     product against the whitened means b = W mu_c, in cross-term form
@@ -253,13 +252,6 @@ def _quad_forms(gm: GaussianMixture, z: np.ndarray) -> tuple[np.ndarray, np.ndar
     1e-11 of the oracle tests in ``tests/test_mog.py``. The test looks at
     one row, so whether a row is recomputed does not depend on the rest of
     its batch. The other forms stay in cross-term form, clipped at 0.
-
-    The minima equal ``q.min(axis=1)`` bit for bit, NaN rows included. In a
-    batch with no recomputed row each is the nearest form, gathered. Once a
-    row is recomputed they are reduced again over the whole batch: its exact
-    nearest form may rise past a near-tied neighbour's cross-term form, and
-    on the toy grid's chains, 89% of them recomputed, reducing only those
-    rows again made the mixture gradient 1-3% slower.
 
     On the 512-d benchmark features q_min / (|a|^2 + |b_n|^2) lies between
     0.84 and 1.01 for scored rows and Langevin chains alike, so no row takes
@@ -282,8 +274,8 @@ def _quad_forms(gm: GaussianMixture, z: np.ndarray) -> tuple[np.ndarray, np.ndar
         q += white_sq[:, None]
         q += means_sq
         nearest = q.argmin(axis=1)
-        q_min = q[np.arange(z.shape[0]), nearest]
-        kept = q_min >= _RECOMPUTE_BELOW * (white_sq + means_sq[nearest])
+        kept = q[np.arange(z.shape[0]), nearest] >= \
+            _RECOMPUTE_BELOW * (white_sq + means_sq[nearest])
         # a NaN form fails >= and is recomputed. At d=2 the per-call overhead
         # counts: nonzero() in place of np.flatnonzero, and take() in place of
         # z[redo], which is several times slower on two-column rows
@@ -292,15 +284,11 @@ def _quad_forms(gm: GaussianMixture, z: np.ndarray) -> tuple[np.ndarray, np.ndar
             near = nearest[redo]
             exact = (z.take(redo, axis=0) - gm.means.take(near, axis=0)) @ gm.whitener.T
             q[redo, near] = np.einsum("ij,ij->i", exact, exact)
-        np.maximum(q, 0.0, out=q)
-        if redo.size:
-            # an exact form may rise past a near-tied neighbour's cross-term form
-            return q, q.min(axis=1)
-        return q, np.maximum(q_min, 0.0, out=q_min)
+        return np.maximum(q, 0.0, out=q)
 
 
-def _weights(q: np.ndarray, q_min: np.ndarray) -> np.ndarray:
-    """Softmax of -q over each row, shifted by the row minimum q_min.
+def _weights(q: np.ndarray) -> np.ndarray:
+    """Softmax of -q over each row, shifted by the row minimum.
 
     A term whose exponent q_min - q_c is below log(tiny) + log(C), for the
     dtype's smallest normal number tiny, is set to exactly 0: every other
@@ -309,7 +297,7 @@ def _weights(q: np.ndarray, q_min: np.ndarray) -> np.ndarray:
     is about -83; in float64 it is about -704, where a weight is below 1e-305
     and is lost to rounding anyway.
     """
-    shifted = q_min[:, None] - q
+    shifted = q.min(axis=1)[:, None] - q
     cut = np.log(np.finfo(q.dtype).tiny) + np.log(q.shape[1])
     small = shifted < cut
     np.exp(shifted, out=shifted)
@@ -324,7 +312,8 @@ def gaussian_energy(gm: GaussianMixture, z) -> float | np.ndarray:
     -inf inside the log.
     """
     batch, single = as_batch(z, gm.dim, gm.dtype)
-    q, m = _quad_forms(gm, batch)
+    q = _quad_forms(gm, batch)
+    m = q.min(axis=1)
     e = (m - np.log(np.exp(m[:, None] - q).sum(axis=1))) / gm.temperature
     return float(e[0]) if single else e
 
@@ -340,7 +329,7 @@ def gaussian_energy_grad(gm: GaussianMixture, z) -> np.ndarray:
     """
     batch, single = as_batch(z, gm.dim, gm.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _weights(*_quad_forms(gm, batch))
+        w = _weights(_quad_forms(gm, batch))
         grad = (2.0 / gm.temperature) * (batch - w @ gm.means) @ gm.precision
     return grad[0] if single else grad
 
@@ -348,7 +337,7 @@ def gaussian_energy_grad(gm: GaussianMixture, z) -> np.ndarray:
 def mahalanobis_ood_score(gm: GaussianMixture, z) -> float | np.ndarray:
     """Squared Mahalanobis distance to the nearest component mean (higher = OOD)."""
     batch, single = as_batch(z, gm.dim, gm.dtype)
-    _, q = _quad_forms(gm, batch)
+    q = _quad_forms(gm, batch).min(axis=1)
     return float(q[0]) if single else q
 
 
@@ -364,7 +353,7 @@ def sample_mog(gm: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndar
 def log_density(gm: GaussianMixture, z) -> float | np.ndarray:
     """Log of the normalized mixture density (mixing weights and 1/2 included)."""
     batch, single = as_batch(z, gm.dim, gm.dtype)
-    q, _ = _quad_forms(gm, batch)
+    q = _quad_forms(gm, batch)
     log_det = 2.0 * np.log(np.diag(gm.chol_lower)).sum()
     log_norm = -0.5 * (gm.dim * math.log(2.0 * math.pi) + log_det)
     terms = np.log(gm.mixing)[None, :] - 0.5 * q + log_norm
@@ -414,7 +403,7 @@ def mixture_from_entries(entries: dict[str, np.ndarray], prefix: str = "") -> Ga
             gm = _from_factor(means, chol @ chol.T, chol, mixing, temperature, shrinkage)
         except np.linalg.LinAlgError as exc:  # a pivot of L^-1 underflowed to 0
             raise overflow from exc
-        spread, _ = _quad_forms(gm, gm.means)
+        spread = _quad_forms(gm, gm.means)
     if not all(np.isfinite(a).all() for a in (gm.covariance, gm.precision, spread)):
         raise overflow
     return gm
