@@ -199,7 +199,9 @@ def _energy_block_rows(width: int) -> int:
     A narrow network gets a block of 2^16 cells per layer, so its products
     and SiLU passes run in cache: 512 rows at width 128. A wide one gets 4
     rows per unit, so a block's activation is 4 times the size of its
-    largest weight matrix and each GEMM stays large: 4096 rows at width 1024.
+    largest weight matrix and each GEMM stays large: 4096 rows at width
+    1024, which score 50k rows 1.2x (float64) to 1.46x (float32) as fast as
+    64-row blocks on a 2-core box (measured in README.md).
     """
     return max(_ENERGY_BLOCK_CELLS // width, 4 * width)
 
