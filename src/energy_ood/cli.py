@@ -329,6 +329,8 @@ def _parse_ood_arg(raw: str) -> tuple[str, str, str]:
         raise UsageError(f"--ood expects [group:]name=path, got {raw!r}")
     head, path = raw.split("=", 1)
     group, _, name = head.rpartition(":")
+    if not name:
+        raise UsageError(f"--ood {raw!r} gives no dataset name")
     return group or "all", name, path
 
 

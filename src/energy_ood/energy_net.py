@@ -12,10 +12,12 @@ energy-only pass saves nothing and runs over the rows in blocks sized by
 ``_energy_block_rows``, so no hidden activation is larger than one block,
 and each block's buffers are reused in place.
 
-A network holds one float dtype: float64, or float32 when every array it is
-given is float32. The passes run in that dtype, whatever the dtype of the
-rows. Training runs its passes on a float32 copy of its float64 weights;
-only float64 networks are stored in archives.
+A network is one tuple w0, b0, w1, b1, ..., the order in which
+``mlp_grad_params`` returns its gradients and Adam updates them. It holds
+one float dtype: float64, or float32 when every array it is given is
+float32. The passes run in that dtype, whatever the dtype of the rows.
+Training runs its passes on a float32 copy of its float64 weights; only
+float64 networks are stored in archives.
 """
 
 from __future__ import annotations
@@ -46,22 +48,21 @@ _SILU_CODE = 1
 
 @dataclass(frozen=True)
 class EnergyMlp:
-    """Dense layers (weights[i]: (out, in), biases[i]: (out,)) ending in one unit.
+    """Dense layers ending in one unit, as one tuple w0, b0, w1, b1, ... of
+    weights (out, in) and biases (out,).
 
     The arrays are float32 if every one is given as float32, else float64.
     """
 
-    weights: tuple
-    biases: tuple
+    params: tuple
 
     def __post_init__(self):
-        ws = [np.asarray(w) for w in self.weights]
-        bs = [np.asarray(b) for b in self.biases]
-        dtype = np.float32 if all(a.dtype == np.float32 for a in ws + bs) else np.float64
-        ws = tuple(np.ascontiguousarray(w, dtype=dtype) for w in ws)
-        bs = tuple(np.ascontiguousarray(b, dtype=dtype) for b in bs)
-        if not ws or len(ws) != len(bs):
-            raise ValueError("need matching, nonempty weight and bias lists")
+        ps = [np.asarray(p) for p in self.params]
+        dtype = np.float32 if all(p.dtype == np.float32 for p in ps) else np.float64
+        ps = tuple(np.ascontiguousarray(p, dtype=dtype) for p in ps)
+        if not ps or len(ps) % 2:
+            raise ValueError("need a nonempty list w0, b0, w1, b1, ... of weight-bias pairs")
+        ws, bs = ps[0::2], ps[1::2]
         for i, (w, b) in enumerate(zip(ws, bs)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise ValueError(f"layer {i}: weight {w.shape} and bias {b.shape} mismatch")
@@ -71,46 +72,29 @@ class EnergyMlp:
                 raise ValueError(f"layer {i} has non-finite parameters")
         if ws[-1].shape[0] != 1:
             raise ValueError("final layer must produce a single scalar")
-        for w, b in zip(ws, bs):
-            w.setflags(write=False)
-            b.setflags(write=False)
-        object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "biases", bs)
+        for p in ps:
+            p.setflags(write=False)
+        object.__setattr__(self, "params", ps)
+
+    @property
+    def weights(self) -> tuple:
+        return self.params[0::2]
+
+    @property
+    def biases(self) -> tuple:
+        return self.params[1::2]
 
     @property
     def dims(self) -> tuple:
-        return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
+        return (self.input_dim,) + tuple(w.shape[0] for w in self.weights)
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.params[0].shape[1]
 
     @property
     def dtype(self) -> np.dtype:
-        return self.weights[0].dtype
-
-
-@dataclass
-class ParamGradient:
-    """Per-layer gradients, shape-matched to the network they came from, and the
-    energies of the batch they were taken over."""
-
-    weights: list
-    biases: list
-    energies: np.ndarray | None = None
-
-
-def flat_params(layers) -> list:
-    """An EnergyMlp's or ParamGradient's arrays in the flat order w0, b0, w1, b1, ...
-
-    Optimizers work on this list; ``mlp_from_params`` is its inverse.
-    """
-    return [p for w, b in zip(layers.weights, layers.biases) for p in (w, b)]
-
-
-def mlp_from_params(params) -> EnergyMlp:
-    """Rebuild a network from a ``flat_params`` list."""
-    return EnergyMlp(tuple(params[0::2]), tuple(params[1::2]))
+        return self.params[0].dtype
 
 
 def mlp_init(dims, rng: np.random.Generator, activation: str = "silu") -> EnergyMlp:
@@ -124,12 +108,11 @@ def mlp_init(dims, rng: np.random.Generator, activation: str = "silu") -> Energy
         raise ValueError("need an input and an output dimension")
     if dims[-1] != 1:
         raise ValueError("final dimension must be 1")
-    weights, biases = [], []
+    params = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return EnergyMlp(tuple(weights), tuple(biases))
+        params += [rng.uniform(-limit, limit, size=(fan_out, fan_in)), np.zeros(fan_out)]
+    return EnergyMlp(params)
 
 
 def _forward(net: EnergyMlp, x: np.ndarray, saved=None, inputs=None) -> np.ndarray:
@@ -170,22 +153,22 @@ def _act_grad(pre, s) -> np.ndarray:
 def _backward(net: EnergyMlp, saved: list, upstream: np.ndarray, inputs=None):
     """Reverse pass consuming what _forward saved.
 
-    Returns the input gradient, or, given the layer inputs, the ParamGradient
-    (the input gradient is then never formed).
+    Returns the input gradient, or, given the layer inputs, the parameter
+    gradients in ``net.params`` order (the input gradient is then never formed).
     """
-    n_layers = len(net.weights)
-    gw, gb = [None] * n_layers, [None] * n_layers
+    weights = net.weights
+    grads = [None] * len(net.params)
     delta = upstream[:, None]  # output layer is identity
-    for i in range(n_layers - 1, -1, -1):
+    for i in range(len(weights) - 1, -1, -1):
         if inputs is not None:
-            gw[i] = delta.T @ inputs.pop()
-            gb[i] = delta.sum(axis=0)
+            grads[2 * i] = delta.T @ inputs.pop()
+            grads[2 * i + 1] = delta.sum(axis=0)
         if i == 0:
             break
         dact = _act_grad(*saved.pop())
-        delta = delta @ net.weights[i]
+        delta = delta @ weights[i]
         delta *= dact
-    return delta @ net.weights[0] if inputs is None else ParamGradient(gw, gb)
+    return delta @ weights[0] if inputs is None else grads
 
 
 # cells of one block of the energy-only pass, 512 KiB in float64
@@ -237,15 +220,16 @@ def mlp_grad_input(net: EnergyMlp, z) -> np.ndarray:
     return grad[0] if single else grad
 
 
-def mlp_grad_params(net: EnergyMlp, batch, upstream) -> ParamGradient:
+def mlp_grad_params(net: EnergyMlp, batch, upstream) -> tuple[list, np.ndarray]:
     """Gradient of sum_b upstream_b * energy(batch_b) with respect to all parameters.
 
     The upstream weights let one accumulation carry the +1/B of positive
     samples, the -1/B of negatives and any regularizer coefficients at once.
     ``upstream`` is an array of one weight per row, or a function that maps
     the rows' energies to it, so that weights which depend on the energies
-    need no second forward pass. The pass runs in the network's dtype, and
-    the result carries the energies it computed. As in ``mlp_grad_input``, a
+    need no second forward pass. The pass runs in the network's dtype.
+    Returns ``(grads, energies)``: the gradients as a list in ``net.params``
+    order, and the energies the pass computed. As in ``mlp_grad_input``, a
     row or weight beyond the dtype's range gives non-finite results and no
     warning; the caller checks them.
     """
@@ -262,8 +246,7 @@ def mlp_grad_params(net: EnergyMlp, batch, upstream) -> ParamGradient:
             raise ValueError(
                 f"upstream must have shape ({batch.shape[0]},), got {upstream.shape}")
         grads = _backward(net, saved, upstream, inputs)
-    grads.energies = energies
-    return grads
+    return grads, energies
 
 
 def mlp_entries(net: EnergyMlp, prefix: str = "") -> dict[str, np.ndarray]:
@@ -284,11 +267,10 @@ def mlp_from_entries(entries: dict[str, np.ndarray], prefix: str = "") -> Energy
     code = archive_scalar(entries, prefix + "activation")
     if code != _SILU_CODE:
         raise ValueError(f"unknown activation code {code:g}")
-    weights, biases = [], []
-    while f"{prefix}w{len(weights)}" in entries:
-        i = len(weights)
+    params = []
+    while f"{prefix}w{len(params) // 2}" in entries:
+        i = len(params) // 2
         if f"{prefix}b{i}" not in entries:
             raise ValueError(f"network archive has {prefix}w{i} but no {prefix}b{i}")
-        weights.append(np.asarray(entries[f"{prefix}w{i}"], dtype=np.float64))
-        biases.append(np.asarray(entries[f"{prefix}b{i}"], dtype=np.float64))
-    return EnergyMlp(tuple(weights), tuple(biases))
+        params += [np.asarray(entries[f"{prefix}{k}{i}"], dtype=np.float64) for k in "wb"]
+    return EnergyMlp(params)

@@ -83,8 +83,9 @@ def sgld_sample(init: np.ndarray, energy_grad, schedule: SgldSchedule, seed,
     gradient and is called exactly once per step. Step t draws eps_t as one
     standard-normal block of max(chain_ids) + 1 rows from
     ``default_rng([*seed, t])``, where ``seed`` is an int or tuple of ints, and
-    chain c takes row c. The ids (nonnegative integers, default 0..n-1) thus
-    key each chain's noise, and the cost of a step grows with the largest id.
+    chain c takes row c. The ids, distinct nonnegative integers (default
+    0..n-1), thus key each chain's noise, and the cost of a step grows
+    with the largest id.
     """
     z = np.array(init, dtype=np.float64)
     if z.ndim != 2 or z.size == 0:
@@ -97,6 +98,8 @@ def sgld_sample(init: np.ndarray, energy_grad, schedule: SgldSchedule, seed,
         raise ValueError("chain_ids must supply one id per chain")
     if ids.dtype.kind not in "iu" or ids.min() < 0:
         raise ValueError("chain_ids must be nonnegative integers")
+    if np.unique(ids).size != n:
+        raise ValueError("chain_ids must be distinct: chains with one id share their noise")
     rows = int(ids.max()) + 1
     key = _seed_key(seed)
 

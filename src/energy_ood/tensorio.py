@@ -9,7 +9,7 @@ bit-exactly.
 
 Archives hold named tensors in one file: magic ``FTAR``, a version byte,
 a u16 entry count, then per entry a u16 name length, the UTF-8 name, and a
-complete single-tensor record.
+complete single-tensor record. No name may appear twice.
 """
 
 from __future__ import annotations
@@ -177,6 +177,8 @@ def read_archive(path) -> dict[str, np.ndarray]:
         if len(buf) < off + nlen:
             raise TruncatedPayloadError("file ends inside an entry name", len(buf))
         name = buf[off : off + nlen].decode("utf-8")
+        if name in entries:
+            raise TensorFormatError(f"entry {name!r} appears twice", off)
         off += nlen
         # a copy: an entry's payload offset depends on the name lengths, so a
         # view of it could be unaligned

@@ -31,8 +31,8 @@ import numpy as np
 
 # mlp_energy is no longer called here; perfbench/workloads.py still traces it
 # under this module's name, so it stays imported until the benchmark drops it
-from .energy_net import EnergyMlp, flat_params, mlp_energy, mlp_entries, mlp_from_entries, \
-    mlp_from_params, mlp_grad_input, mlp_grad_params, mlp_init
+from .energy_net import EnergyMlp, mlp_energy, mlp_entries, mlp_from_entries, mlp_grad_input, \
+    mlp_grad_params, mlp_init
 from .featurestore import FeatureSet, minibatch_indices
 from .mog import GaussianMixture, float32_mixture, gaussian_energy_grad, mixture_entries, \
     mixture_from_entries
@@ -202,8 +202,8 @@ def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
     neg_rng = np.random.default_rng(ss_neg)
 
     dims = [d] + [cfg.hidden_dim] * cfg.num_hidden + [1]
-    params = flat_params(mlp_init(dims, np.random.default_rng(ss_init)))
-    net32 = mlp_from_params([p.astype(np.float32) for p in params])
+    params = mlp_init(dims, np.random.default_rng(ss_init)).params
+    net32 = EnergyMlp([p.astype(np.float32) for p in params])
     gm32 = float32_mixture(gm) if gm is not None else None
     state = AdamState.zeros_like(params)
 
@@ -251,9 +251,9 @@ def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
                     return (sign + cfg.l2_coeff * scaled(energies)) / (b * cfg.net_temperature)
 
                 # one float32 pass: the energies and, from them, the parameter gradient
-                grads = mlp_grad_params(net32, np.concatenate([pos, neg]), upstream)
+                grads, energies = mlp_grad_params(net32, np.concatenate([pos, neg]), upstream)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    energies = scaled(grads.energies)
+                    energies = scaled(energies)
                     e_pos, e_neg = energies[:b], energies[b:]
                     loss_mle = mle_loss(e_pos, e_neg)
                     loss_reg = l2_reg(e_pos, e_neg)
@@ -265,14 +265,13 @@ def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
                 # beyond the float32 range is inf in the float32 copy
                 with np.errstate(over="ignore", invalid="ignore"):
                     params, state = adam_step(
-                        params, [g.astype(np.float64) for g in flat_params(grads)], state,
-                        cfg.learning_rate)
+                        params, [g.astype(np.float64) for g in grads], state, cfg.learning_rate)
                     params32 = [p.astype(np.float32) for p in params]
                 if not all(np.isfinite(p).all() for p in params32):
                     raise TrainingDivergedError(
                         f"non-finite parameters (in float32) after epoch {epoch}, step {gstep}"
                     )
-                net32 = mlp_from_params(params32)
+                net32 = EnergyMlp(params32)
 
                 sums["mle_loss"] += loss_mle
                 sums["l2_reg"] += loss_reg
@@ -290,7 +289,7 @@ def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
     finally:
         if log_fh is not None:
             log_fh.close()
-    return CorrectionModel(mlp_from_params(params), gm, cfg.net_temperature), history
+    return CorrectionModel(EnergyMlp(params), gm, cfg.net_temperature), history
 
 
 def train_correction(fs: FeatureSet, gm: GaussianMixture, cfg: TrainConfig,

@@ -71,28 +71,20 @@ def test_criterion_1_gradient_correctness():
 
         batch = rng.standard_normal((3, d))
         upstream = rng.standard_normal(3)
-        grads = mlp_grad_params(net, batch, upstream)
+        grads, _ = mlp_grad_params(net, batch, upstream)
 
-        def total(n):
-            return float(np.dot(upstream, mlp_energy(n, batch)))
+        def total(params):
+            return float(np.dot(upstream, mlp_energy(EnergyMlp(params), batch)))
 
-        for li in range(len(net.weights)):
-            for arrays, grad_got in ((net.weights, grads.weights[li]),
-                                     (net.biases, grads.biases[li])):
-                fd = np.zeros_like(arrays[li])
-                for idx in np.ndindex(*arrays[li].shape):
-                    plus = [a.copy() for a in arrays]
-                    minus = [a.copy() for a in arrays]
-                    plus[li][idx] += h
-                    minus[li][idx] -= h
-                    if arrays is net.weights:
-                        up = EnergyMlp(tuple(plus), net.biases)
-                        dn = EnergyMlp(tuple(minus), net.biases)
-                    else:
-                        up = EnergyMlp(net.weights, tuple(plus))
-                        dn = EnergyMlp(net.weights, tuple(minus))
-                    fd[idx] = (total(up) - total(dn)) / (2 * h)
-                worst = max(worst, rel_err(grad_got, fd).max())
+        for k, grad_got in enumerate(grads):
+            fd = np.zeros_like(grad_got)
+            for idx in np.ndindex(*grad_got.shape):
+                plus = [a.copy() for a in net.params]
+                minus = [a.copy() for a in net.params]
+                plus[k][idx] += h
+                minus[k][idx] -= h
+                fd[idx] = (total(plus) - total(minus)) / (2 * h)
+            worst = max(worst, rel_err(grad_got, fd).max())
     elapsed = time.monotonic() - start
     report(1, "input and parameter gradients match central finite differences",
            worst < 1e-4 and elapsed < 5.0,
@@ -271,9 +263,7 @@ def test_criterion_7_degenerate_detector_consistency():
                                       temperature=10.0)
     dims = [3, 8, 8, 1]
     zero_net = EnergyMlp(
-        tuple(np.zeros((o, i)) for i, o in zip(dims[:-1], dims[1:])),
-        tuple(np.zeros(o) for o in dims[1:]),
-    )
+        [a for i, o in zip(dims[:-1], dims[1:]) for a in (np.zeros((o, i)), np.zeros(o))])
     model = CorrectionModel(zero_net, gm)
 
     consistent = True

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import struct
 import tempfile
 from pathlib import Path
 
@@ -15,7 +16,8 @@ from energy_ood.cli import main
 from energy_ood.energy_net import mlp_energy, mlp_init
 from energy_ood.featurestore import FeatureSet, load_feature_set, normalize_features
 from energy_ood.mog import fit_mog, gaussian_energy, load_mixture, save_mixture
-from energy_ood.tensorio import load_tensor, read_archive, write_archive, write_tensor
+from energy_ood.tensorio import load_tensor, read_archive, tensor_bytes, write_archive, \
+    write_tensor
 from energy_ood.toy import ToySpec, gen_toy
 from energy_ood.trainer import CorrectionModel, load_model, save_model
 
@@ -437,10 +439,13 @@ def test_eval_ood_takes_several_values(tmp_path):
 
 
 def test_eval_bad_ood_spec(tmp_path):
-    id_s = tmp_path / "id.scores"
+    id_s, ood_s = tmp_path / "id.scores", tmp_path / "ood.scores"
     write_tensor(id_s, np.zeros(5, dtype=np.float32))
-    assert run("eval", "--id", id_s, "--ood", "justapath",
-               "--out", tmp_path / "r.json") == 2
+    write_tensor(ood_s, np.ones(5, dtype=np.float32))
+    # no '=', and an empty dataset name with and without a group
+    for spec in ("justapath", f"far:={ood_s}", f"={ood_s}"):
+        assert run("eval", "--id", id_s, "--ood", spec, "--out", tmp_path / "r.json") == 2, spec
+        assert not (tmp_path / "r.json").exists()
 
 
 # every float input slot of the CLI; the file of the slot holds the non-finite entry
@@ -761,6 +766,19 @@ def test_malformed_model_archive_exits_2(tmp_path, capsys, corrupt):
     assert run("score", "--detector", "correction", "--model", model,
                "--features", feats, "--out", tmp_path / "s.scores") == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_archive_with_a_repeated_entry_exits_2(tmp_path, capsys):
+    # write_archive takes a dict, so a second ``temperature`` entry is
+    # appended to the mixture archive by hand and its entry count raised
+    _, mixture, feats = _tiny_models(tmp_path)
+    blob = bytearray(mixture.read_bytes())
+    struct.pack_into("<H", blob, 5, struct.unpack_from("<H", blob, 5)[0] + 1)
+    blob += struct.pack("<H", 11) + b"temperature" + tensor_bytes(np.array([2.0]))
+    mixture.write_bytes(bytes(blob))
+    assert run("score", "--detector", "mahalanobis", "--model", mixture,
+               "--features", feats, "--out", tmp_path / "s.scores") == 2
+    assert "'temperature' appears twice" in capsys.readouterr().err
 
 
 def _scale_cholesky(entries):

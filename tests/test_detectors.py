@@ -17,10 +17,9 @@ from energy_ood.trainer import CorrectionModel
 
 
 def zero_net(dims, bias_out=0.0):
-    weights = tuple(np.zeros((o, i)) for i, o in zip(dims[:-1], dims[1:]))
-    biases = [np.zeros(o) for o in dims[1:]]
-    biases[-1][:] = bias_out
-    return EnergyMlp(weights, tuple(biases))
+    params = [a for i, o in zip(dims[:-1], dims[1:]) for a in (np.zeros((o, i)), np.zeros(o))]
+    params[-1][:] = bias_out
+    return EnergyMlp(params)
 
 
 def toy_mixture():

@@ -11,10 +11,8 @@ from energy_ood.detectors import score_correction
 from energy_ood.energy_net import (
     EnergyMlp,
     _sigmoid,
-    flat_params,
     mlp_energy,
     mlp_entries,
-    mlp_from_params,
     mlp_grad_input,
     mlp_grad_params,
     mlp_init,
@@ -31,7 +29,7 @@ def test_activations_match_expit():
     # SiLU and its derivative as the passes form them: the energy and input
     # gradient of a 1 -> 1 -> 1 network with unit weights, which are exactly
     # silu(x) and silu'(x) (the products and sums with 1 and 0 are exact)
-    unit = EnergyMlp((np.ones((1, 1)), np.ones((1, 1))), (np.zeros(1), np.zeros(1)))
+    unit = EnergyMlp((np.ones((1, 1)), np.zeros(1), np.ones((1, 1)), np.zeros(1)))
     references = {"sigmoid": s, "silu": x * s, "silu'": s * (1.0 + x * (1.0 - s))}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -50,14 +48,13 @@ def test_activations_match_expit():
 
 
 def linear_net(w, b=0.0):
-    return EnergyMlp((np.atleast_2d(np.asarray(w, float)),), (np.array([b], float),))
+    return EnergyMlp((np.atleast_2d(np.asarray(w, float)), np.array([b], float)))
 
 
 def zero_net(dims, bias_out=0.0):
-    weights = tuple(np.zeros((o, i)) for i, o in zip(dims[:-1], dims[1:]))
-    biases = [np.zeros(o) for o in dims[1:]]
-    biases[-1][:] = bias_out
-    return EnergyMlp(weights, tuple(biases))
+    params = [a for i, o in zip(dims[:-1], dims[1:]) for a in (np.zeros((o, i)), np.zeros(o))]
+    params[-1][:] = bias_out
+    return EnergyMlp(params)
 
 
 def forward_oracle(net, z):
@@ -77,34 +74,23 @@ def forward_oracle(net, z):
 
 
 def param_fd(net, batch, upstream, h=1e-6):
-    """Central finite differences of sum_b upstream_b * E(z_b) over every parameter."""
+    """Central finite differences of sum_b upstream_b * E(z_b) over every
+    parameter, in ``net.params`` order."""
 
-    def total(n):
-        return float(np.dot(upstream, np.atleast_1d(mlp_energy(n, batch))))
+    def total(params):
+        return float(np.dot(upstream, np.atleast_1d(mlp_energy(EnergyMlp(params), batch))))
 
-    grads_w, grads_b = [], []
-    for li in range(len(net.weights)):
-        gw = np.zeros_like(net.weights[li])
-        for idx in np.ndindex(*net.weights[li].shape):
-            w_plus = [w.copy() for w in net.weights]
-            w_minus = [w.copy() for w in net.weights]
-            w_plus[li][idx] += h
-            w_minus[li][idx] -= h
-            up = EnergyMlp(tuple(w_plus), net.biases)
-            dn = EnergyMlp(tuple(w_minus), net.biases)
-            gw[idx] = (total(up) - total(dn)) / (2 * h)
-        grads_w.append(gw)
-        gb = np.zeros_like(net.biases[li])
-        for idx in np.ndindex(*net.biases[li].shape):
-            b_plus = [b.copy() for b in net.biases]
-            b_minus = [b.copy() for b in net.biases]
-            b_plus[li][idx] += h
-            b_minus[li][idx] -= h
-            up = EnergyMlp(net.weights, tuple(b_plus))
-            dn = EnergyMlp(net.weights, tuple(b_minus))
-            gb[idx] = (total(up) - total(dn)) / (2 * h)
-        grads_b.append(gb)
-    return grads_w, grads_b
+    grads = []
+    for k, p in enumerate(net.params):
+        g = np.zeros_like(p)
+        for idx in np.ndindex(*p.shape):
+            plus = [q.copy() for q in net.params]
+            minus = [q.copy() for q in net.params]
+            plus[k][idx] += h
+            minus[k][idx] -= h
+            g[idx] = (total(plus) - total(minus)) / (2 * h)
+        grads.append(g)
+    return grads
 
 
 def rel_err(a, b, floor=1e-6):
@@ -151,9 +137,7 @@ def test_silu_is_the_only_activation():
             mlp_init([2, 4, 1], np.random.default_rng(0), other)
     net = mlp_init([2, 4, 1], np.random.default_rng(0), "silu")
     with pytest.raises(TypeError):
-        EnergyMlp(net.weights, net.biases, "silu")
-    with pytest.raises(TypeError):
-        mlp_from_params(flat_params(net), "silu")
+        EnergyMlp(net.params, "silu")
     with pytest.raises(TypeError):
         TrainConfig(activation="silu")
     assert TrainConfig().activation == "silu"
@@ -224,16 +208,15 @@ def test_grad_input_finite_at_extreme_inputs():
 def test_grad_params_single_linear_layer():
     net = linear_net([[0.7, -0.3]])
     z = np.array([[2.0, 5.0]])
-    grads = mlp_grad_params(net, z, np.ones(1))
-    np.testing.assert_array_equal(grads.weights[0], z)
-    np.testing.assert_array_equal(grads.biases[0], [1.0])
+    (gw, gb), _ = mlp_grad_params(net, z, np.ones(1))
+    np.testing.assert_array_equal(gw, z)
+    np.testing.assert_array_equal(gb, [1.0])
 
 
 def test_grad_params_zero_upstream():
     net = mlp_init([3, 4, 1], np.random.default_rng(7))
-    grads = mlp_grad_params(net, np.ones((5, 3)), np.zeros(5))
-    assert all((g == 0).all() for g in grads.weights)
-    assert all((g == 0).all() for g in grads.biases)
+    grads, _ = mlp_grad_params(net, np.ones((5, 3)), np.zeros(5))
+    assert all((g == 0).all() for g in grads)
 
 
 def test_grad_params_matches_finite_differences():
@@ -241,11 +224,8 @@ def test_grad_params_matches_finite_differences():
     net = mlp_init([6, 5, 4, 1], rng)
     batch = rng.standard_normal((4, 6))
     upstream = rng.standard_normal(4)
-    grads = mlp_grad_params(net, batch, upstream)
-    fd_w, fd_b = param_fd(net, batch, upstream)
-    for got, want in zip(grads.weights, fd_w):
-        assert rel_err(got, want).max() < 1e-4
-    for got, want in zip(grads.biases, fd_b):
+    grads, _ = mlp_grad_params(net, batch, upstream)
+    for got, want in zip(grads, param_fd(net, batch, upstream), strict=True):
         assert rel_err(got, want).max() < 1e-4
 
 
@@ -254,10 +234,10 @@ def test_grad_params_linear_in_upstream():
     net = mlp_init([5, 7, 1], rng)
     batch = rng.standard_normal((6, 5))
     u1, u2 = rng.standard_normal(6), rng.standard_normal(6)
-    combined = mlp_grad_params(net, batch, u1 + u2)
-    a = mlp_grad_params(net, batch, u1)
-    b = mlp_grad_params(net, batch, u2)
-    for got, ga, gb in zip(flat_params(combined), flat_params(a), flat_params(b)):
+    combined, _ = mlp_grad_params(net, batch, u1 + u2)
+    a, _ = mlp_grad_params(net, batch, u1)
+    b, _ = mlp_grad_params(net, batch, u2)
+    for got, ga, gb in zip(combined, a, b):
         np.testing.assert_allclose(got, ga + gb, atol=1e-10)
 
 
@@ -323,7 +303,7 @@ def test_passes_match_reference_bit_for_bit(activation, n, scale):
         assert (z @ net.weights[0].T < -710.0).any()
     np.testing.assert_array_equal(got[0], energy)
     np.testing.assert_array_equal(got[1], grad)
-    for a, b in zip(flat_params(got[2]), [p for pair in zip(gw, gb) for p in pair]):
+    for a, b in zip(got[2][0], [p for pair in zip(gw, gb) for p in pair], strict=True):
         np.testing.assert_array_equal(a, b)
 
 
@@ -342,7 +322,7 @@ def test_passes_leave_inputs_alone_and_repeat(activation):
         for f, args in ((mlp_energy, (net, z)), (mlp_grad_input, (net, z)),
                         (mlp_grad_input, (net, z[0])), (mlp_grad_params, (net, z, upstream))):
             result = f(*args)
-            arrays = flat_params(result) if f is mlp_grad_params else [result]
+            arrays = result[0] if f is mlp_grad_params else [result]
             out.extend((r, r.copy()) for r in arrays)
             assert z.tobytes() == z0.tobytes() and upstream.tobytes() == upstream0.tobytes()
         return out
@@ -466,23 +446,23 @@ def test_mlp_archive_round_trip(tmp_path):
 # ---------------------------------------------------------------- float32 copy
 
 def as_float32(net):
-    return mlp_from_params([p.astype(np.float32) for p in flat_params(net)])
+    return EnergyMlp([p.astype(np.float32) for p in net.params])
 
 
 def test_network_dtype_is_float32_only_when_every_array_is():
     net = mlp_init([3, 4, 1], np.random.default_rng(16))
     assert net.dtype == np.float64
     assert as_float32(net).dtype == np.float32
-    assert all(p.dtype == np.float32 for p in flat_params(as_float32(net)))
-    w, b = net.weights, net.biases
-    for mixed in (EnergyMlp((w[0].astype(np.float32), w[1]), b),
-                  EnergyMlp(tuple(a.astype(np.float16) for a in w),
-                            tuple(a.astype(np.float32) for a in b))):
+    assert all(p.dtype == np.float32 for p in as_float32(net).params)
+    w0, b0, w1, b1 = net.params
+    for mixed in (EnergyMlp((w0.astype(np.float32), b0, w1, b1)),
+                  EnergyMlp((w0.astype(np.float16), b0.astype(np.float32),
+                             w1.astype(np.float16), b1.astype(np.float32)))):
         assert mixed.dtype == np.float64
-        assert all(p.dtype == np.float64 for p in flat_params(mixed))
+        assert all(p.dtype == np.float64 for p in mixed.params)
     with pytest.raises(ValueError, match="non-finite"):
-        EnergyMlp((np.full((4, 3), np.inf, np.float32), w[1].astype(np.float32)),
-                  tuple(a.astype(np.float32) for a in b))
+        EnergyMlp([np.full((4, 3), np.inf, np.float32)]
+                  + [a.astype(np.float32) for a in (b0, w1, b1)])
 
 
 @pytest.mark.parametrize("n", [1, 7, 256])
@@ -565,14 +545,14 @@ def test_float32_network_gives_float32_parameter_gradient_from_float64_rows():
     net = as_float32(mlp_init([3, 32, 24, 1], rng))
     z = rng.uniform(-2.0, 2.0, (9, 3))
     upstream = rng.standard_normal(9)
-    got = mlp_grad_params(net, z, upstream)
-    want = mlp_grad_params(net, z.astype(np.float32), upstream.astype(np.float32))
-    assert got.energies.dtype == np.float32
-    assert all(g.dtype == np.float32 for g in flat_params(got))
-    np.testing.assert_array_equal(got.energies, want.energies)
-    for a, b in zip(flat_params(got), flat_params(want)):
+    got, got_e = mlp_grad_params(net, z, upstream)
+    want, want_e = mlp_grad_params(net, z.astype(np.float32), upstream.astype(np.float32))
+    assert got_e.dtype == np.float32
+    assert all(g.dtype == np.float32 for g in got)
+    np.testing.assert_array_equal(got_e, want_e)
+    for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(got.energies, mlp_energy(net, z.astype(np.float32)))
+    np.testing.assert_array_equal(got_e, mlp_energy(net, z.astype(np.float32)))
 
 
 @pytest.mark.parametrize("to32", [False, True], ids=["float64", "float32"])
@@ -588,10 +568,10 @@ def test_grad_params_upstream_from_energies_matches_two_passes(to32):
         return np.repeat([1.0, -1.0], 6) / 6 + 0.3 * e.astype(np.float64)
 
     energies = mlp_energy(net, z.astype(net.dtype))
-    one = mlp_grad_params(net, z, upstream)
-    two = mlp_grad_params(net, z, upstream(energies))
-    np.testing.assert_array_equal(one.energies, energies)
-    for a, b in zip(flat_params(one), flat_params(two)):
+    one, one_e = mlp_grad_params(net, z, upstream)
+    two, _ = mlp_grad_params(net, z, upstream(energies))
+    np.testing.assert_array_equal(one_e, energies)
+    for a, b in zip(one, two):
         np.testing.assert_array_equal(a, b)
 
 

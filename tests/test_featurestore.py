@@ -125,9 +125,8 @@ def test_float32_rows_reach_float32_network_and_mixture_uncopied(monkeypatch):
     from energy_ood import energy_net, featurestore, mog
 
     rng = np.random.default_rng(30)
-    net = energy_net.mlp_from_params(
-        [p.astype(np.float32) for p in
-         energy_net.flat_params(energy_net.mlp_init([3, 16, 1], rng))])
+    net = energy_net.EnergyMlp(
+        [p.astype(np.float32) for p in energy_net.mlp_init([3, 16, 1], rng).params])
     means, a = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
     gm = mog.float32_mixture(mog.GaussianMixture.from_moments(means, a @ a.T + np.eye(3)))
     rows64 = rng.standard_normal((12, 3))
@@ -151,9 +150,9 @@ def test_float32_rows_reach_float32_network_and_mixture_uncopied(monkeypatch):
         assert np.shares_memory(batches[-1], rows32), fn.__name__
         assert got.dtype == model.dtype, fn.__name__
         np.testing.assert_array_equal(got, fn(model, rows64))
-    got = energy_net.mlp_grad_params(net, rows32, upstream)
+    got, got_e = energy_net.mlp_grad_params(net, rows32, upstream)
     assert np.shares_memory(batches[-1], rows32)
-    want = energy_net.mlp_grad_params(net, rows64, upstream)
-    np.testing.assert_array_equal(got.energies, want.energies)
-    for g, w in zip(energy_net.flat_params(got), energy_net.flat_params(want)):
+    want, want_e = energy_net.mlp_grad_params(net, rows64, upstream)
+    np.testing.assert_array_equal(got_e, want_e)
+    for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)

@@ -232,7 +232,8 @@ def test_memory_does_not_grow_with_steps():
     (np.zeros((3, 2)), [0.0, 1.0, 2.0]),
     (np.zeros((2, 2)), [True, False]),
     (np.zeros((0, 2)), None),
-], ids=["negative-id", "float-ids", "bool-ids", "empty-init"])
+    (np.zeros((2, 2)), [4, 4]),
+], ids=["negative-id", "float-ids", "bool-ids", "empty-init", "duplicate-ids"])
 def test_bad_chain_ids_and_empty_init_rejected(init, ids):
     with pytest.raises(ValueError):
         sgld_sample(init, np.zeros_like, constant_schedule(2, 0.1), seed=20, chain_ids=ids)

@@ -193,6 +193,21 @@ def test_archive_f64_exact(tmp_path):
     assert read_archive(path)["x"].tobytes() == vals.tobytes()
 
 
+def test_archive_repeated_name_rejected(tmp_path):
+    # write_archive takes a dict and cannot repeat a name, so the bytes are
+    # built here: two ``temperature`` entries, the second at offset len(head)
+    def entry(name, value):
+        raw = name.encode("utf-8")
+        return struct.pack("<H", len(raw)) + raw + tensor_bytes(np.array([value]))
+
+    head = b"FTAR" + bytes([1]) + struct.pack("<H", 2) + entry("temperature", 1.0)
+    path = tmp_path / "a.ftar"
+    path.write_bytes(head + entry("temperature", 2.0))
+    with pytest.raises(TensorFormatError, match="'temperature' appears twice") as exc:
+        read_archive(path)
+    assert exc.value.offset == len(head) + 2  # the name, after its u16 length
+
+
 def test_archive_truncation(tmp_path):
     path = tmp_path / "a.ftar"
     write_archive(path, {"x": np.ones(3, dtype=np.float32)})

@@ -1,4 +1,5 @@
 import json
+import struct
 import warnings
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from energy_ood.detectors import score_correction, score_energy_logits, score_msp
-from energy_ood.energy_net import flat_params, mlp_energy, mlp_from_params, mlp_grad_input, \
+from energy_ood.energy_net import EnergyMlp, mlp_energy, mlp_from_entries, mlp_grad_input, \
     mlp_grad_params, mlp_init
 from energy_ood.featurestore import FeatureSet, minibatch_indices
 from energy_ood.mog import GaussianMixture, fit_mog, gaussian_energy, gaussian_energy_grad
@@ -201,12 +202,12 @@ def test_total_gradient_matches_sum_of_parts():
     combined_upstream = np.concatenate([
         np.full(b, 1.0 / b), np.full(b, -1.0 / b)
     ]) + 2.0 * l2_coeff * e / total
-    assembled = mlp_grad_params(net, both, combined_upstream)
+    assembled, _ = mlp_grad_params(net, both, combined_upstream)
 
-    mle_part = mlp_grad_params(net, both,
-                               np.concatenate([np.full(b, 1.0 / b), np.full(b, -1.0 / b)]))
-    reg_part = mlp_grad_params(net, both, 2.0 * e / total)
-    for got, gm, gr in zip(flat_params(assembled), flat_params(mle_part), flat_params(reg_part)):
+    mle_part, _ = mlp_grad_params(net, both,
+                                  np.concatenate([np.full(b, 1.0 / b), np.full(b, -1.0 / b)]))
+    reg_part, _ = mlp_grad_params(net, both, 2.0 * e / total)
+    for got, gm, gr in zip(assembled, mle_part, reg_part):
         np.testing.assert_allclose(got, gm + l2_coeff * gr, atol=1e-10)
 
 
@@ -361,7 +362,7 @@ def test_correction_archive_without_temperature_loads_at_one(tmp_path):
 # ---------------------------------------------------------------- float32 chains
 
 def float32_copy(net):
-    return mlp_from_params([p.astype(np.float32) for p in flat_params(net)])
+    return EnergyMlp([p.astype(np.float32) for p in net.params])
 
 
 def test_adam_in_place_matches_reference_bit_for_bit():
@@ -435,8 +436,8 @@ def test_chains_take_the_float32_network_gradient(monkeypatch):
     cfg = small_cfg(epochs=1)
     model, _ = train_correction(fs, fit_mog(fs, temperature=1.0), cfg)
     assert len(nets) == cfg.sgld.steps
-    assert all(p.dtype == np.float32 for net in nets for p in flat_params(net))
-    assert all(p.dtype == np.float64 for p in flat_params(model.net))
+    assert all(p.dtype == np.float32 for net in nets for p in net.params)
+    assert all(p.dtype == np.float64 for p in model.net.params)
 
 
 def test_trained_model_is_float64_and_saves(tmp_path):
@@ -446,6 +447,48 @@ def test_trained_model_is_float64_and_saves(tmp_path):
     save_model(tmp_path / "model.ftar", model)
     with pytest.raises(ValueError, match="float64"):
         save_model(tmp_path / "f32.ftar", replace(model, net=float32_copy(model.net)))
+
+
+def test_model_archive_bytes_are_pinned(tmp_path):
+    # the bytes save_model writes, spelled out from the documented format:
+    # every value is an exact binary fraction, and the covariance 4 I has the
+    # factor 2 I on any LAPACK, so the file is the same on every machine
+    net = {"activation": np.array([1], dtype=np.uint32),
+           "w0": np.array([[0.5, -0.25], [1.5, 0.125], [-2.0, 0.75]]),
+           "b0": np.array([0.0625, -0.5, 1.0]),
+           "w1": np.array([[0.25, -1.0, 0.5]]),
+           "b1": np.array([-0.375])}
+    means = np.array([[1.0, -0.5], [-2.0, 0.25]])
+    gm = GaussianMixture.from_moments(means, 4.0 * np.eye(2))
+    path = tmp_path / "model.ftar"
+    save_model(path, CorrectionModel(mlp_from_entries(net), gm, net_temperature=2.0))
+
+    want = {"kind": np.array([1], dtype=np.uint32), "net_temperature": np.array([2.0]),
+            **{"net." + k: v for k, v in net.items()},
+            "mog.means": means, "mog.chol_lower": 2.0 * np.eye(2),
+            "mog.mixing": np.array([0.5, 0.5]), "mog.temperature": np.array([1.0]),
+            "mog.shrinkage": np.array([0.0])}
+
+    def entry(name, a):
+        code = {"uint32": 2, "float64": 3}[a.dtype.name]
+        return (struct.pack("<H", len(name)) + name.encode("ascii") + b"FTSR"
+                + bytes([1, code, a.ndim, 0]) + struct.pack(f"<{a.ndim}Q", *a.shape)
+                + a.astype(a.dtype.newbyteorder("<")).tobytes())
+
+    blob = path.read_bytes()
+    assert blob == b"FTAR" + bytes([1]) + struct.pack("<H", len(want)) + b"".join(
+        entry(name, a) for name, a in want.items())
+    entries = read_archive(path)
+    assert [(k, a.dtype) for k, a in entries.items()] == [(k, a.dtype) for k, a in want.items()]
+    kind, model = load_model(path)
+    assert kind == "correction" and model.net_temperature == 2.0
+    loaded = {"net.w0": model.net.weights[0], "net.b0": model.net.biases[0],
+              "net.w1": model.net.weights[1], "net.b1": model.net.biases[1],
+              "mog.means": model.gm.means, "mog.chol_lower": model.gm.chol_lower,
+              "mog.mixing": model.gm.mixing}
+    for name, a in loaded.items():
+        assert a.dtype == np.float64 and a.tobytes() == want[name].tobytes(), name
+    assert (model.gm.temperature, model.gm.shrinkage) == (1.0, 0.0)
 
 
 def test_divergence_beyond_float32_parameters_names_epoch_and_step():
@@ -502,14 +545,14 @@ def reference_training(fs, gm, cfg):
     shuffle_rng, noise_rng, neg_rng = (np.random.default_rng(s)
                                        for s in (ss_shuffle, ss_noise, ss_neg))
     dims = [d] + [cfg.hidden_dim] * cfg.num_hidden + [1]
-    params = flat_params(mlp_init(dims, np.random.default_rng(ss_init)))
+    params = mlp_init(dims, np.random.default_rng(ss_init)).params
     state = AdamState.zeros_like(params)
     temp, losses, step = cfg.net_temperature, [], 0
     for _ in range(cfg.epochs):
         for idx in minibatch_indices(n, cfg.batch_size, shuffle_rng):
             b = idx.size
             pos = fs.features[idx] + cfg.input_noise_std * noise_rng.standard_normal((b, d))
-            net = mlp_from_params(params)
+            net = EnergyMlp(params)
             neg = sgld_sample(sgld_init(gm, b, d, neg_rng),
                               lambda z: mlp_grad_input(net, z) / temp + gaussian_energy_grad(gm, z),
                               cfg.sgld, seed=(cfg.seed, 4, step))
@@ -517,8 +560,8 @@ def reference_training(fs, gm, cfg):
             losses.append((mle_loss(e_pos, e_neg), l2_reg(e_pos, e_neg)))
             upstream = np.concatenate([1.0 / b + cfg.l2_coeff * e_pos / b,
                                        -1.0 / b + cfg.l2_coeff * e_neg / b]) / temp
-            grads = mlp_grad_params(net, np.concatenate([pos, neg]), upstream)
-            params, state = adam_step(params, flat_params(grads), state, cfg.learning_rate)
+            grads, _ = mlp_grad_params(net, np.concatenate([pos, neg]), upstream)
+            params, state = adam_step(params, grads, state, cfg.learning_rate)
             step += 1
     return params, losses
 
@@ -538,9 +581,9 @@ def test_float32_training_step_tracks_float64_reference(setup):
         cfg = replace(correction_defaults(seed=6), epochs=1, hidden_dim=256)
     model, history = train_correction(fs, gm, cfg)
     want, losses = reference_training(fs, gm, cfg)
-    init = flat_params(mlp_init([fs.dim] + [cfg.hidden_dim] * cfg.num_hidden + [1],
-                                np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[0])))
-    got_delta = np.concatenate([(p - q).ravel() for p, q in zip(flat_params(model.net), init)])
+    init = mlp_init([fs.dim] + [cfg.hidden_dim] * cfg.num_hidden + [1],
+                    np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[0])).params
+    got_delta = np.concatenate([(p - q).ravel() for p, q in zip(model.net.params, init)])
     want_delta = np.concatenate([(p - q).ravel() for p, q in zip(want, init)])
     assert np.linalg.norm(got_delta - want_delta) <= 1e-3 * np.linalg.norm(want_delta)
     per_epoch = np.array(losses).reshape(cfg.epochs, -1, 2).mean(axis=1)
@@ -555,9 +598,9 @@ def test_training_passes_float32_objects_and_makes_one_pass_per_step(monkeypatch
     seen = {"params": [], "mixture": []}
 
     def record_params(net, batch, upstream):
-        grads = mlp_grad_params(net, batch, upstream)
-        seen["params"].append((net.dtype, grads.energies.dtype, len(batch)))
-        return grads
+        grads, energies = mlp_grad_params(net, batch, upstream)
+        seen["params"].append((net.dtype, energies.dtype, len(batch)))
+        return grads, energies
 
     def record_mixture(gm, z):
         seen["mixture"].append(gm.dtype)
