@@ -31,7 +31,7 @@ import shlex
 import stat
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -54,8 +54,7 @@ from .mog import (
     save_mixture,
 )
 from .tensorio import write_tensor
-from .toy import GridEvaluationError, ToySpec, energy_grid, gen_toy, save_grid_csv, \
-    save_grid_tensor
+from .toy import ToySpec, energy_grid, gen_toy, save_grid_csv, save_grid_tensor
 from .trainer import (
     TrainingDivergedError,
     correction_defaults,
@@ -63,7 +62,6 @@ from .trainer import (
     load_model,
     save_model,
     train_correction,
-    train_ebm,
 )
 
 SCHEMA = 1
@@ -251,10 +249,8 @@ def cmd_train(args) -> None:
     cfg = _train_config(args)
     # the manifest's config holds the values the preset resolved
     vars(args).update(_train_flags(cfg))
-    if args.ebm:
-        model, _ = train_ebm(fs, cfg, log_path=args.log)
-    else:
-        model, _ = train_correction(fs, load_mixture(args.mog), cfg, log_path=args.log)
+    gm = None if args.ebm else load_mixture(args.mog)
+    model, _ = train_correction(fs, gm, cfg, log_path=args.log)
     save_model(args.out, model)
 
 
@@ -340,8 +336,7 @@ def cmd_eval(args) -> None:
     reports = []
     for group, name, path in datasets:
         rep = metrics.evaluate(id_scores, read_input(path, "scores"))
-        reports.append({"group": group, "name": name, "path": str(path),
-                        **rep.to_dict()})
+        reports.append({"group": group, "name": name, "path": str(path), **asdict(rep)})
 
     def _avg(rows, key):
         return float(np.mean([r[key] for r in rows]))
@@ -489,8 +484,7 @@ def main(argv=None) -> int:
         args.func(args)
         _write_manifest(args, manifest, hashes, [path for _, path in outputs], started)
         return 0
-    except (NotPositiveDefiniteError, TrainingDivergedError, GridEvaluationError,
-            ScoreRangeError) as exc:
+    except (NotPositiveDefiniteError, TrainingDivergedError, ScoreRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -104,10 +104,6 @@ def mlp_init(dims, rng: np.random.Generator, activation: str = "silu") -> Energy
     if activation != "silu":
         raise ValueError(f"unknown activation {activation!r}; SiLU is the only one")
     dims = list(dims)
-    if len(dims) < 2:
-        raise ValueError("need an input and an output dimension")
-    if dims[-1] != 1:
-        raise ValueError("final dimension must be 1")
     params = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))

@@ -84,7 +84,7 @@ def read_input(path, kind: str) -> np.ndarray:
 
 
 class ScoreRangeError(RuntimeError):
-    """A score that a float32 score file cannot hold."""
+    """A score the program cannot write: non-finite, or beyond float32 for a score file."""
 
 
 def as_f32_scores(scores) -> np.ndarray:

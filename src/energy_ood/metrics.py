@@ -7,7 +7,7 @@ count one half in AUROC; thresholds use inclusive >= semantics.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,9 +82,6 @@ class EvalReport:
     n_id: int
     n_ood: int
     detector: str = ""
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def evaluate(id_scores, ood_scores, detector: str = "") -> EvalReport:

@@ -176,7 +176,10 @@ def read_archive(path) -> dict[str, np.ndarray]:
         off += 2
         if len(buf) < off + nlen:
             raise TruncatedPayloadError("file ends inside an entry name", len(buf))
-        name = buf[off : off + nlen].decode("utf-8")
+        try:
+            name = buf[off : off + nlen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise TensorFormatError("entry name is not UTF-8", off) from None
         if name in entries:
             raise TensorFormatError(f"entry {name!r} appears twice", off)
         off += nlen

@@ -4,7 +4,9 @@ A cross is two axis-aligned bars sharing a center: position along the arm is
 uniform over its length, position across it is Gaussian. Each bar is its own
 class, so a single cross gives 2 classes and the 3x3 grid of crosses gives
 18. Energy surfaces are sampled on a regular lattice and exported as CSV or
-a tensor file; rendering is left to external tools.
+a tensor file; rendering is left to external tools. ``energy_grid`` raises
+``featurestore.ScoreRangeError`` for a non-finite score, naming its grid
+point.
 """
 
 from __future__ import annotations
@@ -14,16 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featurestore import FeatureSet, as_f32_scores
+from .featurestore import FeatureSet, ScoreRangeError, as_f32_scores
 from .tensorio import write_tensor
 
 KINDS = ("cross", "grid_crosses")
-
-
-class GridEvaluationError(RuntimeError):
-    def __init__(self, x: float, y: float, value: float):
-        super().__init__(f"non-finite score {value!r} at grid point ({x}, {y})")
-        self.point = (x, y)
 
 
 @dataclass(frozen=True)
@@ -88,36 +84,18 @@ def gen_toy(spec: ToySpec, rng: np.random.Generator | None = None) -> FeatureSet
     return FeatureSet(np.concatenate(blocks), np.concatenate(labels), spec.num_classes)
 
 
-def _check_bounds(x_min, x_max, y_min, y_max) -> None:
-    if not (x_min < x_max and y_min < y_max):
-        raise ValueError("grid bounds must be well-ordered")
-
-
 @dataclass(frozen=True)
 class EnergyGrid:
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    values: np.ndarray  # (R, R), values[i, j] = score at (x_i, y_j)
+    """Scores on a lattice: ``values[i, j]`` is the score at ``(xs[i], ys[j])``."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        _check_bounds(self.x_min, self.x_max, self.y_min, self.y_max)
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    @property
-    def resolution(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def xs(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.resolution)
-
-    @property
-    def ys(self) -> np.ndarray:
-        return np.linspace(self.y_min, self.y_max, self.resolution)
 
 
 def energy_grid(score_fn, bounds, resolution: int) -> EnergyGrid:
@@ -129,7 +107,8 @@ def energy_grid(score_fn, bounds, resolution: int) -> EnergyGrid:
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     x_min, x_max, y_min, y_max = map(float, bounds)
-    _check_bounds(x_min, x_max, y_min, y_max)
+    if not (x_min < x_max and y_min < y_max):
+        raise ValueError("grid bounds must be well-ordered")
     xs = np.linspace(x_min, x_max, resolution)
     ys = np.linspace(y_min, y_max, resolution)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -142,18 +121,18 @@ def energy_grid(score_fn, bounds, resolution: int) -> EnergyGrid:
     bad = ~np.isfinite(flat)
     if bad.any():
         i = int(np.argmax(bad))
-        raise GridEvaluationError(points[i, 0], points[i, 1], float(flat[i]))
-    return EnergyGrid(x_min, x_max, y_min, y_max, flat.reshape(resolution, resolution))
+        raise ScoreRangeError(f"non-finite score {float(flat[i])!r} at grid point "
+                              f"({points[i, 0]}, {points[i, 1]})")
+    return EnergyGrid(xs, ys, flat.reshape(resolution, resolution))
 
 
 def save_grid_csv(path, grid: EnergyGrid) -> None:
     """Rows of (x, y, energy) in row-major lattice order."""
-    xs, ys = grid.xs, grid.ys
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "energy"])
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
+        for i, x in enumerate(grid.xs):
+            for j, y in enumerate(grid.ys):
                 writer.writerow([repr(float(x)), repr(float(y)), repr(float(grid.values[i, j]))])
 
 

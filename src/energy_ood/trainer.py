@@ -4,8 +4,9 @@ Each step draws a noisy positive minibatch, synthesizes negatives by Langevin
 sampling from the current model, and descends mean(E on data) - mean(E on
 negatives) plus an L2 penalty on the energy magnitudes, with Adam. The
 correction model starts chains from the fitted mixture and follows the
-gradient of the full energy; the plain-EBM ablation is the same model without
-the mixture term, whose chains start from N(0, I).
+gradient of the full energy. The plain-EBM ablation is the same model without
+the mixture term, whose chains start from N(0, I); it has no entry point of
+its own: ``train_correction(fs, None, cfg)`` trains it.
 
 Each step computes in float32 and keeps float64 master weights, as in
 mixed-precision training (Micikevicius et al. 2018, arXiv 1710.03740). A
@@ -155,9 +156,9 @@ class AdamState:
         return cls([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
 
 
-def adam_step(params, grads, state: AdamState, lr: float, betas=(0.9, 0.999),
-              eps: float = 1e-8):
-    """One bias-corrected Adam update; returns (new params, new state).
+def adam_step(params, grads, state: AdamState, lr: float):
+    """One bias-corrected Adam update, b1 = 0.9, b2 = 0.999 and eps = 1e-8;
+    returns (new params, new state).
 
     The moments are updated in place, in ``state``'s arrays; each new
     parameter is a fresh array. The operations and their order are those of
@@ -171,7 +172,7 @@ def adam_step(params, grads, state: AdamState, lr: float, betas=(0.9, 0.999),
             raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
         if p.dtype != g.dtype:  # the step is written into a buffer typed like g
             raise ValueError(f"dtype mismatch at params[{i}]: param {p.dtype} vs grad {g.dtype}")
-    b1, b2 = betas
+    b1, b2, eps = 0.9, 0.999, 1e-8
     t = state.t + 1
     new_params = []
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -192,9 +193,18 @@ def adam_step(params, grads, state: AdamState, lr: float, betas=(0.9, 0.999),
     return new_params, AdamState(state.m, state.v, t)
 
 
-def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
-                  log_path=None):
+def train_correction(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
+                     log_path=None):
+    """Train the correction network against the fitted mixture ``gm``;
+    ``gm=None`` trains the plain-EBM ablation.
+
+    Returns the trained model and the per-epoch loss trace.
+    """
     n, d = fs.features.shape
+    if n == 0:
+        raise ValueError("no training rows")
+    if gm is not None and d != gm.dim:
+        raise ValueError(f"feature dimension {d} != mixture dimension {gm.dim}")
     root = np.random.SeedSequence(cfg.seed)
     ss_init, ss_shuffle, ss_noise, ss_neg = root.spawn(4)
     shuffle_rng = np.random.default_rng(ss_shuffle)
@@ -290,22 +300,6 @@ def _run_training(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
         if log_fh is not None:
             log_fh.close()
     return CorrectionModel(EnergyMlp(params), gm, cfg.net_temperature), history
-
-
-def train_correction(fs: FeatureSet, gm: GaussianMixture, cfg: TrainConfig,
-                     log_path=None):
-    """Train the correction network against the fitted mixture.
-
-    Returns the trained model and the per-epoch loss trace.
-    """
-    if fs.dim != gm.dim:
-        raise ValueError(f"feature dimension {fs.dim} != mixture dimension {gm.dim}")
-    return _run_training(fs, gm, cfg, log_path)
-
-
-def train_ebm(fs: FeatureSet, cfg: TrainConfig, log_path=None):
-    """Train the plain-EBM ablation: the same model without the mixture term."""
-    return _run_training(fs, None, cfg, log_path)
 
 
 def save_model(path, model: CorrectionModel) -> None:

@@ -31,7 +31,7 @@ from energy_ood.mog import (
 from energy_ood.sgld import SgldSchedule, sgld_sample
 from energy_ood.tensorio import write_tensor
 from energy_ood.toy import energy_grid, save_grid_csv
-from energy_ood.trainer import CorrectionModel, ebm_defaults, train_ebm
+from energy_ood.trainer import CorrectionModel, ebm_defaults, train_correction
 from tests_support import CROSS_SPEC, GRID_SPEC, grid_centers_and_corners
 
 
@@ -220,7 +220,7 @@ def test_criterion_5_mode_coverage(grid_trained, grid_train_fs, tmp_path):
     # plain-EBM surface exported but not asserted: mode-missing is stochastic
     ebm_cfg = replace(ebm_defaults(toy=True, seed=7), epochs=2, batch_size=128,
                       sgld=SgldSchedule(60, (1e-2, 1e-3), (1e-2, 1e-3)))
-    ebm_model, _ = train_ebm(grid_train_fs, ebm_cfg)
+    ebm_model, _ = train_correction(grid_train_fs, None, ebm_cfg)
     ebm_grid = energy_grid(
         lambda pts: mlp_energy(ebm_model.net, pts) / ebm_cfg.net_temperature,
         (-reach, reach, -reach, reach), 121)

@@ -518,6 +518,20 @@ def test_grid_tensor_beyond_float32_exits_1(tmp_path, capsys):
     assert not out_tensor.exists() and not out_csv.exists()
 
 
+def test_grid_nonfinite_score_exits_1(tmp_path, capsys):
+    # an output layer of 1e308 overflows to an energy of inf at every point
+    model, _, _ = _tiny_models(tmp_path)
+    entries = read_archive(model)
+    entries["net.w1"] = np.full_like(entries["net.w1"], 1e308)
+    entries["net.b1"] = np.array([1e308])
+    write_archive(model, entries)
+    out_csv = tmp_path / "grid.csv"
+    assert run("grid", "--model", model, "--bounds", -3, 3, -3, 3, "--resolution", 4,
+               "--out-csv", out_csv) == 1
+    assert "non-finite score inf at grid point (-3.0, -3.0)" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_grid_gaussian_energy_detector(tmp_path, toy_files):
     feats, labels = toy_files
     mog = tmp_path / "mog.ftar"
@@ -779,6 +793,20 @@ def test_archive_with_a_repeated_entry_exits_2(tmp_path, capsys):
     assert run("score", "--detector", "mahalanobis", "--model", mixture,
                "--features", feats, "--out", tmp_path / "s.scores") == 2
     assert "'temperature' appears twice" in capsys.readouterr().err
+
+
+def test_archive_with_a_non_utf8_name_exits_2(tmp_path, capsys):
+    # an entry named b"\xff\xfe" appended to the mixture archive by hand
+    _, mixture, feats = _tiny_models(tmp_path)
+    blob = bytearray(mixture.read_bytes())
+    struct.pack_into("<H", blob, 5, struct.unpack_from("<H", blob, 5)[0] + 1)
+    name_at = len(blob) + 2
+    blob += struct.pack("<H", 2) + b"\xff\xfe" + tensor_bytes(np.array([2.0]))
+    mixture.write_bytes(bytes(blob))
+    assert run("score", "--detector", "mahalanobis", "--model", mixture,
+               "--features", feats, "--out", tmp_path / "s.scores") == 2
+    assert f"entry name is not UTF-8 (byte offset {name_at})" in capsys.readouterr().err
+    assert not (tmp_path / "s.scores").exists()
 
 
 def _scale_cholesky(entries):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -185,5 +186,5 @@ def test_evaluate_report_fields():
     assert isinstance(rep, EvalReport)
     assert 0.0 <= rep.auroc <= 1.0 and 0.0 <= rep.fpr95 <= 1.0
     assert rep.n_id == 100 and rep.n_ood == 120
-    d = rep.to_dict()
+    d = asdict(rep)
     assert d["detector"] == "msp" and "params" not in d

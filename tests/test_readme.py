@@ -7,6 +7,9 @@ from pathlib import Path
 import energy_ood
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+# __main__ is left out: importing it runs the command line
+SUBMODULES = [info.name for info in pkgutil.iter_modules(energy_ood.__path__)
+              if info.name != "__main__"]
 
 
 def _package_imports():
@@ -27,10 +30,18 @@ def test_readme_imports_what_it_names():
 
 def test_readme_names_resolve():
     # every backticked `module.name` whose module is an energy_ood submodule
-    submodules = {info.name for info in pkgutil.iter_modules(energy_ood.__path__)}
     names = [(module, name) for module, name in
              re.findall(r"`([a-z_]+)\.([A-Za-z_][A-Za-z0-9_]*)`", README.read_text())
-             if module in submodules]
+             if module in SUBMODULES]
     assert ("detectors", "score_knn") in names
     for module, name in names:
         assert hasattr(importlib.import_module(f"energy_ood.{module}"), name), f"{module}.{name}"
+
+
+def test_readme_calls_resolve():
+    # every backticked call form `name(...` names something some submodule defines
+    modules = [importlib.import_module(f"energy_ood.{m}") for m in SUBMODULES]
+    calls = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)\(", README.read_text()))
+    assert "CorrectionModel" in calls
+    for name in calls:
+        assert any(hasattr(module, name) for module in modules), name

@@ -208,6 +208,15 @@ def test_archive_repeated_name_rejected(tmp_path):
     assert exc.value.offset == len(head) + 2  # the name, after its u16 length
 
 
+def test_archive_name_not_utf8_rejected(tmp_path):
+    path = tmp_path / "a.ftar"
+    head = b"FTAR" + bytes([1]) + struct.pack("<H", 1) + struct.pack("<H", 2)
+    path.write_bytes(head + b"\xff\xfe" + tensor_bytes(np.array([1.0])))
+    with pytest.raises(TensorFormatError, match="entry name is not UTF-8") as exc:
+        read_archive(path)
+    assert exc.value.offset == len(head) == 9
+
+
 def test_archive_truncation(tmp_path):
     path = tmp_path / "a.ftar"
     write_archive(path, {"x": np.ones(3, dtype=np.float32)})

@@ -1,13 +1,13 @@
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from energy_ood.featurestore import ScoreRangeError
 from energy_ood.mog import gaussian_energy
 from energy_ood.tensorio import load_tensor
 from energy_ood.toy import (
-    EnergyGrid,
-    GridEvaluationError,
     ToySpec,
     energy_grid,
     gen_toy,
@@ -121,16 +121,21 @@ def test_grid_nonfinite_error_names_point():
         out[(pts[:, 0] > 0.9) & (pts[:, 1] > 0.9)] = np.nan
         return out
 
-    with pytest.raises(GridEvaluationError) as exc:
+    with pytest.raises(ScoreRangeError, match=r"at grid point \(1\.0, 1\.0\)"):
         energy_grid(fn, (0, 1, 0, 1), 3)
-    assert exc.value.point == (1.0, 1.0)
+
+
+def test_grid_record_is_its_axes_and_values():
+    grid = energy_grid(lambda pts: pts.sum(axis=1), (-1, 3, 0, 2), 5)
+    assert [f.name for f in fields(grid)] == ["xs", "ys", "values"]
+    np.testing.assert_array_equal(grid.xs, np.linspace(-1, 3, 5))
+    np.testing.assert_array_equal(grid.ys, np.linspace(0, 2, 5))
+    assert not grid.values.flags.writeable
 
 
 def test_grid_validation():
     with pytest.raises(ValueError):
         energy_grid(lambda p: 0.0, (0, 1, 0, 1), 1)
-    with pytest.raises(ValueError):
-        EnergyGrid(1.0, 0.0, 0.0, 1.0, np.zeros((2, 2)))
     # reversed or equal bounds are refused before a single point is scored
     calls = []
 

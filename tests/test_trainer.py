@@ -27,7 +27,6 @@ from energy_ood.trainer import (
     mle_loss,
     save_model,
     train_correction,
-    train_ebm,
 )
 
 
@@ -227,8 +226,8 @@ def test_training_deterministic_bitwise():
 def test_ebm_deterministic_bitwise():
     fs = two_class_fs(seed=4)
     cfg = small_cfg(seed=5)
-    a, _ = train_ebm(fs, cfg)
-    b, _ = train_ebm(fs, cfg)
+    a, _ = train_correction(fs, None, cfg)
+    b, _ = train_correction(fs, None, cfg)
     assert a.gm is None
     for wa, wb in zip(a.net.weights, b.net.weights):
         np.testing.assert_array_equal(wa, wb)
@@ -252,6 +251,15 @@ def test_strong_regularization_collapses_energy():
     cfg = small_cfg(epochs=15, l2_coeff=1e6, hidden_dim=32, learning_rate=1e-2, seed=3)
     model, _ = train_correction(fs, gm, cfg)
     assert np.abs(mlp_energy(model.net, fs.features)).mean() < 0.01
+
+
+def test_no_training_rows_rejected():
+    # refused before the network, the Adam state or the mixture copy is built
+    fs = FeatureSet(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
+    gm = fit_mog(two_class_fs(), temperature=1.0)
+    for mixture in (gm, None):
+        with pytest.raises(ValueError, match="no training rows"):
+            train_correction(fs, mixture, small_cfg())
 
 
 def test_dimension_mismatch_rejected():
@@ -292,7 +300,7 @@ def test_ebm_blob_separation():
     cfg = replace(ebm_defaults(toy=True, seed=5), epochs=20, hidden_dim=32,
                   batch_size=128, learning_rate=1e-3, net_temperature=1.0,
                   sgld=SgldSchedule(100, (5e-2, 5e-3), (1e-2, 1e-3)))
-    model, _ = train_ebm(fs, cfg)
+    model, _ = train_correction(fs, None, cfg)
     held = rng.normal(0, 0.1, (200, 2)) + np.array([1.0, -1.0])
     far = rng.uniform(-6, 6, (200, 2))
     assert np.mean(score_correction(model, held)) < np.mean(score_correction(model, far))
@@ -332,7 +340,7 @@ def test_correction_archive_round_trip(tmp_path):
 
 def test_ebm_archive_round_trip(tmp_path):
     fs = two_class_fs(seed=14)
-    model, _ = train_ebm(fs, small_cfg(seed=3, net_temperature=0.5))
+    model, _ = train_correction(fs, None, small_cfg(seed=3, net_temperature=0.5))
     path = tmp_path / "ebm.ftar"
     save_model(path, model)
     kind, loaded = load_model(path)
