@@ -115,14 +115,25 @@ def _named_files(args, dests) -> list:
             if (path := getattr(args, d, None)) is not None]
 
 
+def _file_key(path):
+    """Device and inode of an existing file, as ``os.path.samefile`` compares,
+    so that a hard link matches the file's other names; the resolved path of
+    one not yet created."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _check_outputs(inputs: list, outputs: list) -> None:
     """Raise UsageError if an output is the same file as an input or an earlier output."""
-    seen = {os.path.realpath(path): f"{flag} {path}" for flag, path in inputs}
+    seen = {_file_key(path): f"{flag} {path}" for flag, path in inputs}
     for flag, path in outputs:
-        real = os.path.realpath(path)
-        if real in seen:
-            raise UsageError(f"{flag} {path} is the same file as {seen[real]}")
-        seen[real] = f"{flag} {path}"
+        key = _file_key(path)
+        if key in seen:
+            raise UsageError(f"{flag} {path} is the same file as {seen[key]}")
+        seen[key] = f"{flag} {path}"
 
 
 def _write_manifest(args, path, inputs: dict, artifacts: list, started: float) -> None:

@@ -16,13 +16,18 @@ acceptance criterion 3 integrates it to check the normalization.
 All four batch functions (``gaussian_energy``, ``gaussian_energy_grad``,
 ``mahalanobis_ood_score``, ``log_density``) share ``_quad_forms``, which
 works in whitened space. With L L^T = Sigma and W = L^-1,
-(z - mu_c)^T Sigma^-1 (z - mu_c) = |W z - W mu_c|^2: each batch is whitened
+(z - mu_c)^T Sigma^-1 (z - mu_c) = |W z - W mu_c|^2: each row is whitened
 once as ``z @ W.T`` and all n x C quadratic forms come from one matrix
 product against the whitened means, at O(n d^2 + n C d) instead of a
-triangular solve per difference vector. Only a row whose nearest form
-cancels (q_min below 1/4 of |W z|^2 + |W mu|^2, as at a mean) is whitened a
-second time, in difference form; ``_quad_forms`` derives the bound from the
-cross term's rounding error. L is inverted once per mixture:
+triangular solve per difference vector. The rows are taken in blocks of at
+most 2^21 whitened entries, so memory does not grow with the batch beyond
+its n x C forms. Every per-call product with W or L goes through
+``_times_lower_t``, which multiplies by the triangle's nonzero blocks only:
+3/4 of the dense product's multiply-adds, and the same bits at the shapes
+its docstring lists. Only a row whose nearest form cancels (q_min below 1/4
+of |W z|^2 + |W mu|^2, as at a mean) is whitened a second time, in
+difference form; ``_quad_forms`` derives the bound from the cross term's
+rounding error. L is inverted once per mixture:
 ``_from_factor``, which builds the mixtures of ``from_moments`` and of the
 archive loader, keeps the W it inverts for the precision, and a mixture built
 directly derives it on first use. The whitened means are derived on first
@@ -234,56 +239,121 @@ def fit_mog(fs: FeatureSet, shrinkage: float | None = None,
 # form when it is below kappa times the squared norms it is the cross term of
 _RECOMPUTE_BELOW = 0.25
 
+# ``_times_lower_t`` multiplies an x of fewer entries densely (8 rows at d=512)
+_SPLIT_ENTRIES = 4096
+
+# ``_quad_forms`` whitens at most this many entries at a time (16 MiB of
+# float64): 4096 rows of width 512
+_WHITEN_CELLS = 1 << 21
+
+
+def _times_lower_t(x: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """x @ lower.T for a lower-triangular ``lower``, without its zero upper-right block.
+
+    Output column i needs only the first i + 1 columns of x. So the first h
+    output columns are x[:, :h] @ lower[:h, :h].T and the rest are
+    x @ lower[h:].T, 3/4 of the dense product's multiply-adds at h = d/2.
+
+    h is d/2 rounded down to a multiple of 16. The product stays dense below
+    d = 32, which keeps the 2-D toy's whitening one BLAS call (per-call cost
+    dominates there) and gives the second product at least 16 output
+    columns, never one, which BLAS would take as a matrix-vector product.
+    It also stays dense for an x of fewer than ``_SPLIT_ENTRIES`` entries:
+    OpenBLAS picks its kernels and thread count from a product's size, and
+    the halves of a product of a few rows round differently from the whole
+    (3 and 4 rows at d=512 did).
+
+    With OpenBLAS 0.3.31 (2 threads, AVX-512 Xeon) the result equals
+    ``x @ lower.T`` bit for bit, in float64 and float32, at every width that
+    is a multiple of 32 from 32 to 768 and every row count tried (1 to 79,
+    and up to 4096). Some other widths, and widths above 768, where OpenBLAS
+    sums the halves' inner dimension in other chunks than the whole's,
+    differ in the last bits at some row counts.
+    """
+    d = lower.shape[0]
+    h = d // 32 * 16
+    if not h or x.size < _SPLIT_ENTRIES:
+        return x @ lower.T
+    out = np.empty((x.shape[0], d), dtype=np.result_type(x, lower))
+    np.matmul(x[:, :h], lower[:h, :h].T, out=out[:, :h])
+    np.matmul(x, lower[h:].T, out=out[:, h:])
+    return out
+
+
+def _row_blocks(n: int, most: int) -> list[slice]:
+    """Near-equal blocks of at most ``most`` rows covering n rows; ``most`` >= 4
+    gives every block of a split batch at least 2 rows."""
+    count = -(-n // most)
+    return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
+
 
 def _quad_forms(gm: GaussianMixture, z: np.ndarray) -> np.ndarray:
     """(n, C) matrix of (z - mu_c)^T Sigma^-1 (z - mu_c) = |W z - W mu_c|^2.
 
-    The batch is whitened once, as a = W z, and every form comes from one
-    product against the whitened means b = W mu_c, in cross-term form
-    |a|^2 + |b|^2 - 2 a.b. Rounded in dimension d, that sum errs by at most
-    about 2 (d + 2) eps (|a|^2 + |b|^2): the two norms and the cross term
-    (|2 a.b| <= |a|^2 + |b|^2) each lose d eps of their size, and the two
-    additions about 2 eps. Relative to the form this is large only where the
-    terms cancel, near a mean. So a row's nearest form q_min is recomputed
-    in difference form, |W (z - mu_n)|^2, as exact as a triangular solve and
-    0 at a mean, only when q_min < kappa (|a|^2 + |b_n|^2), with kappa =
-    ``_RECOMPUTE_BELOW`` = 1/4. A kept q_min is then within 8 (d + 2) eps of
-    the solve: 9e-13 at d=512 in float64, under the relative tolerance of
-    1e-11 of the oracle tests in ``tests/test_mog.py``. The test looks at
-    one row, so whether a row is recomputed does not depend on the rest of
-    its batch. The other forms stay in cross-term form, clipped at 0.
+    Each row is whitened once, as a = W z (``_times_lower_t``), and every
+    form comes from one product against the whitened means b = W mu_c, in
+    cross-term form |a|^2 + |b|^2 - 2 a.b. Rounded in dimension d, that sum
+    errs by at most about 2 (d + 2) eps (|a|^2 + |b|^2): the two norms and
+    the cross term (|2 a.b| <= |a|^2 + |b|^2) each lose d eps of their size,
+    and the two additions about 2 eps. Relative to the form this is large
+    only where the terms cancel, near a mean. So a row's nearest form q_min
+    is recomputed in difference form, |W (z - mu_n)|^2, as exact as a
+    triangular solve and 0 at a mean, only when q_min < kappa (|a|^2 +
+    |b_n|^2), with kappa = ``_RECOMPUTE_BELOW`` = 1/4. A kept q_min is then
+    within 8 (d + 2) eps of the solve: 9e-13 at d=512 in float64, under the
+    relative tolerance of 1e-11 of the oracle tests in ``tests/test_mog.py``.
+    The test looks at one row, so whether a row is recomputed does not
+    depend on the rest of its batch. The other forms stay in cross-term
+    form, clipped at 0.
+
+    The batch is taken in near-equal row blocks of at most
+    ``_WHITEN_CELLS`` whitened entries, so a 50000 x 512 batch holds 16 MiB
+    of whitened rows rather than 205 MB; each block's whitening, cross term,
+    norms and recomputed rows are done before the next. A batch of up to
+    4096 rows at d=512 is one block, and a split batch has no block of one
+    row, which BLAS would take as a matrix-vector product. With OpenBLAS on
+    2 threads, blocks of 683 rows and more matched the whole batch bit for
+    bit (at d=512 a block has at least 2048), while blocks of 100 rows or
+    fewer, which OpenBLAS runs on one thread, differed in the last bits of
+    some cross terms.
 
     On the 512-d benchmark features q_min / (|a|^2 + |b_n|^2) lies between
-    0.84 and 1.01 for scored rows and Langevin chains alike, so no row takes
-    the second n x d x d product: 4000 float64 rows at C=10 take 25-27 ms
-    against 72-74 ms when every row's nearest form is recomputed, and 256
-    float32 chain rows at C=100 take 1.4 ms against 2.5 ms (2-core box,
-    OpenBLAS). On the 2-D toy grid about 90% of rows are recomputed.
+    0.84 and 1.01 for scored rows and Langevin chains alike, so no row is
+    recomputed. With the whitening on the factor's nonzero blocks, 4000
+    float64 rows at C=10 take 31-32 ms against 34-35 ms with the dense
+    product, and 256 float32 chain rows at C=100 1.3-1.4 ms against 1.5-1.6
+    ms (medians of 30 calls; 2-core AVX-512 Xeon, OpenBLAS 0.3.31, 2
+    threads). On the 2-D toy grid about 90% of rows are recomputed.
 
     ``z`` holds rows in the mixture's dtype, and the forms are computed in
     it; a form beyond its range gives inf or NaN and no warning. A NaN q_min
     fails the test and is recomputed.
     """
+    wm = gm.white_means
+    q = np.empty((z.shape[0], gm.n_components), dtype=np.result_type(z, wm))
     with np.errstate(over="ignore", invalid="ignore"):
-        white = z @ gm.whitener.T
-        wm = gm.white_means
         # -2 is a power of two, so folding it into the means is exact
-        q = white @ (-2.0 * wm).T
-        white_sq = np.einsum("ij,ij->i", white, white)
+        cross = (-2.0 * wm).T
         means_sq = np.einsum("ij,ij->i", wm, wm)
-        q += white_sq[:, None]
-        q += means_sq
-        nearest = q.argmin(axis=1)
-        kept = q[np.arange(z.shape[0]), nearest] >= \
-            _RECOMPUTE_BELOW * (white_sq + means_sq[nearest])
-        # a NaN form fails >= and is recomputed. At d=2 the per-call overhead
-        # counts: nonzero() in place of np.flatnonzero, and take() in place of
-        # z[redo], which is several times slower on two-column rows
-        (redo,) = (~kept).nonzero()
-        if redo.size:
-            near = nearest[redo]
-            exact = (z.take(redo, axis=0) - gm.means.take(near, axis=0)) @ gm.whitener.T
-            q[redo, near] = np.einsum("ij,ij->i", exact, exact)
+        for rows in _row_blocks(z.shape[0], max(4, _WHITEN_CELLS // gm.dim)):
+            part, qb = z[rows], q[rows]
+            white = _times_lower_t(part, gm.whitener)
+            np.matmul(white, cross, out=qb)
+            white_sq = np.einsum("ij,ij->i", white, white)
+            qb += white_sq[:, None]
+            qb += means_sq
+            nearest = qb.argmin(axis=1)
+            kept = qb[np.arange(part.shape[0]), nearest] >= \
+                _RECOMPUTE_BELOW * (white_sq + means_sq[nearest])
+            # a NaN form fails >= and is recomputed. At d=2 the per-call overhead
+            # counts: nonzero() in place of np.flatnonzero, and take() in place of
+            # part[redo], which is several times slower on two-column rows
+            (redo,) = (~kept).nonzero()
+            if redo.size:
+                near = nearest[redo]
+                exact = _times_lower_t(part.take(redo, axis=0) - gm.means.take(near, axis=0),
+                                       gm.whitener)
+                qb[redo, near] = np.einsum("ij,ij->i", exact, exact)
         return np.maximum(q, 0.0, out=q)
 
 
@@ -342,12 +412,16 @@ def mahalanobis_ood_score(gm: GaussianMixture, z) -> float | np.ndarray:
 
 
 def sample_mog(gm: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n samples: pick components from the mixing weights, then means + L u."""
+    """Draw n samples: pick components from the mixing weights, then means + L u.
+
+    L u is formed as ``_times_lower_t(u, L)``, on the factor's nonzero blocks,
+    and equals u @ L.T as ``_times_lower_t`` says.
+    """
     if n < 1:
         raise ValueError("need at least one sample")
     comp = rng.choice(gm.n_components, size=n, p=gm.mixing)
     u = rng.standard_normal((n, gm.dim))
-    return gm.means[comp] + u @ gm.chol_lower.T
+    return gm.means[comp] + _times_lower_t(u, gm.chol_lower)
 
 
 def log_density(gm: GaussianMixture, z) -> float | np.ndarray:

@@ -658,6 +658,20 @@ def test_colliding_output_paths_exit_2(tmp_path, toy_files, monkeypatch, capsys,
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def test_hard_linked_output_exits_2(tmp_path, toy_files, capsys):
+    # a second name for the features file resolves to another path, but it is
+    # the same file, which writing the mixture would replace
+    feats, labels = toy_files
+    alias = tmp_path / "alias.f32"
+    os.link(feats, alias)
+    before = feats.read_bytes()
+    assert run("fit-mog", "--features", feats, "--labels", labels, "--out", alias) == 2
+    assert capsys.readouterr().err == \
+        f"error: --out {alias} is the same file as --features {feats}\n"
+    assert feats.read_bytes() == before
+    assert not (tmp_path / "alias.f32.manifest.json").exists()
+
+
 def test_config_file_with_flag_override(tmp_path, toy_files):
     feats, labels = toy_files
     cfg_file = tmp_path / "run.cfg"

@@ -392,7 +392,9 @@ def test_row_alone_matches_its_mixed_batch(c, d, cond):
 
 def count_whitener_products(gm):
     """Swap ``gm``'s whitener for one that records, per matrix product it
-    takes part in, the number of rows multiplied; returns that record."""
+    takes part in, the number of rows multiplied; returns that record. A
+    whitening pass is one product, or two where ``mog._times_lower_t``
+    splits the factor's columns (d >= 32 and at least 4096 entries)."""
     products = []
 
     class Counted(np.ndarray):
@@ -408,15 +410,16 @@ def count_whitener_products(gm):
 
 @pytest.mark.parametrize("c, d", [(18, 2), (100, 512)])
 def test_far_batch_whitens_once_and_mean_batch_recomputes_every_row(c, d):
+    per_pass = {2: 1, 512: 2}[d]  # products per whitening pass
     gm = conditioned_mixture(26, c, d, 10.0)
     far, _ = oracle_rows(gm, "far")
     expected = mahalanobis_ood_score(gm, far), mahalanobis_ood_score(gm, gm.means)
     products = count_whitener_products(gm)
     np.testing.assert_array_equal(mahalanobis_ood_score(gm, far), expected[0])
-    assert products == [len(far)]
+    assert products == [len(far)] * per_pass
     products.clear()
     np.testing.assert_array_equal(mahalanobis_ood_score(gm, gm.means), expected[1])
-    assert products == [c, c]
+    assert products == [c] * per_pass + [c] * per_pass
 
 
 @pytest.mark.parametrize("d", [2, 512])
@@ -445,6 +448,65 @@ def test_rows_either_side_of_the_recompute_bound_match_solve_oracle(d, cond):
     assert_matches_solve_oracle(gm, z)
     # four calls, each recomputing only the two rows below the bound
     assert products == [len(z), 2] * 4
+
+
+def random_lower(rng, d, dtype):
+    lower = np.tril(rng.standard_normal((d, d)))
+    np.fill_diagonal(lower, 1.0 + rng.random(d))
+    return lower.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 512])
+@pytest.mark.parametrize("n", [1, 2, 8, 300])
+def test_lower_product_equals_dense_product(dtype, d, n):
+    rng = np.random.default_rng(50)
+    lower = random_lower(rng, d, dtype)
+    x = rng.standard_normal((n, d)).astype(dtype)
+    out = mog._times_lower_t(x, lower)
+    assert out.dtype == dtype
+    assert np.array_equal(out, x @ lower.T)
+
+
+def test_sample_is_means_plus_factor_product():
+    gm = conditioned_mixture(51, 10, 512, 1e4)
+    draws = sample_mog(gm, 300, np.random.default_rng(52))
+    rng = np.random.default_rng(52)
+    comp = rng.choice(gm.n_components, size=300, p=gm.mixing)
+    u = rng.standard_normal((300, gm.dim))
+    assert np.array_equal(draws, gm.means[comp] + u @ gm.chol_lower.T)
+
+
+def test_row_blocks_are_near_equal_with_no_single_row():
+    for most in (4, 5, 100):
+        for n in range(1, 3 * most + 2):
+            blocks = mog._row_blocks(n, most)
+            sizes = [b.stop - b.start for b in blocks]
+            assert blocks[0].start == 0 and blocks[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
+            assert len(blocks) == 1 or min(sizes) >= 2
+
+
+@pytest.mark.parametrize("c, d, most, per_pass", [(18, 2, 100, 1), (100, 512, 1024, 2)])
+def test_blocked_quad_forms_equal_one_block(monkeypatch, c, d, most, per_pass):
+    # 2B + 1 rows for a bound of B rows, near, far and at-mean rows mixed so
+    # that each of the three blocks recomputes some. The blocks at d=512 have
+    # 683 rows, as a real bound gives at least 2048 there: OpenBLAS rounds a
+    # product of a few dozen rows differently (it runs it on one thread)
+    gm = conditioned_mixture(53, c, d, 1e4)
+    mixed = oracle_rows(gm, "mixed")[0]
+    z = np.resize(mixed, (2 * most + 1, d))
+    whole = mog._quad_forms(gm, z)
+    monkeypatch.setattr(mog, "_WHITEN_CELLS", most * d)
+    products = count_whitener_products(gm)
+    blocked = mog._quad_forms(gm, z)
+    assert np.array_equal(blocked, whole)
+    sizes = [b.stop - b.start for b in mog._row_blocks(len(z), most)]
+    assert len(sizes) == 3
+    # per block, its whitening and then the whitening of its recomputed rows
+    assert len(products) == 3 * 2 * per_pass
+    assert products[:: 2 * per_pass] == sizes
 
 
 def test_inverse_is_exactly_lower_triangular():
@@ -592,7 +654,7 @@ def test_float32_chain_gradient_at_512_dims_tracks_float64(cond):
     low = mog.float32_mixture(gm)
     products = count_whitener_products(low)
     approx = gaussian_energy_grad(low, z)
-    assert products == [256]
+    assert products == [256, 256]
     bound = 10 * np.finfo(np.float32).eps * np.sqrt(cond)
     assert np.abs(approx - exact).max() <= bound * np.abs(exact).max()
 
