@@ -2,7 +2,8 @@
 
 Every scorer returns higher-is-more-OOD, whatever the native sign of the
 underlying quantity, so one evaluation harness serves them all. Scorers
-accept a single vector or a batch of rows.
+take an (n, d) matrix of rows (``featurestore.as_rows``) and return one
+score per row.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import operator
 import numpy as np
 
 from .energy_net import mlp_energy
-from .featurestore import as_batch
+from .featurestore import as_rows
 from .mog import gaussian_energy
 from .trainer import CorrectionModel
 
@@ -33,7 +34,7 @@ def _knn_block_rows(n: int, d: int) -> int:
     return max(1, min(_KNN_CELLS, _KNN_CELLS_PER_DIM * d) // n)
 
 
-def score_correction(model: CorrectionModel, z) -> float | np.ndarray:
+def score_correction(model: CorrectionModel, z) -> np.ndarray:
     """Network energy plus mixture energy, each with its temperature applied;
     the network energy alone for a model without a mixture."""
     e = mlp_energy(model.net, z) / model.net_temperature
@@ -42,8 +43,9 @@ def score_correction(model: CorrectionModel, z) -> float | np.ndarray:
     return e + gaussian_energy(model.gm, z)
 
 
-def score_knn(train: np.ndarray, z, k: int) -> float | np.ndarray:
-    """Exact k-th nearest Euclidean distance to the training set, by full scan.
+def score_knn(train: np.ndarray, z, k: int) -> np.ndarray:
+    """Each row's exact k-th nearest Euclidean distance to the training rows,
+    by full scan.
 
     The squared distances are |q|^2 + |x|^2 - 2 q.x, so the error in one is
     about eps * (|q|^2 + |x|^2), which is large against a small distance
@@ -60,13 +62,11 @@ def score_knn(train: np.ndarray, z, k: int) -> float | np.ndarray:
         k = operator.index(k)
     except TypeError:
         raise ValueError(f"k must be an integer, got {k!r}") from None
-    train = np.asarray(train, dtype=np.float64)
-    if train.ndim != 2:
-        raise ValueError("train must be an (n, d) matrix")
+    train = as_rows(train)
     n, d = train.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    queries, single = as_batch(z, d)
+    queries = as_rows(z, d)
     # a row's order is kept by adding its |q|^2 and by the clip at 0, so a
     # block holds only |x|^2 - 2 q.x, and only the k-th values get the rest
     train_sq = np.einsum("ij,ij->i", train, train)
@@ -80,28 +80,32 @@ def score_knn(train: np.ndarray, z, k: int) -> float | np.ndarray:
         d2.partition(k - 1, axis=1)
         kth[start : start + rows] = d2[:, k - 1]
     kth += np.einsum("ij,ij->i", queries, queries)
-    out = np.sqrt(np.maximum(kth, 0.0, out=kth), out=kth)
-    return float(out[0]) if single else out
+    return np.sqrt(np.maximum(kth, 0.0, out=kth), out=kth)
 
 
-def score_msp(logits, temperature: float = 1.0) -> float | np.ndarray:
+def score_msp(logits, temperature: float = 1.0) -> np.ndarray:
     """Negated maximum softmax probability at temperature T; T != 1 is ODIN's
-    temperature scaling, without its input preprocessing."""
+    temperature scaling, without its input preprocessing.
+
+    At a T small enough to overflow the scaled logits the score is not
+    finite, with no warning; the caller's finiteness check reports it.
+    """
     if not 0 < temperature < np.inf:  # NaN fails too
         raise ValueError("temperature must be finite and positive")
-    batch, single = as_batch(logits)
-    scaled = batch / temperature
-    shifted = scaled - scaled.max(axis=1, keepdims=True)
-    score = -1.0 / np.exp(shifted).sum(axis=1)
-    return float(score[0]) if single else score
+    logits = as_rows(logits)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = logits / temperature
+        shifted = scaled - scaled.max(axis=1, keepdims=True)
+        return -1.0 / np.exp(shifted).sum(axis=1)
 
 
-def score_energy_logits(logits, temperature: float = 1.0) -> float | np.ndarray:
-    """-T * logsumexp(logits / T), computed with the max-shift trick."""
+def score_energy_logits(logits, temperature: float = 1.0) -> np.ndarray:
+    """-T * logsumexp(logits / T), computed with the max-shift trick; as in
+    ``score_msp``, a T that overflows gives a non-finite score and no warning."""
     if not 0 < temperature < np.inf:  # NaN fails too
         raise ValueError("temperature must be finite and positive")
-    batch, single = as_batch(logits)
-    scaled = batch / temperature
-    m = scaled.max(axis=1)
-    score = -temperature * (m + np.log(np.exp(scaled - m[:, None]).sum(axis=1)))
-    return float(score[0]) if single else score
+    logits = as_rows(logits)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = logits / temperature
+        m = scaled.max(axis=1)
+        return -temperature * (m + np.log(np.exp(scaled - m[:, None]).sum(axis=1)))

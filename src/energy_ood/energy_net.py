@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featurestore import as_batch
+from .featurestore import as_rows
 from .tensorio import archive_scalar
 
 
@@ -185,20 +185,20 @@ def _energy_block_rows(width: int) -> int:
     return max(_ENERGY_BLOCK_CELLS // width, 4 * width)
 
 
-def mlp_energy(net: EnergyMlp, z) -> float | np.ndarray:
-    """Energies of a vector or of rows, computed in the network's dtype.
+def mlp_energy(net: EnergyMlp, z) -> np.ndarray:
+    """One energy per row of ``z``, computed in the network's dtype.
 
     The rows go through the network in blocks of ``_energy_block_rows``. A
     row's energy may differ in the last bits with the block it falls in,
     since BLAS rounds products of different shapes differently; a batch that
     fits in one block takes one pass, as a whole.
     """
-    batch, single = as_batch(z, net.input_dim, net.dtype)
+    z = as_rows(z, net.input_dim, net.dtype)
     rows = _energy_block_rows(max(net.dims))
-    e = np.empty(batch.shape[0], dtype=net.dtype)
-    for start in range(0, batch.shape[0], rows):
-        e[start : start + rows] = _forward(net, batch[start : start + rows])
-    return float(e[0]) if single else e
+    e = np.empty(z.shape[0], dtype=net.dtype)
+    for start in range(0, z.shape[0], rows):
+        e[start : start + rows] = _forward(net, z[start : start + rows])
+    return e
 
 
 def mlp_grad_input(net: EnergyMlp, z) -> np.ndarray:
@@ -208,12 +208,11 @@ def mlp_grad_input(net: EnergyMlp, z) -> np.ndarray:
     non-finite gradient and no warning; the Langevin sampler's finiteness
     check is what reports it.
     """
-    batch, single = as_batch(z, net.input_dim, net.dtype)
+    z = as_rows(z, net.input_dim, net.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         saved = []
-        _forward(net, batch, saved)
-        grad = _backward(net, saved, np.ones(batch.shape[0], dtype=net.dtype))
-    return grad[0] if single else grad
+        _forward(net, z, saved)
+        return _backward(net, saved, np.ones(z.shape[0], dtype=net.dtype))
 
 
 def mlp_grad_params(net: EnergyMlp, batch, upstream) -> tuple[list, np.ndarray]:
@@ -229,7 +228,7 @@ def mlp_grad_params(net: EnergyMlp, batch, upstream) -> tuple[list, np.ndarray]:
     row or weight beyond the dtype's range gives non-finite results and no
     warning; the caller checks them.
     """
-    batch, _ = as_batch(batch, net.input_dim, net.dtype)
+    batch = as_rows(batch, net.input_dim, net.dtype)
     if batch.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     with np.errstate(over="ignore", invalid="ignore"):

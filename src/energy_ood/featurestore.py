@@ -20,6 +20,22 @@ class DegenerateFeatureError(ValueError):
         self.row = row
 
 
+def as_rows(z, dim: int | None = None, dtype=np.float64) -> np.ndarray:
+    """View an (n, d) matrix as rows of ``dtype``: the package's one input form.
+
+    Every scorer, energy and gradient takes rows and returns one value (or one
+    gradient row) per row. ``dim``, when given, is the required row width;
+    anything but a matrix of that width raises ValueError naming the expected
+    shape. Rows already of ``dtype`` are not copied; a value beyond a narrower
+    ``dtype``'s range becomes inf, with no warning.
+    """
+    with np.errstate(over="ignore"):
+        z = np.asarray(z, dtype=dtype)
+    if z.ndim != 2 or (dim is not None and z.shape[1] != dim):
+        raise ValueError(f"expected shape (n, {'d' if dim is None else dim}), got shape {z.shape}")
+    return z
+
+
 @dataclass(frozen=True)
 class FeatureSet:
     """N feature vectors with integer class labels in [0, num_classes).
@@ -33,10 +49,8 @@ class FeatureSet:
     num_classes: int
 
     def __post_init__(self):
-        feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
+        feats = np.ascontiguousarray(as_rows(self.features))
         labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
-        if feats.ndim != 2:
-            raise ValueError(f"features must be a 2-D matrix, got shape {feats.shape}")
         if labels.ndim != 1:
             raise ValueError(f"labels must be a 1-D vector, got shape {labels.shape}")
         if feats.shape[0] != labels.shape[0]:
@@ -97,7 +111,7 @@ def as_f32_scores(scores) -> np.ndarray:
     bad = ~(np.abs(scores) <= np.finfo(np.float32).max)
     if bad.any():
         row = int(np.argmax(bad))
-        raise ScoreRangeError(f"score {scores.flat[row]!r} of row {row} does not fit a "
+        raise ScoreRangeError(f"score {float(scores.flat[row])!r} of row {row} does not fit a "
                               f"float32 score file")
     return scores.astype(np.float32)
 
@@ -119,39 +133,19 @@ def save_feature_set(fs: FeatureSet, features_path, labels_path) -> None:
     write_tensor(labels_path, fs.labels.astype(np.uint32))
 
 
-def as_batch(z, dim: int | None = None, dtype=np.float64) -> tuple[np.ndarray, bool]:
-    """View a vector or a matrix of rows as rows of ``dtype``, flagging the vector case.
-
-    This is the package's one single-vs-batch convention: every scorer,
-    energy and gradient accepts either form, computes on rows, and returns
-    the first row's result when ``single`` is set. ``dim``, when given, is the
-    required row width. Rows already of ``dtype`` are not copied; a value
-    beyond a narrower ``dtype``'s range becomes inf, with no warning.
-    """
-    with np.errstate(over="ignore"):
-        z = np.asarray(z, dtype=dtype)
-    single = z.ndim == 1
-    batch = z[None, :] if single else z
-    if batch.ndim != 2 or (dim is not None and batch.shape[1] != dim):
-        want = "a vector or an (n, d) matrix" if dim is None else f"shape (n, {dim}) or ({dim},)"
-        raise ValueError(f"expected {want}, got shape {z.shape}")
-    return batch, single
-
-
-def normalize_rows(x: np.ndarray) -> np.ndarray:
+def normalize_rows(x) -> np.ndarray:
     """Scale every row to unit Euclidean norm; no epsilon smoothing.
 
     Rows with norm below 1e-12 raise DegenerateFeatureError instead of being
     clamped.
     """
-    batch, single = as_batch(x)
-    norms = np.linalg.norm(batch, axis=-1, keepdims=True)
+    x = as_rows(x)
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
     small = norms[:, 0] < 1e-12
     if small.any():
         row = int(np.argmax(small))
         raise DegenerateFeatureError(row, float(norms[row, 0]))
-    out = batch / norms
-    return out[0] if single else out
+    return x / norms
 
 
 def normalize_features(fs: FeatureSet) -> FeatureSet:

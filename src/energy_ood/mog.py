@@ -49,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .featurestore import FeatureSet, as_batch
+from .featurestore import FeatureSet, as_rows
 from .tensorio import archive_scalar, read_archive, write_archive
 
 
@@ -375,17 +375,15 @@ def _weights(q: np.ndarray) -> np.ndarray:
     return np.divide(shifted, shifted.sum(axis=1, keepdims=True), out=shifted)
 
 
-def gaussian_energy(gm: GaussianMixture, z) -> float | np.ndarray:
+def gaussian_energy(gm: GaussianMixture, z) -> np.ndarray:
     """Reference energy -log sum_c exp(-quad_c(z)), divided by the temperature.
 
     Evaluated with the max-shift trick so far-away points do not underflow to
     -inf inside the log.
     """
-    batch, single = as_batch(z, gm.dim, gm.dtype)
-    q = _quad_forms(gm, batch)
+    q = _quad_forms(gm, as_rows(z, gm.dim, gm.dtype))
     m = q.min(axis=1)
-    e = (m - np.log(np.exp(m[:, None] - q).sum(axis=1))) / gm.temperature
-    return float(e[0]) if single else e
+    return (m - np.log(np.exp(m[:, None] - q).sum(axis=1))) / gm.temperature
 
 
 def gaussian_energy_grad(gm: GaussianMixture, z) -> np.ndarray:
@@ -397,18 +395,15 @@ def gaussian_energy_grad(gm: GaussianMixture, z) -> np.ndarray:
     mixture's dtype; a row beyond its range gets a non-finite gradient and no
     warning, which the Langevin sampler's finiteness check reports.
     """
-    batch, single = as_batch(z, gm.dim, gm.dtype)
+    z = as_rows(z, gm.dim, gm.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _weights(_quad_forms(gm, batch))
-        grad = (2.0 / gm.temperature) * (batch - w @ gm.means) @ gm.precision
-    return grad[0] if single else grad
+        w = _weights(_quad_forms(gm, z))
+        return (2.0 / gm.temperature) * (z - w @ gm.means) @ gm.precision
 
 
-def mahalanobis_ood_score(gm: GaussianMixture, z) -> float | np.ndarray:
+def mahalanobis_ood_score(gm: GaussianMixture, z) -> np.ndarray:
     """Squared Mahalanobis distance to the nearest component mean (higher = OOD)."""
-    batch, single = as_batch(z, gm.dim, gm.dtype)
-    q = _quad_forms(gm, batch).min(axis=1)
-    return float(q[0]) if single else q
+    return _quad_forms(gm, as_rows(z, gm.dim, gm.dtype)).min(axis=1)
 
 
 def sample_mog(gm: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -424,16 +419,14 @@ def sample_mog(gm: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndar
     return gm.means[comp] + _times_lower_t(u, gm.chol_lower)
 
 
-def log_density(gm: GaussianMixture, z) -> float | np.ndarray:
+def log_density(gm: GaussianMixture, z) -> np.ndarray:
     """Log of the normalized mixture density (mixing weights and 1/2 included)."""
-    batch, single = as_batch(z, gm.dim, gm.dtype)
-    q = _quad_forms(gm, batch)
+    q = _quad_forms(gm, as_rows(z, gm.dim, gm.dtype))
     log_det = 2.0 * np.log(np.diag(gm.chol_lower)).sum()
     log_norm = -0.5 * (gm.dim * math.log(2.0 * math.pi) + log_det)
     terms = np.log(gm.mixing)[None, :] - 0.5 * q + log_norm
     m = terms.max(axis=1)
-    out = m + np.log(np.exp(terms - m[:, None]).sum(axis=1))
-    return float(out[0]) if single else out
+    return m + np.log(np.exp(terms - m[:, None]).sum(axis=1))
 
 
 def mixture_entries(gm: GaussianMixture, prefix: str = "") -> dict[str, np.ndarray]:

@@ -101,14 +101,18 @@ class EnergyGrid:
 def energy_grid(score_fn, bounds, resolution: int) -> EnergyGrid:
     """Evaluate a batched score function on an endpoint-inclusive R x R lattice.
 
-    ``bounds`` is (x_min, x_max, y_min, y_max); ``score_fn`` maps an (n, 2)
-    array of points to (n,) scores, and is called once, on all R * R points.
+    ``bounds`` is (x_min, x_max, y_min, y_max); each pair must be ordered and
+    span a finite width, or ValueError is raised before any point is scored.
+    ``score_fn`` maps an (n, 2) array of points to (n,) scores, and is called
+    once, on all R * R points.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     x_min, x_max, y_min, y_max = map(float, bounds)
     if not (x_min < x_max and y_min < y_max):
         raise ValueError("grid bounds must be well-ordered")
+    if not np.isfinite([x_max - x_min, y_max - y_min]).all():
+        raise ValueError("grid bounds must span a finite width")
     xs = np.linspace(x_min, x_max, resolution)
     ys = np.linspace(y_min, y_max, resolution)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")

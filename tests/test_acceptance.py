@@ -59,14 +59,14 @@ def test_criterion_1_gradient_correctness():
         depth = int(rng.integers(1, 5))
         dims = [d] + [int(rng.integers(3, 10)) for _ in range(depth)] + [1]
         net = mlp_init(dims, rng)
-        z = rng.standard_normal(d)
+        z = rng.standard_normal((1, d))
 
-        grad_in = mlp_grad_input(net, z)
+        grad_in = mlp_grad_input(net, z)[0]
         fd_in = np.zeros(d)
         for k in range(d):
-            step = np.zeros(d)
-            step[k] = h
-            fd_in[k] = (mlp_energy(net, z + step) - mlp_energy(net, z - step)) / (2 * h)
+            step = np.zeros((1, d))
+            step[0, k] = h
+            fd_in[k] = (mlp_energy(net, z + step)[0] - mlp_energy(net, z - step)[0]) / (2 * h)
         worst = max(worst, rel_err(grad_in, fd_in).max())
 
         batch = rng.standard_normal((3, d))

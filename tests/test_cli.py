@@ -364,6 +364,19 @@ def test_score_logit_detectors(tmp_path):
                "--out", tmp_path / "x") == 2
 
 
+def test_logit_scores_at_overflowing_temperature_exit_1(tmp_path, capsys):
+    # logits / 1e-320 overflow: exit 1 with a plain message and no NumPy warning
+    logits = tmp_path / "logits.f32"
+    write_tensor(logits, np.random.default_rng(3).standard_normal((5, 10)).astype(np.float32))
+    for det in ("odin", "energy-logits"):
+        out = tmp_path / f"{det}.scores"
+        assert run("score", "--detector", det, "--logits", logits,
+                   "--temperature", 1e-320, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == "error: score nan of row 0 does not fit a float32 score file\n"
+        assert not out.exists()
+
+
 def test_eval_report_and_csv(tmp_path, scored):
     id_scores, ood_scores, _, _ = scored
     report_path, csv_path = tmp_path / "report.json", tmp_path / "table.csv"
@@ -529,6 +542,16 @@ def test_grid_nonfinite_score_exits_1(tmp_path, capsys):
     assert run("grid", "--model", model, "--bounds", -3, 3, -3, 3, "--resolution", 4,
                "--out-csv", out_csv) == 1
     assert "non-finite score inf at grid point (-3.0, -3.0)" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_grid_bounds_whose_span_overflows_exit_2(tmp_path, capsys):
+    # ordered finite bounds 2.7e308 apart; "-1e308" would read as an option
+    _, mog, _ = _tiny_models(tmp_path)
+    out_csv = tmp_path / "grid.csv"
+    assert run("grid", "--model", mog, "--bounds", "-1" + "0" * 308, 1.7e308, -1, 1,
+               "--out-csv", out_csv) == 2
+    assert capsys.readouterr().err == "error: grid bounds must span a finite width\n"
     assert not out_csv.exists()
 
 

@@ -64,12 +64,12 @@ def test_trained_toy_model_centers_below_corners(grid_trained):
 
 def test_knn_hand_count():
     train = np.array([[0.0], [1.0], [3.0]])
-    assert score_knn(train, np.array([0.5]), 2) == pytest.approx(0.5, abs=1e-12)
+    assert score_knn(train, np.array([[0.5]]), 2)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_knn_zero_at_training_point():
     train = np.random.default_rng(3).standard_normal((20, 4))
-    assert score_knn(train, train[7], 1) == pytest.approx(0.0, abs=1e-6)
+    assert score_knn(train, train[7][None], 1)[0] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_knn_matches_sort_oracle():
@@ -85,29 +85,29 @@ def test_knn_matches_sort_oracle():
 def test_knn_monotone_in_k():
     rng = np.random.default_rng(5)
     train = rng.standard_normal((50, 3))
-    z = rng.standard_normal(3)
-    scores = [score_knn(train, z, k) for k in range(1, 51)]
+    z = rng.standard_normal((1, 3))
+    scores = [score_knn(train, z, k)[0] for k in range(1, 51)]
     assert all(a <= b + 1e-15 for a, b in zip(scores, scores[1:]))
 
 
 def test_knn_k_out_of_range():
     train = np.zeros((5, 2))
     with pytest.raises(ValueError):
-        score_knn(train, np.zeros(2), 0)
+        score_knn(train, np.zeros((1, 2)), 0)
     with pytest.raises(ValueError):
-        score_knn(train, np.zeros(2), 6)
+        score_knn(train, np.zeros((1, 2)), 6)
 
 
 
 @pytest.mark.parametrize("k", [2.5, True, np.True_, "3", None])
 def test_knn_rejects_non_integer_k(k):
     with pytest.raises(ValueError, match="k must be an integer"):
-        score_knn(np.zeros((5, 2)), np.zeros(2), k)
+        score_knn(np.zeros((5, 2)), np.zeros((1, 2)), k)
 
 
 def test_knn_takes_numpy_integer_k():
     train = np.array([[0.0], [1.0], [3.0]])
-    assert score_knn(train, np.array([0.5]), np.int64(2)) == pytest.approx(0.5, abs=1e-12)
+    assert score_knn(train, np.array([[0.5]]), np.int64(2))[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_knn_block_rows_follow_the_row_width():
@@ -162,11 +162,11 @@ def test_knn_holds_one_small_block_for_narrow_rows():
 # ------------------------------------------------------------- logit detectors
 
 def test_msp_uniform():
-    assert score_msp([0.0, 0.0]) == pytest.approx(-0.5, abs=1e-15)
+    assert score_msp([[0.0, 0.0]])[0] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_msp_saturated():
-    assert score_msp([100.0, 0.0]) == pytest.approx(-1.0, abs=1e-9)
+    assert score_msp([[100.0, 0.0]])[0] == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_msp_shift_invariant_recomputation():
@@ -174,25 +174,26 @@ def test_msp_shift_invariant_recomputation():
     logits = rng.standard_normal(10) * 3
     exp = np.exp(logits)
     oracle = -np.max(exp / exp.sum())
-    assert score_msp(logits) == pytest.approx(oracle, abs=1e-12)
-    assert score_msp(logits + 123.456) == pytest.approx(score_msp(logits), abs=1e-12)
+    assert score_msp(logits[None])[0] == pytest.approx(oracle, abs=1e-12)
+    assert score_msp(logits[None] + 123.456)[0] == pytest.approx(score_msp(logits[None])[0],
+                                                                  abs=1e-12)
 
 
 def test_msp_permutation_invariant():
     rng = np.random.default_rng(7)
     logits = rng.standard_normal(8)
     perm = rng.permutation(8)
-    assert score_msp(logits[perm]) == score_msp(logits)
-    assert score_energy_logits(logits[perm]) == score_energy_logits(logits)
+    assert score_msp(logits[perm][None])[0] == score_msp(logits[None])[0]
+    assert score_energy_logits(logits[perm][None])[0] == score_energy_logits(logits[None])[0]
 
 
 def test_odin_reduces_to_msp_at_t1():
     logits = np.random.default_rng(8).standard_normal(6)
-    assert score_msp(logits, 1.0) == score_msp(logits)
+    assert score_msp(logits[None], 1.0)[0] == score_msp(logits[None])[0]
 
 
 def test_odin_large_t_uniform_limit():
-    assert score_msp([2.0, 0.0], 1e6) == pytest.approx(-0.5, abs=1e-6)
+    assert score_msp([[2.0, 0.0]], 1e6)[0] == pytest.approx(-0.5, abs=1e-6)
 
 
 def test_odin_matches_recomputation():
@@ -200,15 +201,15 @@ def test_odin_matches_recomputation():
     logits = rng.standard_normal(12)
     t = 1000.0
     exp = np.exp(logits / t)
-    assert score_msp(logits, t) == pytest.approx(-np.max(exp / exp.sum()), abs=1e-12)
+    assert score_msp(logits[None], t)[0] == pytest.approx(-np.max(exp / exp.sum()), abs=1e-12)
 
 
 def test_energy_logits_two_equal():
-    assert score_energy_logits([0.0, 0.0], 1.0) == pytest.approx(-np.log(2), abs=1e-12)
+    assert score_energy_logits([[0.0, 0.0]], 1.0)[0] == pytest.approx(-np.log(2), abs=1e-12)
 
 
 def test_energy_logits_singleton():
-    assert score_energy_logits([3.25], 1.0) == pytest.approx(-3.25, abs=1e-12)
+    assert score_energy_logits([[3.25]], 1.0)[0] == pytest.approx(-3.25, abs=1e-12)
 
 
 def test_energy_logits_matches_naive():
@@ -216,18 +217,26 @@ def test_energy_logits_matches_naive():
     for t in (1.0, 2.5, 100.0):
         logits = rng.standard_normal(9) * 2
         naive = -t * np.log(np.exp(logits / t).sum())
-        assert score_energy_logits(logits, t) == pytest.approx(naive, abs=1e-9)
+        assert score_energy_logits(logits[None], t)[0] == pytest.approx(naive, abs=1e-9)
 
 
 def test_temperature_validation():
     with pytest.raises(ValueError):
-        score_msp([1.0], 0.0)
+        score_msp([[1.0]], 0.0)
     with pytest.raises(ValueError):
-        score_energy_logits([1.0], -1.0)
+        score_energy_logits([[1.0]], -1.0)
     with pytest.raises(ValueError):
         CorrectionModel(mlp_init([2, 4, 1], np.random.default_rng(0)), None, 0.0)
     with pytest.raises(ValueError):
         CorrectionModel(mlp_init([2, 4, 1], np.random.default_rng(0)), None, float("nan"))
+
+
+@pytest.mark.parametrize("score", [score_msp, score_energy_logits])
+def test_logit_scores_at_overflowing_temperature_warn_nothing(score):
+    # logits / T overflows to inf; the score is nan, with no NumPy warning
+    # (tier-1 turns warnings into errors), for the caller's check to report
+    logits = np.array([[1.0, -2.0, 0.5], [-1.0, -3.0, -0.5]])
+    assert np.isnan(score(logits, 1e-320)).all()
 
 
 def test_all_scores_finite_and_batchable():
@@ -237,4 +246,4 @@ def test_all_scores_finite_and_batchable():
                lambda l: score_energy_logits(l, 2.0)):
         out = fn(logits)
         assert out.shape == (30,) and np.isfinite(out).all()
-        assert fn(logits[0]) == pytest.approx(out[0], rel=1e-15)
+        assert fn(logits[:1])[0] == pytest.approx(out[0], rel=1e-15)

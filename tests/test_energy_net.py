@@ -146,7 +146,7 @@ def test_silu_is_the_only_activation():
 # ---------------------------------------------------------------- forward
 
 def test_energy_linear_map():
-    assert mlp_energy(linear_net([[1.0, 1.0]]), [2.0, 3.0]) == 5.0
+    assert mlp_energy(linear_net([[1.0, 1.0]]), [[2.0, 3.0]])[0] == 5.0
 
 
 def test_energy_constant_network():
@@ -160,7 +160,7 @@ def test_energy_matches_straight_line_oracle(activation):
     rng = np.random.default_rng(3)
     net = mlp_init([4, 6, 5, 1], rng, activation)
     for z in rng.standard_normal((5, 4)):
-        assert mlp_energy(net, z) == pytest.approx(forward_oracle(net, z), abs=1e-12)
+        assert mlp_energy(net, z[None])[0] == pytest.approx(forward_oracle(net, z), abs=1e-12)
 
 
 def test_energy_dimension_mismatch():
@@ -174,12 +174,12 @@ def test_energy_dimension_mismatch():
 def test_grad_input_linear_map():
     net = linear_net([[1.0, 1.0]])
     for z in ([0.0, 0.0], [5.0, -3.0]):
-        np.testing.assert_array_equal(mlp_grad_input(net, z), [1.0, 1.0])
+        np.testing.assert_array_equal(mlp_grad_input(net, [z])[0], [1.0, 1.0])
 
 
 def test_grad_input_zero_network():
     net = zero_net([4, 8, 1])
-    np.testing.assert_array_equal(mlp_grad_input(net, np.ones(4)), np.zeros(4))
+    np.testing.assert_array_equal(mlp_grad_input(net, np.ones((1, 4)))[0], np.zeros(4))
 
 
 def test_grad_input_matches_finite_differences():
@@ -187,19 +187,20 @@ def test_grad_input_matches_finite_differences():
     net = mlp_init([8, 16, 16, 1], rng)
     h = 1e-5
     for z in rng.standard_normal((5, 8)):
-        grad = mlp_grad_input(net, z)
+        grad = mlp_grad_input(net, z[None])[0]
         fd = np.zeros(8)
         for k in range(8):
             step = np.zeros(8)
             step[k] = h
-            fd[k] = (mlp_energy(net, z + step) - mlp_energy(net, z - step)) / (2 * h)
+            fd[k] = (mlp_energy(net, (z + step)[None])[0]
+                     - mlp_energy(net, (z - step)[None])[0]) / (2 * h)
         assert rel_err(grad, fd).max() < 1e-4
 
 
 def test_grad_input_finite_at_extreme_inputs():
     net = mlp_init([2, 32, 32, 1], np.random.default_rng(6))
     for z in ([1e3, -1e3], [-745.0, 745.0], [0.0, 0.0]):
-        g = mlp_grad_input(net, np.array(z))
+        g = mlp_grad_input(net, np.array([z]))
         assert np.isfinite(g).all()
 
 
@@ -320,7 +321,7 @@ def test_passes_leave_inputs_alone_and_repeat(activation):
         # that writes into an earlier result's buffer shows
         out = []
         for f, args in ((mlp_energy, (net, z)), (mlp_grad_input, (net, z)),
-                        (mlp_grad_input, (net, z[0])), (mlp_grad_params, (net, z, upstream))):
+                        (mlp_grad_input, (net, z[:1])), (mlp_grad_params, (net, z, upstream))):
             result = f(*args)
             arrays = result[0] if f is mlp_grad_params else [result]
             out.extend((r, r.copy()) for r in arrays)
@@ -412,9 +413,8 @@ def test_energy_of_no_rows_and_of_one_vector():
     net = mlp_init([3, 8, 1], np.random.default_rng(18))
     empty = mlp_energy(net, np.zeros((0, 3)))
     assert empty.shape == (0,) and empty.dtype == np.float64
-    z = np.array([0.5, -1.0, 2.0])
-    one = mlp_energy(net, z)
-    assert type(one) is float and one == mlp_energy(net, z[None, :])[0]
+    one = mlp_energy(net, np.array([[0.5, -1.0, 2.0]]))
+    assert one.shape == (1,) and one.dtype == np.float64
 
 
 def test_correction_score_is_its_two_energies_over_several_blocks():

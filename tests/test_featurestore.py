@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,7 +77,7 @@ def test_validation_errors():
         FeatureSet([[1.0, np.nan]], [0], 1)
     with pytest.raises(ValueError, match="rows"):
         FeatureSet(np.ones((3, 2)), [0, 1], 2)
-    with pytest.raises(ValueError, match="2-D"):
+    with pytest.raises(ValueError, match=r"shape \(n, d\)"):
         FeatureSet(np.ones(3), [0], 1)
 
 
@@ -136,12 +138,11 @@ def test_float32_rows_reach_float32_network_and_mixture_uncopied(monkeypatch):
     batches = []
 
     def spy(*args):
-        batch, single = featurestore.as_batch(*args)
-        batches.append(batch)
-        return batch, single
+        batches.append(featurestore.as_rows(*args))
+        return batches[-1]
 
-    monkeypatch.setattr(energy_net, "as_batch", spy)
-    monkeypatch.setattr(mog, "as_batch", spy)
+    monkeypatch.setattr(energy_net, "as_rows", spy)
+    monkeypatch.setattr(mog, "as_rows", spy)
     calls = [(energy_net.mlp_energy, net), (energy_net.mlp_grad_input, net),
              (mog.gaussian_energy, gm), (mog.gaussian_energy_grad, gm),
              (mog.mahalanobis_ood_score, gm), (mog.log_density, gm)]
@@ -156,3 +157,43 @@ def test_float32_rows_reach_float32_network_and_mixture_uncopied(monkeypatch):
     np.testing.assert_array_equal(got_e, want_e)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
+
+
+def _entry_points():
+    """Each rows-in entry point as a call on rows of width 3, the width its
+    error names, and whether it returns a gradient row per row."""
+    from energy_ood import detectors, energy_net, featurestore, mog
+    from energy_ood.trainer import CorrectionModel
+
+    rng = np.random.default_rng(31)
+    net = energy_net.mlp_init([3, 8, 1], rng)
+    means, a = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
+    gm = mog.GaussianMixture.from_moments(means, a @ a.T + np.eye(3))
+    train = rng.standard_normal((10, 3))
+    model = CorrectionModel(net, gm)
+    entries = [
+        ("gaussian_energy", lambda z: mog.gaussian_energy(gm, z), "3", False),
+        ("gaussian_energy_grad", lambda z: mog.gaussian_energy_grad(gm, z), "3", True),
+        ("mahalanobis_ood_score", lambda z: mog.mahalanobis_ood_score(gm, z), "3", False),
+        ("log_density", lambda z: mog.log_density(gm, z), "3", False),
+        ("mlp_energy", lambda z: energy_net.mlp_energy(net, z), "3", False),
+        ("mlp_grad_input", lambda z: energy_net.mlp_grad_input(net, z), "3", True),
+        ("mlp_grad_params", lambda z: energy_net.mlp_grad_params(net, z, [1.0])[1], "3", False),
+        ("score_knn", lambda z: detectors.score_knn(train, z, 2), "3", False),
+        ("score_msp", detectors.score_msp, "d", False),
+        ("score_energy_logits", detectors.score_energy_logits, "d", False),
+        ("score_correction", lambda z: detectors.score_correction(model, z), "3", False),
+        ("normalize_rows", featurestore.normalize_rows, "d", True),
+    ]
+    return [pytest.param(*entry[1:], id=entry[0]) for entry in entries]
+
+
+@pytest.mark.parametrize("fn, width, per_row", _entry_points())
+def test_every_entry_point_takes_rows_only(fn, width, per_row):
+    # one input form: an (n, d) matrix in, one value (or one row) per row out
+    row = np.array([[0.5, -1.0, 2.0]])
+    for bad in (row[0], row[None]):
+        want = f"expected shape (n, {width}), got shape {bad.shape}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            fn(bad)
+    assert np.shape(fn(row)) == ((1, 3) if per_row else (1,))

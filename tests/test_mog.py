@@ -129,12 +129,12 @@ def test_default_shrinkage_rescues_rank_deficiency():
 
 def test_energy_single_component_is_squared_norm():
     gm = GaussianMixture.from_moments([[0.0, 0.0]], np.eye(2))
-    assert gaussian_energy(gm, [1.0, 1.0]) == pytest.approx(2.0, abs=1e-12)
+    assert gaussian_energy(gm, [[1.0, 1.0]])[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_energy_two_symmetric_components():
     gm = GaussianMixture.from_moments([[-1.0], [1.0]], [[1.0]])
-    assert gaussian_energy(gm, [0.0]) == pytest.approx(1.0 - np.log(2.0), abs=1e-12)
+    assert gaussian_energy(gm, [[0.0]])[0] == pytest.approx(1.0 - np.log(2.0), abs=1e-12)
 
 
 def test_energy_matches_naive_sum():
@@ -142,14 +142,15 @@ def test_energy_matches_naive_sum():
     rng = np.random.default_rng(4)
     for z in rng.standard_normal((20, 2)) * 2:
         naive = -np.log(np.exp(-quad_oracle(gm, z)).sum())
-        assert gaussian_energy(gm, z) == pytest.approx(naive, abs=1e-9)
+        assert gaussian_energy(gm, z[None])[0] == pytest.approx(naive, abs=1e-9)
 
 
 def test_energy_temperature_divides():
     gm = random_mixture(seed=5, temperature=1e3)
     base = GaussianMixture.from_moments(gm.means, gm.covariance, gm.mixing, 1.0)
-    z = np.array([0.3, -0.7])
-    assert gaussian_energy(gm, z) == pytest.approx(gaussian_energy(base, z) / 1e3, rel=1e-12)
+    z = np.array([[0.3, -0.7]])
+    assert gaussian_energy(gm, z)[0] == pytest.approx(gaussian_energy(base, z)[0] / 1e3,
+                                                      rel=1e-12)
 
 
 def test_energy_logsumexp_sandwich():
@@ -181,7 +182,7 @@ def test_energy_component_order_invariant():
 
 def test_energy_far_point_no_overflow():
     gm = random_mixture(seed=11)
-    val = gaussian_energy(gm, np.array([1e3, -1e3]))
+    val = gaussian_energy(gm, np.array([[1e3, -1e3]]))[0]
     assert np.isfinite(val)
 
 
@@ -195,13 +196,13 @@ def test_energy_dimension_mismatch():
 
 def test_grad_single_component():
     gm = GaussianMixture.from_moments([[0.0, 0.0]], np.eye(2))
-    np.testing.assert_allclose(gaussian_energy_grad(gm, [1.0, 1.0]), [2.0, 2.0],
+    np.testing.assert_allclose(gaussian_energy_grad(gm, [[1.0, 1.0]])[0], [2.0, 2.0],
                                atol=1e-12)
 
 
 def test_grad_symmetric_zero():
     gm = GaussianMixture.from_moments([[-1.0], [1.0]], [[1.0]])
-    assert gaussian_energy_grad(gm, [0.0])[0] == pytest.approx(0.0, abs=1e-14)
+    assert gaussian_energy_grad(gm, [[0.0]])[0, 0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_grad_matches_finite_differences():
@@ -209,11 +210,12 @@ def test_grad_matches_finite_differences():
     rng = np.random.default_rng(14)
     h = 1e-5
     for z in rng.standard_normal((10, 2)) * 2:
-        grad = gaussian_energy_grad(gm, z)
+        grad = gaussian_energy_grad(gm, z[None])[0]
         for k in range(2):
             step = np.zeros(2)
             step[k] = h
-            fd = (gaussian_energy(gm, z + step) - gaussian_energy(gm, z - step)) / (2 * h)
+            fd = (gaussian_energy(gm, (z + step)[None])[0]
+                  - gaussian_energy(gm, (z - step)[None])[0]) / (2 * h)
             assert abs(grad[k] - fd) / max(abs(fd), 1e-8) < 1e-5
 
 
@@ -221,13 +223,13 @@ def test_grad_matches_finite_differences():
 
 def test_mahalanobis_nearest_center():
     gm = GaussianMixture.from_moments([[0.0, 0.0], [4.0, 0.0]], np.eye(2))
-    assert mahalanobis_ood_score(gm, [1.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
+    assert mahalanobis_ood_score(gm, [[1.0, 0.0]])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mahalanobis_zero_at_centers():
     gm = random_mixture(seed=15)
     for mu in gm.means:
-        assert mahalanobis_ood_score(gm, mu) == pytest.approx(0.0, abs=1e-18)
+        assert mahalanobis_ood_score(gm, mu[None])[0] == pytest.approx(0.0, abs=1e-18)
 
 
 def test_mahalanobis_matches_per_class_loop():
@@ -235,7 +237,7 @@ def test_mahalanobis_matches_per_class_loop():
     rng = np.random.default_rng(17)
     for z in rng.standard_normal((25, 2)) * 3:
         oracle = -max(-q for q in quad_oracle(gm, z))
-        assert mahalanobis_ood_score(gm, z) == pytest.approx(oracle, rel=1e-10)
+        assert mahalanobis_ood_score(gm, z[None])[0] == pytest.approx(oracle, rel=1e-10)
 
 
 def test_single_component_energy_equals_mahalanobis():
@@ -379,13 +381,13 @@ def test_row_alone_matches_its_mixed_batch(c, d, cond):
     gm = conditioned_mixture(26, c, d, cond)
     z, _ = oracle_rows(gm, "mixed")
     for score in (mahalanobis_ood_score, gaussian_energy):
-        alone = np.array([score(gm, row) for row in z])
+        alone = np.array([score(gm, row[None])[0] for row in z])
         if d == 1:
             np.testing.assert_array_equal(alone, score(gm, z))
         else:
             np.testing.assert_allclose(alone, score(gm, z), rtol=ORACLE_RTOL)
     grad = gaussian_energy_grad(gm, z)
-    alone = np.array([gaussian_energy_grad(gm, row) for row in z])
+    alone = np.array([gaussian_energy_grad(gm, row[None])[0] for row in z])
     scale = np.abs(grad).max(axis=1, keepdims=True)
     assert (np.abs(alone - grad) <= ORACLE_RTOL * scale).all()
 

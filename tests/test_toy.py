@@ -146,6 +146,10 @@ def test_grid_validation():
     for bounds in [(1, -1, -1, 1), (-1, 1, 1, -1), (0, 0, -1, 1), (-1, 1, 2, 2)]:
         with pytest.raises(ValueError, match="well-ordered"):
             energy_grid(fn, bounds, 300)
+    # so are ordered bounds 2.7e308 apart, whose lattice would be nan points
+    for bounds in [(-1e308, 1.7e308, -1, 1), (-1, 1, -1.7e308, 1e308)]:
+        with pytest.raises(ValueError, match="grid bounds must span a finite width"):
+            energy_grid(fn, bounds, 3)
     assert calls == []
 
 
