@@ -37,9 +37,9 @@ import numpy as np
 
 from . import detectors, metrics
 from .featurestore import (
+    FeatureSet,
     ScoreRangeError,
     as_f32_scores,
-    load_feature_set,
     normalize_features,
     normalize_rows,
     read_input,
@@ -220,10 +220,24 @@ def cmd_toy(args) -> None:
     save_feature_set(fs, args.out_features, args.out_labels)
 
 
+def _feature_set(args) -> FeatureSet:
+    """The --features rows and their --labels, normalized with --normalize."""
+    feats, labels = read_input(args.features, "features"), read_input(args.labels, "labels")
+    if len(feats) != len(labels):
+        raise UsageError(f"--features {args.features} has {len(feats)} rows but "
+                         f"--labels {args.labels} has {len(labels)}")
+    fs = FeatureSet(feats, labels, int(labels.max()) + 1)
+    return normalize_features(fs) if args.normalize else fs
+
+
+def _check_width(args, x: np.ndarray, width: int, whose: str) -> None:
+    """UsageError unless the --features rows ``x`` are ``width`` wide, as ``whose`` says."""
+    if x.shape[1] != width:
+        raise UsageError(f"--features {args.features} has {x.shape[1]} columns but {whose} {width}")
+
+
 def cmd_fit_mog(args) -> None:
-    fs = load_feature_set(args.features, args.labels)
-    if args.normalize:
-        fs = normalize_features(fs)
+    fs = _feature_set(args)
     gm = fit_mog(fs, shrinkage=args.shrinkage, temperature=args.temperature)
     save_mixture(args.out, gm)
 
@@ -254,13 +268,13 @@ def _train_flags(cfg) -> dict:
 
 
 def cmd_train(args) -> None:
-    fs = load_feature_set(args.features, args.labels)
-    if args.normalize:
-        fs = normalize_features(fs)
+    fs = _feature_set(args)
     cfg = _train_config(args)
     # the manifest's config holds the values the preset resolved
     vars(args).update(_train_flags(cfg))
     gm = None if args.ebm else load_mixture(args.mog)
+    if gm is not None:
+        _check_width(args, fs.features, gm.dim, f"--mog {args.mog} takes")
     model, _ = train_correction(fs, gm, cfg, log_path=args.log)
     save_model(args.out, model)
 
@@ -275,7 +289,7 @@ MODEL_SCORERS = {
 
 
 def _model_scorer(path, detector: str):
-    """Load ``path`` and return its batched scoring function for ``detector``.
+    """Load ``path``; return its batched scoring function for ``detector`` and its row width.
 
     ``auto`` picks the archive's own detector, the mixture energy for a mixture.
     """
@@ -285,12 +299,14 @@ def _model_scorer(path, detector: str):
     needed, scorer = MODEL_SCORERS[detector]
     if needed != kind:
         raise UsageError(f"{path} holds a {kind} model, which detector {detector} cannot score")
-    return lambda z: scorer(payload, z)
+    dim = payload.dim if kind == "mog" else payload.net.input_dim
+    return (lambda z: scorer(payload, z)), dim
 
 
-# batched scorer of each logit-based detector, given the logits and --temperature
+# batched scorer of each logit-based detector, given the logits and --temperature;
+# msp is odin at temperature 1, the only one it takes
 LOGIT_SCORERS = {
-    "msp": lambda x, temperature: detectors.score_msp(x),
+    "msp": detectors.score_msp,
     "odin": detectors.score_msp,
     "energy-logits": detectors.score_energy_logits,
 }
@@ -306,15 +322,20 @@ def _score_features(args) -> np.ndarray:
         if args.k is None:
             raise UsageError("knn needs --k")
         train = read_input(args.train_features, "features")
+        _check_width(args, x, train.shape[1], f"--train-features {args.train_features} has")
         if args.normalize:
             train = normalize_rows(train)
         return detectors.score_knn(train, x, args.k)
     if args.model is None:
         raise UsageError(f"detector {args.detector} needs --model")
-    return _model_scorer(args.model, args.detector)(x)
+    scorer, dim = _model_scorer(args.model, args.detector)
+    _check_width(args, x, dim, f"--model {args.model} takes")
+    return scorer(x)
 
 
 def _score_logits(args) -> np.ndarray:
+    if args.detector == "msp" and args.temperature != 1:
+        raise UsageError("msp scores at temperature 1; --temperature needs --detector odin")
     return LOGIT_SCORERS[args.detector](read_input(args.logits, "logits"), args.temperature)
 
 
@@ -383,7 +404,9 @@ def cmd_eval(args) -> None:
 
 
 def cmd_grid(args) -> None:
-    fn = _model_scorer(args.model, args.detector)
+    fn, dim = _model_scorer(args.model, args.detector)
+    if dim != 2:
+        raise UsageError(f"grid needs a 2-D model, but --model {args.model} takes {dim} columns")
     grid = energy_grid(fn, args.bounds, args.resolution)
     if args.out_tensor is not None:
         # first: a value beyond float32 raises before any file is written
@@ -495,20 +518,16 @@ def main(argv=None) -> int:
         args.func(args)
         _write_manifest(args, manifest, hashes, [path for _, path in outputs], started)
         return 0
-    except (NotPositiveDefiniteError, TrainingDivergedError, ScoreRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:
+    except (NotPositiveDefiniteError, TrainingDivergedError, ScoreRangeError,
+            MemoryError) as exc:
+        # a MemoryError may carry no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         where = f"{exc.filename}: " if exc.filename else ""
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

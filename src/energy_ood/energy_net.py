@@ -51,7 +51,8 @@ class EnergyMlp:
     """Dense layers ending in one unit, as one tuple w0, b0, w1, b1, ... of
     weights (out, in) and biases (out,).
 
-    The arrays are float32 if every one is given as float32, else float64.
+    The arrays are float32 if every one is given as float32, else float64. One
+    already C-contiguous in that dtype is kept, not copied, and made read-only.
     """
 
     params: tuple

@@ -14,12 +14,6 @@ import numpy as np
 from .tensorio import load_tensor, write_tensor
 
 
-class DegenerateFeatureError(ValueError):
-    def __init__(self, row: int, norm: float):
-        super().__init__(f"feature row {row} has near-zero norm {norm:.3e}; cannot normalize")
-        self.row = row
-
-
 def as_rows(z, dim: int | None = None, dtype=np.float64) -> np.ndarray:
     """View an (n, d) matrix as rows of ``dtype``: the package's one input form.
 
@@ -40,8 +34,9 @@ def as_rows(z, dim: int | None = None, dtype=np.float64) -> np.ndarray:
 class FeatureSet:
     """N feature vectors with integer class labels in [0, num_classes).
 
-    Arrays are copied, promoted (float64 / int64) and frozen read-only, so a
-    fitted set can be shared across threads.
+    The arrays are promoted (float64 / int64) and made read-only, so a set can
+    be shared across threads; one already C-contiguous in its dtype is kept,
+    not copied, so a write to the caller's array raises.
     """
 
     features: np.ndarray
@@ -85,10 +80,13 @@ _DTYPES = {"f32": np.float32, "u32": np.uint32}
 
 
 def read_input(path, kind: str) -> np.ndarray:
-    """The tensor in a ``kind`` file, checked for its rank, its dtype and finite
-    entries, naming the path and the first non-finite row; floats come as f64."""
+    """The tensor in a ``kind`` file, checked for its format, rank, dtype and finite
+    entries, naming the path (and a non-finite entry's row); floats come as f64."""
     rank, dtype = FILE_KINDS[kind]
-    arr = load_tensor(path)
+    try:
+        arr = load_tensor(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if arr.ndim != rank or arr.dtype != _DTYPES[dtype]:
         raise ValueError(f"{path}: {kind} file must be a rank-{rank} {dtype} tensor")
     finite = np.isfinite(arr.reshape(len(arr), -1)).all(axis=1)
@@ -136,7 +134,7 @@ def save_feature_set(fs: FeatureSet, features_path, labels_path) -> None:
 def normalize_rows(x) -> np.ndarray:
     """Scale every row to unit Euclidean norm; no epsilon smoothing.
 
-    Rows with norm below 1e-12 raise DegenerateFeatureError instead of being
+    A row with norm below 1e-12 raises ValueError naming it instead of being
     clamped.
     """
     x = as_rows(x)
@@ -144,7 +142,8 @@ def normalize_rows(x) -> np.ndarray:
     small = norms[:, 0] < 1e-12
     if small.any():
         row = int(np.argmax(small))
-        raise DegenerateFeatureError(row, float(norms[row, 0]))
+        raise ValueError(f"feature row {row} has near-zero norm {norms[row, 0]:.3e}; "
+                         "cannot normalize")
     return x / norms
 
 

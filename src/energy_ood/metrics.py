@@ -15,7 +15,9 @@ TPR = 0.95  # the true positive rate of every reported FPR and ID threshold
 
 
 def _checked(scores, name: str) -> np.ndarray:
-    arr = np.asarray(scores, dtype=np.float64).ravel()
+    arr = np.asarray(scores, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} scores: expected shape (n,), got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} scores are empty")
     if np.isnan(arr).any():

@@ -53,17 +53,12 @@ from .featurestore import FeatureSet, as_rows
 from .tensorio import archive_scalar, read_archive, write_archive
 
 
-class MixtureFitError(ValueError):
-    pass
-
-
 class NotPositiveDefiniteError(ValueError):
     def __init__(self, shrinkage: float):
         super().__init__(
             f"tied covariance is not positive definite with shrinkage {shrinkage:.3e}; "
             "pass a larger shrinkage"
         )
-        self.shrinkage = shrinkage
 
 
 _ARRAYS = ("means", "covariance", "chol_lower", "precision", "mixing")
@@ -126,7 +121,9 @@ class GaussianMixture:
         """Build a mixture from explicit means and covariance.
 
         The covariance is symmetrized and factorized here; ``mixing`` defaults
-        to uniform weights.
+        to uniform weights. ``means`` and ``mixing`` already C-contiguous float64
+        are kept, not copied, and made read-only, as every array a mixture is
+        given: a write to them raises rather than change it under its whitener.
         """
         means = np.atleast_2d(np.asarray(means, dtype=np.float64))
         cov = np.asarray(covariance, dtype=np.float64)
@@ -201,7 +198,7 @@ def fit_mog(fs: FeatureSet, shrinkage: float | None = None,
     ``shrinkage * I`` (default 1e-6 * trace / D) before factorization.
     """
     if shrinkage is not None and not 0 <= shrinkage < np.inf:
-        raise MixtureFitError(f"shrinkage must be finite and nonnegative, got {shrinkage}")
+        raise ValueError(f"shrinkage must be finite and nonnegative, got {shrinkage}")
     feats, labels = fs.features, fs.labels
     n, d = feats.shape
     # n samples cannot give classes 0..n//2 two each, so the first short class, if
@@ -210,7 +207,7 @@ def fit_mog(fs: FeatureSet, shrinkage: float | None = None,
     counts = np.bincount(labels[labels < head], minlength=head)
     if counts.min() < 2:
         bad = int(np.argmax(counts < 2))
-        raise MixtureFitError(
+        raise ValueError(
             f"class {bad} has {counts[bad]} samples; need at least 2 per class"
         )
     if n <= d:
@@ -481,4 +478,8 @@ def save_mixture(path, gm: GaussianMixture) -> None:
 
 
 def load_mixture(path) -> GaussianMixture:
-    return mixture_from_entries(read_archive(path))
+    """The mixture archived at ``path``; ValueError, naming the path, if malformed."""
+    try:
+        return mixture_from_entries(read_archive(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -20,8 +20,6 @@ from .mog import GaussianMixture, sample_mog
 class SgldDivergenceError(RuntimeError):
     def __init__(self, step: int, chain: int):
         super().__init__(f"non-finite gradient at step {step}, chain {chain}")
-        self.step = step
-        self.chain = chain
 
 
 @dataclass(frozen=True)

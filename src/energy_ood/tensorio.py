@@ -29,27 +29,10 @@ _NAME_TO_CODE = {"float32": 1, "uint32": 2, "float64": 3}
 
 
 class TensorFormatError(ValueError):
-    """Malformed tensor container; ``offset`` is the byte position of the fault."""
+    """Malformed tensor container; the message ends with the byte offset of the fault."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
-
-
-class BadMagicError(TensorFormatError):
-    pass
-
-
-class UnknownDtypeError(TensorFormatError):
-    pass
-
-
-class UnknownRankError(TensorFormatError):
-    pass
-
-
-class TruncatedPayloadError(TensorFormatError):
-    pass
 
 
 def read_record(buf, offset: int = 0) -> tuple[np.ndarray, int]:
@@ -59,24 +42,24 @@ def read_record(buf, offset: int = 0) -> tuple[np.ndarray, int]:
     and the offset one past the record's last byte.
     """
     if len(buf) < offset + 8:
-        raise TruncatedPayloadError("file ends inside the fixed header", len(buf))
+        raise TensorFormatError("file ends inside the fixed header", len(buf))
     if buf[offset : offset + 4] != MAGIC:
-        raise BadMagicError(f"expected magic {MAGIC!r}", offset)
+        raise TensorFormatError(f"expected magic {MAGIC!r}", offset)
     version = buf[offset + 4]
     if version != VERSION:
         raise TensorFormatError(f"unsupported version {version}", offset + 4)
     code = buf[offset + 5]
     if code not in _CODE_TO_DTYPE:
-        raise UnknownDtypeError(f"unknown dtype code {code}", offset + 5)
+        raise TensorFormatError(f"unknown dtype code {code}", offset + 5)
     rank = buf[offset + 6]
     if rank not in (1, 2):
-        raise UnknownRankError(f"rank {rank} not supported (must be 1 or 2)", offset + 6)
+        raise TensorFormatError(f"rank {rank} not supported (must be 1 or 2)", offset + 6)
     if buf[offset + 7] != 0:
         raise TensorFormatError(f"nonzero pad byte {buf[offset + 7]}", offset + 7)
 
     dims_off = offset + 8
     if len(buf) < dims_off + 8 * rank:
-        raise TruncatedPayloadError("file ends inside the extent list", len(buf))
+        raise TensorFormatError("file ends inside the extent list", len(buf))
     dims = struct.unpack_from(f"<{rank}Q", buf, dims_off)
     for i, d in enumerate(dims):
         if d < 1:
@@ -87,7 +70,7 @@ def read_record(buf, offset: int = 0) -> tuple[np.ndarray, int]:
     count = math.prod(dims)  # Python ints: a product past 2**64 must not wrap
     need = count * dtype.itemsize
     if len(buf) < payload_off + need:
-        raise TruncatedPayloadError(
+        raise TensorFormatError(
             f"payload needs {need} bytes, file supplies {len(buf) - payload_off}",
             len(buf),
         )
@@ -161,9 +144,9 @@ def read_archive(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < 7:
-        raise TruncatedPayloadError("file ends inside the archive header", len(buf))
+        raise TensorFormatError("file ends inside the archive header", len(buf))
     if buf[:4] != ARCHIVE_MAGIC:
-        raise BadMagicError(f"expected magic {ARCHIVE_MAGIC!r}", 0)
+        raise TensorFormatError(f"expected magic {ARCHIVE_MAGIC!r}", 0)
     if buf[4] != VERSION:
         raise TensorFormatError(f"unsupported archive version {buf[4]}", 4)
     (count,) = struct.unpack_from("<H", buf, 5)
@@ -171,11 +154,11 @@ def read_archive(path) -> dict[str, np.ndarray]:
     off = 7
     for _ in range(count):
         if len(buf) < off + 2:
-            raise TruncatedPayloadError("file ends inside an entry header", len(buf))
+            raise TensorFormatError("file ends inside an entry header", len(buf))
         (nlen,) = struct.unpack_from("<H", buf, off)
         off += 2
         if len(buf) < off + nlen:
-            raise TruncatedPayloadError("file ends inside an entry name", len(buf))
+            raise TensorFormatError("file ends inside an entry name", len(buf))
         try:
             name = buf[off : off + nlen].decode("utf-8")
         except UnicodeDecodeError:

@@ -319,17 +319,21 @@ def load_model(path):
     ('mog', GaussianMixture); mixture archives are the ones without a ``kind``
     entry. A correction archive written without ``net_temperature`` predates
     that entry and loads with 1.0, the temperature it was always scored at.
+    A malformed archive raises ValueError naming the path.
     """
-    entries = read_archive(path)
-    if "kind" not in entries:
-        return "mog", mixture_from_entries(entries)
-    code = archive_scalar(entries, "kind")
-    kind = _MODEL_KINDS.get(code)
-    if kind is None:
-        raise ValueError(f"unknown model kind code {code:g}")
-    if kind == "correction" and "net_temperature" not in entries:
-        temperature = 1.0
-    else:
-        temperature = archive_scalar(entries, "net_temperature")
-    gm = mixture_from_entries(entries, "mog.") if kind == "correction" else None
-    return kind, CorrectionModel(mlp_from_entries(entries, "net."), gm, temperature)
+    try:
+        entries = read_archive(path)
+        if "kind" not in entries:
+            return "mog", mixture_from_entries(entries)
+        code = archive_scalar(entries, "kind")
+        kind = _MODEL_KINDS.get(code)
+        if kind is None:
+            raise ValueError(f"unknown model kind code {code:g}")
+        if kind == "correction" and "net_temperature" not in entries:
+            temperature = 1.0
+        else:
+            temperature = archive_scalar(entries, "net_temperature")
+        gm = mixture_from_entries(entries, "mog.") if kind == "correction" else None
+        return kind, CorrectionModel(mlp_from_entries(entries, "net."), gm, temperature)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

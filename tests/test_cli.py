@@ -354,14 +354,25 @@ def test_score_beyond_float32_exits_1(tmp_path, capsys):
 def test_score_logit_detectors(tmp_path):
     logits = tmp_path / "logits.f32"
     write_tensor(logits, np.random.default_rng(3).standard_normal((50, 10)).astype(np.float32))
-    for det in ("msp", "odin", "energy-logits"):
+    for det, temperature in (("msp", 1.0), ("odin", 2.0), ("energy-logits", 2.0)):
         out = tmp_path / f"{det}.scores"
         assert run("score", "--detector", det, "--logits", logits,
-                   "--temperature", 2.0, "--out", out) == 0
+                   "--temperature", temperature, "--out", out) == 0
         assert np.isfinite(load_tensor(out)).all()
     # logit detector without --logits
     assert run("score", "--detector", "msp", "--features", logits,
                "--out", tmp_path / "x") == 2
+
+
+def test_msp_at_a_temperature_exits_2(tmp_path, capsys):
+    # msp scores at temperature 1; a temperature it would ignore points to odin
+    logits, out = tmp_path / "logits.f32", tmp_path / "msp.scores"
+    write_tensor(logits, np.random.default_rng(3).standard_normal((5, 10)).astype(np.float32))
+    assert run("score", "--detector", "msp", "--logits", logits,
+               "--temperature", 5, "--out", out) == 2
+    assert capsys.readouterr().err == \
+        "error: msp scores at temperature 1; --temperature needs --detector odin\n"
+    assert not out.exists()
 
 
 def test_logit_scores_at_overflowing_temperature_exit_1(tmp_path, capsys):
@@ -844,6 +855,108 @@ def test_archive_with_a_non_utf8_name_exits_2(tmp_path, capsys):
                "--features", feats, "--out", tmp_path / "s.scores") == 2
     assert f"entry name is not UTF-8 (byte offset {name_at})" in capsys.readouterr().err
     assert not (tmp_path / "s.scores").exists()
+
+
+# one command per input flag, reading ``{bad}`` through that flag and good files
+# through the others
+BAD_MAGIC_COMMANDS = {
+    "--features": ["fit-mog", "--features", "{bad}", "--labels", "{labels}"],
+    "--labels": ["fit-mog", "--features", "{feats}", "--labels", "{bad}"],
+    "--logits": ["score", "--detector", "odin", "--logits", "{bad}"],
+    "--train-features": ["score", "--detector", "knn", "--k", 1, "--features", "{feats}",
+                         "--train-features", "{bad}"],
+    "--id": ["eval", "--id", "{bad}", "--ood", "a={scores}"],
+    "--ood": ["eval", "--id", "{scores}", "--ood", "a={bad}"],
+    "--mog": ["train", "--features", "{feats}", "--labels", "{labels}", "--mog", "{bad}",
+              *fast_train_args()],
+    "--model": ["score", "--detector", "mahalanobis", "--features", "{feats}",
+                "--model", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("flag", list(BAD_MAGIC_COMMANDS))
+def test_bad_magic_error_names_the_file(tmp_path, capsys, flag):
+    _, _, feats = _tiny_models(tmp_path)
+    paths = {"feats": feats, "labels": tmp_path / "l.u32", "scores": tmp_path / "s.f32",
+             "bad": tmp_path / "bad.bin"}
+    write_tensor(paths["labels"], np.array([0, 1, 0, 1, 0], dtype=np.uint32))
+    write_tensor(paths["scores"], np.arange(5, dtype=np.float32))
+    paths["bad"].write_bytes(b"NOPE" + bytes(16))
+    argv = [str(a).format(**paths) for a in BAD_MAGIC_COMMANDS[flag]]
+    assert run(*argv, "--out", tmp_path / "out") == 2
+    magic = b"FTAR" if flag in ("--mog", "--model") else b"FTSR"
+    assert capsys.readouterr().err == \
+        f"error: {paths['bad']}: expected magic {magic!r} (byte offset 0)\n"
+
+
+def test_mixture_for_a_model_names_the_file(tmp_path, toy_files, capsys):
+    # a correction archive given to --mog lacks the mixture's top-level entries
+    model, _, _ = _tiny_models(tmp_path)
+    feats, labels = toy_files
+    assert run("train", "--features", feats, "--labels", labels, "--mog", model,
+               "--out", tmp_path / "m.ftar", *fast_train_args()) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {model}: not a mixture archive: missing entries")
+
+
+@pytest.fixture()
+def three_d(tmp_path):
+    """3-d mixture and correction archives, 20 3-d rows and 5 2-d ones."""
+    rng = np.random.default_rng(4)
+    fs = FeatureSet(rng.standard_normal((20, 3)), np.arange(20) % 2, 2)
+    gm = fit_mog(fs, temperature=1.0)
+    paths = {name: tmp_path / name for name in ("mog3.ftar", "model3.ftar", "t3.f32", "q2.f32")}
+    save_mixture(paths["mog3.ftar"], gm)
+    save_model(paths["model3.ftar"], CorrectionModel(mlp_init([3, 4, 1], rng), gm))
+    write_tensor(paths["t3.f32"], fs.features.astype(np.float32))
+    write_tensor(paths["q2.f32"], rng.standard_normal((5, 2)).astype(np.float32))
+    return paths
+
+
+@pytest.mark.parametrize("detector", ["knn", "mahalanobis", "gaussian-energy", "correction"])
+def test_score_width_mismatch_names_both_files(tmp_path, capsys, three_d, detector):
+    query, out = three_d["q2.f32"], tmp_path / "s.scores"
+    if detector == "knn":
+        other = ["--train-features", three_d["t3.f32"], "--k", 1]
+        want = f"--train-features {three_d['t3.f32']} has 3"
+    else:
+        model = three_d["model3.ftar" if detector == "correction" else "mog3.ftar"]
+        other = ["--model", model]
+        want = f"--model {model} takes 3"
+    assert run("score", "--detector", detector, "--features", query, *other,
+               "--out", out) == 2
+    assert capsys.readouterr().err == f"error: --features {query} has 2 columns but {want}\n"
+    assert not out.exists()
+
+
+def test_grid_of_a_3d_model_exits_2(tmp_path, capsys, three_d):
+    mixture, out = three_d["mog3.ftar"], tmp_path / "g.csv"
+    assert run("grid", "--model", mixture, "--bounds", -3, 3, -3, 3,
+               "--resolution", 4, "--out-csv", out) == 2
+    assert capsys.readouterr().err == \
+        f"error: grid needs a 2-D model, but --model {mixture} takes 3 columns\n"
+    assert not out.exists()
+
+
+def test_train_width_mismatch_names_both_files(tmp_path, toy_files, capsys, three_d):
+    feats, labels = toy_files
+    mixture = three_d["mog3.ftar"]
+    assert run("train", "--features", feats, "--labels", labels, "--mog", mixture,
+               "--out", tmp_path / "m.ftar", *fast_train_args()) == 2
+    assert capsys.readouterr().err == \
+        f"error: --features {feats} has 2 columns but --mog {mixture} takes 3\n"
+
+
+@pytest.mark.parametrize("command", ["fit-mog", "train"])
+def test_rows_and_labels_mismatch_names_both_files(tmp_path, capsys, command):
+    feats, labels, out = tmp_path / "f.f32", tmp_path / "l.u32", tmp_path / "o.ftar"
+    write_tensor(feats, np.random.default_rng(5).standard_normal((10, 2)).astype(np.float32))
+    write_tensor(labels, (np.arange(40) % 2).astype(np.uint32))
+    extra = ["--ebm", *fast_train_args()] if command == "train" else []
+    assert run(command, "--features", feats, "--labels", labels, "--out", out, *extra) == 2
+    assert capsys.readouterr().err == \
+        f"error: --features {feats} has 10 rows but --labels {labels} has 40\n"
+    assert not out.exists()
 
 
 def _scale_cholesky(entries):

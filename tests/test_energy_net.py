@@ -106,6 +106,14 @@ def test_init_shapes():
     assert net.dims == (2, 4, 1)
 
 
+def test_network_takes_ownership_of_its_params():
+    params = [np.ones((4, 2)), np.zeros(4), np.ones((1, 4)), np.zeros(1)]
+    net = EnergyMlp(params)
+    assert all(np.shares_memory(p, q) for p, q in zip(net.params, params))
+    with pytest.raises(ValueError, match="read-only"):
+        params[0][0, 0] = 2.0
+
+
 def test_init_deterministic():
     a = mlp_init([3, 8, 8, 1], np.random.default_rng(42))
     b = mlp_init([3, 8, 8, 1], np.random.default_rng(42))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import asdict
 
@@ -92,6 +93,20 @@ def test_auroc_rejects_bad_input():
         auroc([], [1.0])
     with pytest.raises(ValueError):
         auroc([1.0], [np.nan])
+
+
+@pytest.mark.parametrize("shape", [(), (3, 2), (1, 4)])
+def test_metrics_refuse_scores_that_are_not_a_vector(shape):
+    # a matrix is not flattened into more scores than it has rows
+    bad, good = np.ones(shape), np.arange(4.0)
+    want = rf"id scores: expected shape \(n,\), got shape {re.escape(str(shape))}"
+    for fn in (auroc, fpr_at_tpr, evaluate):
+        with pytest.raises(ValueError, match=want):
+            fn(bad, good)
+    with pytest.raises(ValueError, match=want):
+        threshold_gamma_id(bad)
+    with pytest.raises(ValueError, match="ood scores: expected shape"):
+        evaluate(good, bad)
 
 
 # ---------------------------------------------------------------- fpr at tpr

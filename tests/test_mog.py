@@ -13,7 +13,6 @@ from energy_ood import mog
 from energy_ood.featurestore import FeatureSet
 from energy_ood.mog import (
     GaussianMixture,
-    MixtureFitError,
     NotPositiveDefiniteError,
     fit_mog,
     gaussian_energy,
@@ -96,7 +95,7 @@ def test_fit_matches_bruteforce_accumulation():
 
 def test_fit_rejects_tiny_class():
     fs = FeatureSet([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]], [0, 0, 1], 2)
-    with pytest.raises(MixtureFitError, match="class 1"):
+    with pytest.raises(ValueError, match="class 1 has 1 samples; need at least 2"):
         fit_mog(fs)
 
 
@@ -104,7 +103,7 @@ def test_fit_rejects_tiny_class_at_the_largest_u32_label():
     # 2**32 classes: counting every one of them would allocate 32 GiB; the first
     # short class is one with no sample at all
     fs = FeatureSet(np.arange(8.0).reshape(4, 2), [0, 0, 2**32 - 1, 2**32 - 1], 2**32)
-    with pytest.raises(MixtureFitError, match="class 1 has 0 samples; need at least 2"):
+    with pytest.raises(ValueError, match="class 1 has 0 samples; need at least 2"):
         fit_mog(fs)
 
 
@@ -596,6 +595,18 @@ def test_cholesky_factor_is_inverted_once_per_mixture(monkeypatch):
     fresh = GaussianMixture(gm.means, gm.covariance, gm.chol_lower, gm.precision, gm.mixing)
     for built in (gm, loaded):
         np.testing.assert_array_equal(built.whitener, fresh.whitener)
+
+
+def test_from_moments_takes_ownership_of_means_and_mixing():
+    # a later write to the caller's means would change the mixture under its
+    # cached whitener; it raises instead
+    means, mixing = np.zeros((2, 3)), np.array([0.25, 0.75])
+    gm = GaussianMixture.from_moments(means, np.eye(3), mixing)
+    assert np.shares_memory(gm.means, means) and np.shares_memory(gm.mixing, mixing)
+    with pytest.raises(ValueError, match="read-only"):
+        means[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        mixing[0] = 0.5
 
 
 # ---------------------------------------------------------------- float32 copy

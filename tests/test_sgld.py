@@ -140,10 +140,8 @@ def test_divergence_reports_step_and_chain():
 
     init = np.zeros((5, 2))
     init[3, 0] = 1.0
-    with pytest.raises(SgldDivergenceError) as exc:
+    with pytest.raises(SgldDivergenceError, match="^non-finite gradient at step 0, chain 3$"):
         sgld_sample(init, grad, constant_schedule(10, 0.1), seed=10)
-    assert exc.value.step == 0
-    assert exc.value.chain == 3
 
 
 def test_divergence_names_the_chain_id_not_the_row():
@@ -152,10 +150,9 @@ def test_divergence_names_the_chain_id_not_the_row():
         g[1, 0] = np.nan
         return g
 
-    with pytest.raises(SgldDivergenceError, match="chain 7") as exc:
+    with pytest.raises(SgldDivergenceError, match="chain 7$"):
         sgld_sample(np.zeros((2, 2)), grad, constant_schedule(3, 0.1), seed=0,
                     chain_ids=[5, 7])
-    assert exc.value.chain == 7
 
 
 # ---------------------------------------------------------------- init modes

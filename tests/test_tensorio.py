@@ -9,11 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from energy_ood.tensorio import (
-    BadMagicError,
     TensorFormatError,
-    TruncatedPayloadError,
-    UnknownDtypeError,
-    UnknownRankError,
     load_tensor,
     read_archive,
     read_record,
@@ -42,55 +38,49 @@ def test_truncated_payload(tmp_path):
     payload = np.arange(5, dtype="<f4").tobytes()  # 5 values for a 2x3 tensor
     path = tmp_path / "bad.f32"
     path.write_bytes(raw_file(1, [2, 3], payload))
-    with pytest.raises(TruncatedPayloadError):
+    with pytest.raises(TensorFormatError, match="payload needs"):
         load_tensor(path)
 
 
 def test_bad_magic_offset(tmp_path):
     path = tmp_path / "bad"
     path.write_bytes(raw_file(1, [1], b"\0" * 4, magic=b"NOPE"))
-    with pytest.raises(BadMagicError) as exc:
+    with pytest.raises(TensorFormatError, match=r"^expected magic b'FTSR' \(byte offset 0\)$"):
         load_tensor(path)
-    assert exc.value.offset == 0
 
 
 def test_unknown_dtype_offset(tmp_path):
     path = tmp_path / "bad"
     path.write_bytes(raw_file(9, [1], b"\0" * 4))
-    with pytest.raises(UnknownDtypeError) as exc:
+    with pytest.raises(TensorFormatError, match=r"^unknown dtype code 9 \(byte offset 5\)$"):
         load_tensor(path)
-    assert exc.value.offset == 5
 
 
 def test_unknown_rank_offset(tmp_path):
     path = tmp_path / "bad"
     path.write_bytes(raw_file(1, [1, 1, 1], b"\0" * 4))
-    with pytest.raises(UnknownRankError) as exc:
+    with pytest.raises(TensorFormatError, match=r"^rank 3 not supported .* \(byte offset 6\)$"):
         load_tensor(path)
-    assert exc.value.offset == 6
 
 
 def test_bad_version_and_pad(tmp_path):
     path = tmp_path / "bad"
     path.write_bytes(raw_file(1, [1], b"\0" * 4, version=2))
-    with pytest.raises(TensorFormatError) as exc:
+    with pytest.raises(TensorFormatError, match=r"version 2 \(byte offset 4\)$"):
         load_tensor(path)
-    assert exc.value.offset == 4
 
     path.write_bytes(raw_file(1, [1], b"\0" * 4, pad=7))
-    with pytest.raises(TensorFormatError) as exc:
+    with pytest.raises(TensorFormatError, match=r"pad byte 7 \(byte offset 7\)$"):
         load_tensor(path)
-    assert exc.value.offset == 7
 
 
 def test_payload_size_does_not_wrap(tmp_path):
     # (2**62 + 1) * 4 wraps to 4 in 64 bits, which 16 bytes of f32 would satisfy
     path = tmp_path / "bad"
     path.write_bytes(raw_file(1, [2**62 + 1, 4], np.zeros(4, "<f4").tobytes()))
-    with pytest.raises(TruncatedPayloadError, match="payload needs 73786976294838206480 "
-                                                    "bytes, file supplies 16") as exc:
+    with pytest.raises(TensorFormatError, match="payload needs 73786976294838206480 bytes, "
+                                                r"file supplies 16 \(byte offset 40\)$"):
         load_tensor(path)
-    assert exc.value.offset == 40
 
 
 def test_load_holds_the_file_once(tmp_path):
@@ -125,9 +115,8 @@ def test_load_from_a_pipe(tmp_path):
 def test_zero_extent_rejected(tmp_path):
     path = tmp_path / "bad"
     path.write_bytes(raw_file(1, [0, 3], b""))
-    with pytest.raises(TensorFormatError) as exc:
+    with pytest.raises(TensorFormatError, match=r"extent 0 is zero \(byte offset 8\)$"):
         load_tensor(path)
-    assert exc.value.offset == 8
 
 
 def test_trailing_bytes_rejected(tmp_path):
@@ -203,18 +192,19 @@ def test_archive_repeated_name_rejected(tmp_path):
     head = b"FTAR" + bytes([1]) + struct.pack("<H", 2) + entry("temperature", 1.0)
     path = tmp_path / "a.ftar"
     path.write_bytes(head + entry("temperature", 2.0))
-    with pytest.raises(TensorFormatError, match="'temperature' appears twice") as exc:
+    # the offset is the name's, after its u16 length
+    with pytest.raises(TensorFormatError,
+                       match=rf"'temperature' appears twice \(byte offset {len(head) + 2}\)$"):
         read_archive(path)
-    assert exc.value.offset == len(head) + 2  # the name, after its u16 length
 
 
 def test_archive_name_not_utf8_rejected(tmp_path):
     path = tmp_path / "a.ftar"
     head = b"FTAR" + bytes([1]) + struct.pack("<H", 1) + struct.pack("<H", 2)
     path.write_bytes(head + b"\xff\xfe" + tensor_bytes(np.array([1.0])))
-    with pytest.raises(TensorFormatError, match="entry name is not UTF-8") as exc:
+    assert len(head) == 9
+    with pytest.raises(TensorFormatError, match=r"entry name is not UTF-8 \(byte offset 9\)$"):
         read_archive(path)
-    assert exc.value.offset == len(head) == 9
 
 
 def test_archive_truncation(tmp_path):
@@ -222,5 +212,5 @@ def test_archive_truncation(tmp_path):
     write_archive(path, {"x": np.ones(3, dtype=np.float32)})
     blob = path.read_bytes()
     path.write_bytes(blob[:-2])
-    with pytest.raises(TruncatedPayloadError):
+    with pytest.raises(TensorFormatError, match="payload needs"):
         read_archive(path)
