@@ -37,9 +37,9 @@ import numpy as np
 
 from . import detectors, metrics
 from .featurestore import (
-    FeatureSet,
     ScoreRangeError,
     as_f32_scores,
+    load_feature_set,
     normalize_features,
     normalize_rows,
     read_input,
@@ -220,16 +220,6 @@ def cmd_toy(args) -> None:
     save_feature_set(fs, args.out_features, args.out_labels)
 
 
-def _feature_set(args) -> FeatureSet:
-    """The --features rows and their --labels, normalized with --normalize."""
-    feats, labels = read_input(args.features, "features"), read_input(args.labels, "labels")
-    if len(feats) != len(labels):
-        raise UsageError(f"--features {args.features} has {len(feats)} rows but "
-                         f"--labels {args.labels} has {len(labels)}")
-    fs = FeatureSet(feats, labels, int(labels.max()) + 1)
-    return normalize_features(fs) if args.normalize else fs
-
-
 def _check_width(args, x: np.ndarray, width: int, whose: str) -> None:
     """UsageError unless the --features rows ``x`` are ``width`` wide, as ``whose`` says."""
     if x.shape[1] != width:
@@ -237,7 +227,9 @@ def _check_width(args, x: np.ndarray, width: int, whose: str) -> None:
 
 
 def cmd_fit_mog(args) -> None:
-    fs = _feature_set(args)
+    fs = load_feature_set(args.features, args.labels)
+    if args.normalize:
+        fs = normalize_features(fs)
     gm = fit_mog(fs, shrinkage=args.shrinkage, temperature=args.temperature)
     save_mixture(args.out, gm)
 
@@ -268,7 +260,9 @@ def _train_flags(cfg) -> dict:
 
 
 def cmd_train(args) -> None:
-    fs = _feature_set(args)
+    fs = load_feature_set(args.features, args.labels)
+    if args.normalize:
+        fs = normalize_features(fs)
     cfg = _train_config(args)
     # the manifest's config holds the values the preset resolved
     vars(args).update(_train_flags(cfg))

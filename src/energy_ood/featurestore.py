@@ -121,6 +121,9 @@ def load_feature_set(features_path, labels_path, num_classes: int | None = None)
     """
     feats = read_input(features_path, "features")
     labels = read_input(labels_path, "labels")
+    if len(feats) != len(labels):
+        raise ValueError(f"features {features_path} has {len(feats)} rows but "
+                         f"labels {labels_path} has {len(labels)}")
     if num_classes is None:
         num_classes = int(labels.max()) + 1
     return FeatureSet(feats, labels, num_classes)

@@ -955,7 +955,7 @@ def test_rows_and_labels_mismatch_names_both_files(tmp_path, capsys, command):
     extra = ["--ebm", *fast_train_args()] if command == "train" else []
     assert run(command, "--features", feats, "--labels", labels, "--out", out, *extra) == 2
     assert capsys.readouterr().err == \
-        f"error: --features {feats} has 10 rows but --labels {labels} has 40\n"
+        f"error: features {feats} has 10 rows but labels {labels} has 40\n"
     assert not out.exists()
 
 
