@@ -11,11 +11,13 @@ stands for the flags its ``key = value`` lines spell out
 (``with_config_flags``); they go right after the subcommand name, so argparse
 parses and checks them like any other flag, and flags on the command line
 come later and win. A config file cannot name another. Exit codes: 0 success,
-1 computational failure (divergence, non-positive-definite covariance, a
-score beyond float32, running out of memory), 2 usage or input error,
-including an input path that is missing, a directory, unreadable or not a
-regular file (a pipe would be drained by hashing), an output that names the
-``--config`` file, and a tensor file that ``read_input`` rejects.
+1 computational failure, a ``ComputationError`` (divergence,
+non-positive-definite covariance, a score beyond float32) or running out of
+memory; 2 usage or input error, a ValueError or an OSError, including an
+input path that is missing, a directory, unreadable or not a regular file (a
+pipe would be drained by hashing), an output that names the ``--config``
+file, and a tensor file that ``read_input`` rejects. The two families share
+no class, so the order of ``main``'s handlers does not matter.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import detectors, metrics
 from .featurestore import (
-    ScoreRangeError,
+    ComputationError,
     as_f32_scores,
     load_feature_set,
     normalize_features,
@@ -46,17 +48,14 @@ from .featurestore import (
     save_feature_set,
 )
 from .mog import (
-    NotPositiveDefiniteError,
     fit_mog,
     gaussian_energy,
-    load_mixture,
     mahalanobis_ood_score,
     save_mixture,
 )
 from .tensorio import write_tensor
 from .toy import ToySpec, energy_grid, gen_toy, save_grid_csv, save_grid_tensor
 from .trainer import (
-    TrainingDivergedError,
     correction_defaults,
     ebm_defaults,
     load_model,
@@ -67,10 +66,6 @@ from .trainer import (
 SCHEMA = 1
 # the thread-count variables of the BLAS builds NumPy ships with
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-class UsageError(Exception):
-    pass
 
 
 def finite_float(text: str) -> float:
@@ -85,7 +80,7 @@ def _sha256(path) -> str:
     # stat, not open: a pipe would be empty when the command reads it, and
     # opening a FIFO with no writer blocks
     if not stat.S_ISREG(os.stat(path).st_mode):
-        raise UsageError(f"{path}: not a regular file")
+        raise ValueError(f"{path}: not a regular file")
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
@@ -127,12 +122,12 @@ def _file_key(path):
 
 
 def _check_outputs(inputs: list, outputs: list) -> None:
-    """Raise UsageError if an output is the same file as an input or an earlier output."""
+    """Raise ValueError if an output is the same file as an input or an earlier output."""
     seen = {_file_key(path): f"{flag} {path}" for flag, path in inputs}
     for flag, path in outputs:
         key = _file_key(path)
         if key in seen:
-            raise UsageError(f"{flag} {path} is the same file as {seen[key]}")
+            raise ValueError(f"{flag} {path} is the same file as {seen[key]}")
         seen[key] = f"{flag} {path}"
 
 
@@ -183,11 +178,11 @@ def _load_config_file(path) -> list:
             try:
                 values = shlex.split(value, comments=True)
             except ValueError as exc:
-                raise UsageError(f"{path}:{lineno}: {exc}") from exc
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
             if not key or not values:
-                raise UsageError(f"{path}:{lineno}: expected key = value")
+                raise ValueError(f"{path}:{lineno}: expected key = value")
             if key == "config":
-                raise UsageError(f"{path}:{lineno}: a config file cannot name another config")
+                raise ValueError(f"{path}:{lineno}: a config file cannot name another config")
             flag = "--" + key.replace("_", "-")
             if values == ["true"]:
                 flags.append(flag)
@@ -221,15 +216,23 @@ def cmd_toy(args) -> None:
 
 
 def _check_width(args, x: np.ndarray, width: int, whose: str) -> None:
-    """UsageError unless the --features rows ``x`` are ``width`` wide, as ``whose`` says."""
+    """ValueError unless the --features rows ``x`` are ``width`` wide, as ``whose`` says."""
     if x.shape[1] != width:
-        raise UsageError(f"--features {args.features} has {x.shape[1]} columns but {whose} {width}")
+        raise ValueError(f"--features {args.features} has {x.shape[1]} columns but {whose} {width}")
+
+
+def _normalized(path, normalize, x):
+    """``normalize(x)``, its error naming ``path``, the file ``x`` was read from."""
+    try:
+        return normalize(x)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def cmd_fit_mog(args) -> None:
     fs = load_feature_set(args.features, args.labels)
     if args.normalize:
-        fs = normalize_features(fs)
+        fs = _normalized(args.features, normalize_features, fs)
     gm = fit_mog(fs, shrinkage=args.shrinkage, temperature=args.temperature)
     save_mixture(args.out, gm)
 
@@ -262,12 +265,15 @@ def _train_flags(cfg) -> dict:
 def cmd_train(args) -> None:
     fs = load_feature_set(args.features, args.labels)
     if args.normalize:
-        fs = normalize_features(fs)
+        fs = _normalized(args.features, normalize_features, fs)
     cfg = _train_config(args)
     # the manifest's config holds the values the preset resolved
     vars(args).update(_train_flags(cfg))
-    gm = None if args.ebm else load_mixture(args.mog)
-    if gm is not None:
+    gm = None
+    if not args.ebm:
+        kind, gm = load_model(args.mog)
+        if kind != "mog":
+            raise ValueError(f"--mog {args.mog} holds a {kind} model, not a mixture")
         _check_width(args, fs.features, gm.dim, f"--mog {args.mog} takes")
     model, _ = train_correction(fs, gm, cfg, log_path=args.log)
     save_model(args.out, model)
@@ -292,7 +298,7 @@ def _model_scorer(path, detector: str):
         detector = "gaussian-energy" if kind == "mog" else kind
     needed, scorer = MODEL_SCORERS[detector]
     if needed != kind:
-        raise UsageError(f"{path} holds a {kind} model, which detector {detector} cannot score")
+        raise ValueError(f"{path} holds a {kind} model, which detector {detector} cannot score")
     dim = payload.dim if kind == "mog" else payload.net.input_dim
     return (lambda z: scorer(payload, z)), dim
 
@@ -309,19 +315,19 @@ LOGIT_SCORERS = {
 def _score_features(args) -> np.ndarray:
     x = read_input(args.features, "features")
     if args.normalize:
-        x = normalize_rows(x)
+        x = _normalized(args.features, normalize_rows, x)
     if args.detector == "knn":
         if args.train_features is None:
-            raise UsageError("knn needs --train-features")
+            raise ValueError("knn needs --train-features")
         if args.k is None:
-            raise UsageError("knn needs --k")
+            raise ValueError("knn needs --k")
         train = read_input(args.train_features, "features")
         _check_width(args, x, train.shape[1], f"--train-features {args.train_features} has")
         if args.normalize:
-            train = normalize_rows(train)
+            train = _normalized(args.train_features, normalize_rows, train)
         return detectors.score_knn(train, x, args.k)
     if args.model is None:
-        raise UsageError(f"detector {args.detector} needs --model")
+        raise ValueError(f"detector {args.detector} needs --model")
     scorer, dim = _model_scorer(args.model, args.detector)
     _check_width(args, x, dim, f"--model {args.model} takes")
     return scorer(x)
@@ -329,18 +335,18 @@ def _score_features(args) -> np.ndarray:
 
 def _score_logits(args) -> np.ndarray:
     if args.detector == "msp" and args.temperature != 1:
-        raise UsageError("msp scores at temperature 1; --temperature needs --detector odin")
+        raise ValueError("msp scores at temperature 1; --temperature needs --detector odin")
     return LOGIT_SCORERS[args.detector](read_input(args.logits, "logits"), args.temperature)
 
 
 def cmd_score(args) -> None:
     if args.detector in LOGIT_SCORERS:
         if args.logits is None:
-            raise UsageError(f"detector {args.detector} needs --logits")
+            raise ValueError(f"detector {args.detector} needs --logits")
         scores = _score_logits(args)
     else:
         if args.features is None:
-            raise UsageError(f"detector {args.detector} needs --features")
+            raise ValueError(f"detector {args.detector} needs --features")
         scores = _score_features(args)
     write_tensor(args.out, as_f32_scores(scores))
 
@@ -348,11 +354,11 @@ def cmd_score(args) -> None:
 def _parse_ood_arg(raw: str) -> tuple[str, str, str]:
     """[group:]name=path -> (group, name, path)."""
     if "=" not in raw:
-        raise UsageError(f"--ood expects [group:]name=path, got {raw!r}")
+        raise ValueError(f"--ood expects [group:]name=path, got {raw!r}")
     head, path = raw.split("=", 1)
     group, _, name = head.rpartition(":")
     if not name:
-        raise UsageError(f"--ood {raw!r} gives no dataset name")
+        raise ValueError(f"--ood {raw!r} gives no dataset name")
     return group or "all", name, path
 
 
@@ -400,7 +406,7 @@ def cmd_eval(args) -> None:
 def cmd_grid(args) -> None:
     fn, dim = _model_scorer(args.model, args.detector)
     if dim != 2:
-        raise UsageError(f"grid needs a 2-D model, but --model {args.model} takes {dim} columns")
+        raise ValueError(f"grid needs a 2-D model, but --model {args.model} takes {dim} columns")
     grid = energy_grid(fn, args.bounds, args.resolution)
     if args.out_tensor is not None:
         # first: a value beyond float32 raises before any file is written
@@ -512,8 +518,7 @@ def main(argv=None) -> int:
         args.func(args)
         _write_manifest(args, manifest, hashes, [path for _, path in outputs], started)
         return 0
-    except (NotPositiveDefiniteError, TrainingDivergedError, ScoreRangeError,
-            MemoryError) as exc:
+    except (ComputationError, MemoryError) as exc:
         # a MemoryError may carry no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
@@ -521,7 +526,7 @@ def main(argv=None) -> int:
         where = f"{exc.filename}: " if exc.filename else ""
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

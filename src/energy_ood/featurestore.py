@@ -2,7 +2,9 @@
 
 ``FILE_KINDS`` is the one table of what each kind of input tensor file
 holds, and ``read_input`` the one reader that checks a file against it.
-Floats are promoted to float64 for computation.
+Floats are promoted to float64 for computation. ``ComputationError`` is the
+package's one error for a computation that failed on valid input; bad input
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -95,8 +97,10 @@ def read_input(path, kind: str) -> np.ndarray:
     return arr.astype(np.float64) if dtype == "f32" else arr
 
 
-class ScoreRangeError(RuntimeError):
-    """A score the program cannot write: non-finite, or beyond float32 for a score file."""
+class ComputationError(RuntimeError):
+    """A computation that failed on valid input: a covariance that is not
+    positive definite, diverged Langevin chains or training, or a score the
+    program cannot write. The CLI exits 1 for it, and 2 for a ValueError."""
 
 
 def as_f32_scores(scores) -> np.ndarray:
@@ -109,8 +113,8 @@ def as_f32_scores(scores) -> np.ndarray:
     bad = ~(np.abs(scores) <= np.finfo(np.float32).max)
     if bad.any():
         row = int(np.argmax(bad))
-        raise ScoreRangeError(f"score {float(scores.flat[row])!r} of row {row} does not fit a "
-                              f"float32 score file")
+        raise ComputationError(f"score {float(scores.flat[row])!r} of row {row} does not fit a "
+                               f"float32 score file")
     return scores.astype(np.float32)
 
 

@@ -49,16 +49,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .featurestore import FeatureSet, as_rows
-from .tensorio import archive_scalar, read_archive, write_archive
-
-
-class NotPositiveDefiniteError(ValueError):
-    def __init__(self, shrinkage: float):
-        super().__init__(
-            f"tied covariance is not positive definite with shrinkage {shrinkage:.3e}; "
-            "pass a larger shrinkage"
-        )
+from .featurestore import ComputationError, FeatureSet, as_rows
+from .tensorio import archive_scalar, write_archive
 
 
 _ARRAYS = ("means", "covariance", "chol_lower", "precision", "mixing")
@@ -133,7 +125,10 @@ class GaussianMixture:
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(shrinkage) from exc
+            raise ComputationError(
+                f"tied covariance is not positive definite with shrinkage {shrinkage:.3e}; "
+                "pass a larger shrinkage"
+            ) from exc
         return _from_factor(means, cov, chol, mixing, temperature, shrinkage)
 
 
@@ -475,11 +470,3 @@ def mixture_from_entries(entries: dict[str, np.ndarray], prefix: str = "") -> Ga
 
 def save_mixture(path, gm: GaussianMixture) -> None:
     write_archive(path, mixture_entries(gm))
-
-
-def load_mixture(path) -> GaussianMixture:
-    """The mixture archived at ``path``; ValueError, naming the path, if malformed."""
-    try:
-        return mixture_from_entries(read_archive(path))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc

@@ -14,12 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .featurestore import ComputationError
 from .mog import GaussianMixture, sample_mog
-
-
-class SgldDivergenceError(RuntimeError):
-    def __init__(self, step: int, chain: int):
-        super().__init__(f"non-finite gradient at step {step}, chain {chain}")
 
 
 @dataclass(frozen=True)
@@ -108,7 +104,8 @@ def sgld_sample(init: np.ndarray, energy_grad, schedule: SgldSchedule, seed,
             raise ValueError(f"gradient shape {grad.shape} != state shape {z.shape}")
         finite = np.isfinite(grad).all(axis=1)
         if not finite.all():
-            raise SgldDivergenceError(t, int(ids[np.argmin(finite)]))
+            raise ComputationError(f"non-finite gradient at step {t}, "
+                                   f"chain {int(ids[np.argmin(finite)])}")
         noise = np.random.default_rng([*key, t]).standard_normal((rows, d))
         z = z - alpha * grad + np.sqrt(beta) * noise[ids]
     return z

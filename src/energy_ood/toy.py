@@ -5,7 +5,7 @@ uniform over its length, position across it is Gaussian. Each bar is its own
 class, so a single cross gives 2 classes and the 3x3 grid of crosses gives
 18. Energy surfaces are sampled on a regular lattice and exported as CSV or
 a tensor file; rendering is left to external tools. ``energy_grid`` raises
-``featurestore.ScoreRangeError`` for a non-finite score, naming its grid
+``featurestore.ComputationError`` for a non-finite score, naming its grid
 point.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featurestore import FeatureSet, ScoreRangeError, as_f32_scores
+from .featurestore import ComputationError, FeatureSet, as_f32_scores
 from .tensorio import write_tensor
 
 KINDS = ("cross", "grid_crosses")
@@ -125,8 +125,8 @@ def energy_grid(score_fn, bounds, resolution: int) -> EnergyGrid:
     bad = ~np.isfinite(flat)
     if bad.any():
         i = int(np.argmax(bad))
-        raise ScoreRangeError(f"non-finite score {float(flat[i])!r} at grid point "
-                              f"({points[i, 0]}, {points[i, 1]})")
+        raise ComputationError(f"non-finite score {float(flat[i])!r} at grid point "
+                               f"({points[i, 0]}, {points[i, 1]})")
     return EnergyGrid(xs, ys, flat.reshape(resolution, resolution))
 
 
@@ -141,6 +141,6 @@ def save_grid_csv(path, grid: EnergyGrid) -> None:
 
 
 def save_grid_tensor(path, grid: EnergyGrid) -> None:
-    """The (R, R) values as a float32 tensor; raises ScoreRangeError, writing
+    """The (R, R) values as a float32 tensor; raises ComputationError, writing
     nothing, if a value is beyond the float32 range."""
     write_tensor(path, as_f32_scores(grid.values))

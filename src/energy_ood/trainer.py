@@ -19,7 +19,7 @@ coordinate dwarfs float32's relative error of about 1e-6. The chain states
 and their noise, the loss, Adam and the parameters stay float64, and so do
 the returned model and its archive. Rows or chain states above about 1e19,
 whose squared whitened norms overflow float32, and weights beyond its range
-make training stop with TrainingDivergedError.
+make training stop with featurestore.ComputationError.
 Training is bitwise reproducible per seed.
 """
 
@@ -34,17 +34,13 @@ import numpy as np
 # under this module's name, so it stays imported until the benchmark drops it
 from .energy_net import EnergyMlp, mlp_energy, mlp_entries, mlp_from_entries, mlp_grad_input, \
     mlp_grad_params, mlp_init
-from .featurestore import FeatureSet, minibatch_indices
+from .featurestore import ComputationError, FeatureSet, minibatch_indices
 from .mog import GaussianMixture, float32_mixture, gaussian_energy_grad, mixture_entries, \
     mixture_from_entries
-from .sgld import SgldDivergenceError, SgldSchedule, sgld_init, sgld_sample
+from .sgld import SgldSchedule, sgld_init, sgld_sample
 from .tensorio import archive_scalar, read_archive, write_archive
 
 _MODEL_KINDS = {1: "correction", 2: "ebm"}
-
-
-class TrainingDivergedError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -247,8 +243,8 @@ def train_correction(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfi
                 try:
                     neg = sgld_sample(start, energy_grad, cfg.sgld,
                                       seed=(cfg.seed, 4, gstep))
-                except SgldDivergenceError as exc:
-                    raise TrainingDivergedError(
+                except ComputationError as exc:
+                    raise ComputationError(
                         f"Langevin chains diverged at epoch {epoch}, step {gstep}: {exc}"
                     ) from exc
 
@@ -268,7 +264,7 @@ def train_correction(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfi
                     loss_mle = mle_loss(e_pos, e_neg)
                     loss_reg = l2_reg(e_pos, e_neg)
                 if not (np.isfinite(loss_mle) and np.isfinite(loss_reg)):
-                    raise TrainingDivergedError(
+                    raise ComputationError(
                         f"non-finite loss at epoch {epoch}, step {gstep}"
                     )
                 # a non-finite gradient makes Adam's step NaN, and a parameter
@@ -278,7 +274,7 @@ def train_correction(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfi
                         params, [g.astype(np.float64) for g in grads], state, cfg.learning_rate)
                     params32 = [p.astype(np.float32) for p in params]
                 if not all(np.isfinite(p).all() for p in params32):
-                    raise TrainingDivergedError(
+                    raise ComputationError(
                         f"non-finite parameters (in float32) after epoch {epoch}, step {gstep}"
                     )
                 net32 = EnergyMlp(params32)

@@ -15,11 +15,18 @@ from energy_ood import cli
 from energy_ood.cli import main
 from energy_ood.energy_net import mlp_energy, mlp_init
 from energy_ood.featurestore import FeatureSet, load_feature_set, normalize_features
-from energy_ood.mog import fit_mog, gaussian_energy, load_mixture, save_mixture
+from energy_ood.mog import fit_mog, gaussian_energy, save_mixture
 from energy_ood.tensorio import load_tensor, read_archive, tensor_bytes, write_archive, \
     write_tensor
 from energy_ood.toy import ToySpec, gen_toy
 from energy_ood.trainer import CorrectionModel, load_model, save_model
+
+
+def read_mixture(path):
+    """The mixture in the archive at ``path``, read as ``train --mog`` reads it."""
+    kind, gm = load_model(path)
+    assert kind == "mog"
+    return gm
 
 
 def run(*argv) -> int:
@@ -58,7 +65,7 @@ def test_fit_mog_archive_reload_scores(tmp_path, toy_files):
     out = tmp_path / "mog.ftar"
     assert run("fit-mog", "--features", feats, "--labels", labels,
                "--temperature", 1.0, "--out", out) == 0
-    loaded = load_mixture(out)
+    loaded = read_mixture(out)
     direct = fit_mog(load_feature_set(feats, labels), temperature=1.0)
     z = np.random.default_rng(0).standard_normal((100, 2)) * 2
     np.testing.assert_allclose(gaussian_energy(loaded, z), gaussian_energy(direct, z),
@@ -70,7 +77,7 @@ def test_fit_mog_normalize_flag_equivalence(tmp_path, toy_files):
     out = tmp_path / "mognorm.ftar"
     assert run("fit-mog", "--features", feats, "--labels", labels,
                "--temperature", 1.0, "--normalize", "--out", out) == 0
-    loaded = load_mixture(out)
+    loaded = read_mixture(out)
     direct = fit_mog(normalize_features(load_feature_set(feats, labels)),
                      temperature=1.0)
     z = np.random.default_rng(1).standard_normal((50, 2))
@@ -217,7 +224,7 @@ def test_train_net_temperature_reaches_the_scores(tmp_path, toy_files):
                "--features", feats, "--out", out) == 0
     _, loaded = load_model(model)
     z = load_tensor(feats).astype(np.float64)
-    expected = mlp_energy(loaded.net, z) / 0.5 + gaussian_energy(load_mixture(mog), z)
+    expected = mlp_energy(loaded.net, z) / 0.5 + gaussian_energy(read_mixture(mog), z)
     np.testing.assert_array_equal(load_tensor(out), expected.astype(np.float32))
 
 
@@ -305,7 +312,7 @@ def test_score_gaussian_energy_detector(tmp_path, toy_files):
                "--temperature", 1.0, "--out", mog) == 0
     assert run("score", "--detector", "gaussian-energy", "--model", mog,
                "--features", feats, "--out", out) == 0
-    expected = gaussian_energy(load_mixture(mog), load_tensor(feats).astype(np.float64))
+    expected = gaussian_energy(read_mixture(mog), load_tensor(feats).astype(np.float64))
     np.testing.assert_array_equal(load_tensor(out), expected.astype(np.float32))
 
 
@@ -713,12 +720,12 @@ def test_config_file_with_flag_override(tmp_path, toy_files):
     out = tmp_path / "m1.ftar"
     assert run("fit-mog", "--config", cfg_file, "--features", feats,
                "--labels", labels, "--out", out) == 0
-    assert load_mixture(out).temperature == 2.0
+    assert read_mixture(out).temperature == 2.0
 
     out2 = tmp_path / "m2.ftar"
     assert run("fit-mog", "--config", cfg_file, "--features", feats,
                "--labels", labels, "--temperature", 5.0, "--out", out2) == 0
-    assert load_mixture(out2).temperature == 5.0
+    assert read_mixture(out2).temperature == 5.0
 
 
 def test_train_manifest_replays_to_identical_archive(tmp_path, toy_files):
@@ -890,13 +897,18 @@ def test_bad_magic_error_names_the_file(tmp_path, capsys, flag):
 
 
 def test_mixture_for_a_model_names_the_file(tmp_path, toy_files, capsys):
-    # a correction archive given to --mog lacks the mixture's top-level entries
-    model, _, _ = _tiny_models(tmp_path)
+    # --mog reads archives as score and grid do, and names the kind it found
+    correction, _, _ = _tiny_models(tmp_path)
+    ebm = tmp_path / "ebm.ftar"
+    save_model(ebm, CorrectionModel(mlp_init([2, 4, 1], np.random.default_rng(0))))
     feats, labels = toy_files
-    assert run("train", "--features", feats, "--labels", labels, "--mog", model,
-               "--out", tmp_path / "m.ftar", *fast_train_args()) == 2
-    assert capsys.readouterr().err.startswith(
-        f"error: {model}: not a mixture archive: missing entries")
+    for kind, model in [("correction", correction), ("ebm", ebm)]:
+        out = tmp_path / f"m-{kind}.ftar"
+        assert run("train", "--features", feats, "--labels", labels, "--mog", model,
+                   "--out", out, *fast_train_args()) == 2
+        assert capsys.readouterr().err == \
+            f"error: --mog {model} holds a {kind} model, not a mixture\n"
+        assert not out.exists()
 
 
 @pytest.fixture()
@@ -956,6 +968,36 @@ def test_rows_and_labels_mismatch_names_both_files(tmp_path, capsys, command):
     assert run(command, "--features", feats, "--labels", labels, "--out", out, *extra) == 2
     assert capsys.readouterr().err == \
         f"error: features {feats} has 10 rows but labels {labels} has 40\n"
+    assert not out.exists()
+
+
+# one command per input that --normalize scales, reading the zero row's file
+# ``{zero}`` through it
+NORMALIZE_COMMANDS = {
+    "fit-mog --features": ["fit-mog", "--features", "{zero}", "--labels", "{labels}"],
+    "train --features": ["train", "--features", "{zero}", "--labels", "{labels}", "--ebm",
+                         *fast_train_args()],
+    "score --features": ["score", "--detector", "knn", "--k", 1, "--features", "{zero}",
+                         "--train-features", "{feats}"],
+    "score --train-features": ["score", "--detector", "knn", "--k", 1,
+                               "--features", "{feats}", "--train-features", "{zero}"],
+}
+
+
+@pytest.mark.parametrize("command", list(NORMALIZE_COMMANDS))
+def test_normalize_error_names_the_file(tmp_path, capsys, command):
+    rows = np.random.default_rng(6).standard_normal((6, 2)).astype(np.float32)
+    paths = {name: tmp_path / name for name in ("feats.f32", "zero.f32", "labels.u32")}
+    write_tensor(paths["feats.f32"], rows)
+    rows[2] = 0.0
+    write_tensor(paths["zero.f32"], rows)
+    write_tensor(paths["labels.u32"], (np.arange(6) % 2).astype(np.uint32))
+    argv = [str(a).format(feats=paths["feats.f32"], zero=paths["zero.f32"],
+                          labels=paths["labels.u32"]) for a in NORMALIZE_COMMANDS[command]]
+    out = tmp_path / "out"
+    assert run(*argv, "--normalize", "--out", out) == 2
+    assert capsys.readouterr().err == (f"error: {paths['zero.f32']}: feature row 2 has "
+                                       "near-zero norm 0.000e+00; cannot normalize\n")
     assert not out.exists()
 
 

@@ -10,20 +10,19 @@ import pytest
 from scipy.linalg import cho_solve, solve_triangular
 
 from energy_ood import mog
-from energy_ood.featurestore import FeatureSet
+from energy_ood.featurestore import ComputationError, FeatureSet
 from energy_ood.mog import (
     GaussianMixture,
-    NotPositiveDefiniteError,
     fit_mog,
     gaussian_energy,
     gaussian_energy_grad,
-    load_mixture,
     log_density,
     mahalanobis_ood_score,
     sample_mog,
     save_mixture,
 )
 from energy_ood.sgld import SgldSchedule, sgld_sample
+from energy_ood.trainer import load_model
 
 
 def validate_mixture(gm):
@@ -117,7 +116,7 @@ def test_default_shrinkage_rescues_rank_deficiency():
     # two collinear classes: raw covariance is singular along one axis
     feats = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     fs = FeatureSet(feats, [0, 0, 1, 1], 2)
-    with pytest.raises(NotPositiveDefiniteError, match="shrinkage"):
+    with pytest.raises(ComputationError, match="shrinkage"):
         fit_mog(fs, shrinkage=0.0)
     gm = fit_mog(fs)  # default trace-scaled shrinkage
     assert gm.shrinkage > 0
@@ -294,7 +293,8 @@ def test_density_integrates_to_one():
 def test_mixture_archive_round_trip(tmp_path, cross_mog):
     path = tmp_path / "mog.ftar"
     save_mixture(path, cross_mog)
-    loaded = load_mixture(path)
+    kind, loaded = load_model(path)
+    assert kind == "mog"
     z = np.random.default_rng(25).standard_normal((200, 2)) * 3
     np.testing.assert_allclose(gaussian_energy(loaded, z),
                                gaussian_energy(cross_mog, z), atol=1e-12)

@@ -101,7 +101,8 @@ def test_load_holds_the_file_once(tmp_path):
 
 
 def test_load_from_a_pipe(tmp_path):
-    # a pipe has no size to read up front, as with `score --features <(...)`
+    # a pipe has no size to read up front; the CLI refuses one as an input, so
+    # only a library caller reads one
     path, arr = tmp_path / "fifo", np.arange(6, dtype=np.float32).reshape(2, 3)
     os.mkfifo(path)
     writer = threading.Thread(target=write_tensor, args=(path, arr))

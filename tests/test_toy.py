@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from energy_ood.featurestore import ScoreRangeError
+from energy_ood.featurestore import ComputationError
 from energy_ood.mog import gaussian_energy
 from energy_ood.tensorio import load_tensor
 from energy_ood.toy import (
@@ -121,7 +121,7 @@ def test_grid_nonfinite_error_names_point():
         out[(pts[:, 0] > 0.9) & (pts[:, 1] > 0.9)] = np.nan
         return out
 
-    with pytest.raises(ScoreRangeError, match=r"at grid point \(1\.0, 1\.0\)"):
+    with pytest.raises(ComputationError, match=r"at grid point \(1\.0, 1\.0\)"):
         energy_grid(fn, (0, 1, 0, 1), 3)
 
 
