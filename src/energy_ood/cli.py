@@ -273,10 +273,15 @@ def cmd_train(args) -> None:
     if not args.ebm:
         kind, gm = load_model(args.mog)
         if kind != "mog":
-            raise ValueError(f"--mog {args.mog} holds a {kind} model, not a mixture")
+            raise ValueError(f"--mog {_holds(args.mog, kind)}, not a mixture")
         _check_width(args, fs.features, gm.dim, f"--mog {args.mog} takes")
     model, _ = train_correction(fs, gm, cfg, log_path=args.log)
     save_model(args.out, model)
+
+
+def _holds(path, kind: str) -> str:
+    """'<path> holds a <kind> model', with "an" before a kind that starts with a vowel."""
+    return f"{path} holds {'an' if kind[0] in 'aeiou' else 'a'} {kind} model"
 
 
 # archive kind (as load_model names it) and batched scorer of each model-based detector
@@ -298,7 +303,7 @@ def _model_scorer(path, detector: str):
         detector = "gaussian-energy" if kind == "mog" else kind
     needed, scorer = MODEL_SCORERS[detector]
     if needed != kind:
-        raise ValueError(f"{path} holds a {kind} model, which detector {detector} cannot score")
+        raise ValueError(f"{_holds(path, kind)}, which detector {detector} cannot score")
     dim = payload.dim if kind == "mog" else payload.net.input_dim
     return (lambda z: scorer(payload, z)), dim
 
@@ -313,6 +318,11 @@ LOGIT_SCORERS = {
 
 
 def _score_features(args) -> np.ndarray:
+    if args.detector != "knn":
+        # the archive is loaded and its kind checked before the rows are read
+        if args.model is None:
+            raise ValueError(f"detector {args.detector} needs --model")
+        scorer, dim = _model_scorer(args.model, args.detector)
     x = read_input(args.features, "features")
     if args.normalize:
         x = _normalized(args.features, normalize_rows, x)
@@ -326,9 +336,6 @@ def _score_features(args) -> np.ndarray:
         if args.normalize:
             train = _normalized(args.train_features, normalize_rows, train)
         return detectors.score_knn(train, x, args.k)
-    if args.model is None:
-        raise ValueError(f"detector {args.detector} needs --model")
-    scorer, dim = _model_scorer(args.model, args.detector)
     _check_width(args, x, dim, f"--model {args.model} takes")
     return scorer(x)
 

@@ -1,12 +1,12 @@
 """Maximum-likelihood training of the energy model E(z) = E_net(z) / T + E_mog(z).
 
 Each step draws a noisy positive minibatch, synthesizes negatives by Langevin
-sampling from the current model, and descends mean(E on data) - mean(E on
-negatives) plus an L2 penalty on the energy magnitudes, with Adam. The
-correction model starts chains from the fitted mixture and follows the
-gradient of the full energy. The plain-EBM ablation is the same model without
-the mixture term, whose chains start from N(0, I); it has no entry point of
-its own: ``train_correction(fs, None, cfg)`` trains it.
+sampling from the current model (``langevin_negatives``, the one negative
+phase) and descends mean(E on data) - mean(E on negatives) plus an L2 penalty
+on the energy magnitudes, with Adam. Correction chains start from the fitted
+mixture and follow the gradient of the full energy. The plain-EBM ablation is
+the same model without the mixture term, whose chains start from N(0, I); it
+has no entry point of its own: ``train_correction(fs, None, cfg)`` trains it.
 
 Each step computes in float32 and keeps float64 master weights, as in
 mixed-precision training (Micikevicius et al. 2018, arXiv 1710.03740). A
@@ -26,6 +26,7 @@ Training is bitwise reproducible per seed.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -123,24 +124,6 @@ class CorrectionModel:
             )
 
 
-def mle_loss(pos_energies, neg_energies) -> float:
-    """mean(E on data) - mean(E on negatives); only the network energy enters."""
-    pos = np.asarray(pos_energies, dtype=np.float64)
-    neg = np.asarray(neg_energies, dtype=np.float64)
-    if pos.size == 0 or neg.size == 0:
-        raise ValueError("energy batches must be nonempty")
-    return float(pos.mean() - neg.mean())
-
-
-def l2_reg(pos_energies, neg_energies) -> float:
-    """Mean squared energy over positives and negatives combined."""
-    pos = np.asarray(pos_energies, dtype=np.float64)
-    neg = np.asarray(neg_energies, dtype=np.float64)
-    if pos.size == 0 or neg.size == 0:
-        raise ValueError("energy batches must be nonempty")
-    return float(np.mean(np.concatenate([pos, neg]) ** 2))
-
-
 @dataclass
 class AdamState:
     m: list
@@ -189,6 +172,34 @@ def adam_step(params, grads, state: AdamState, lr: float):
     return new_params, AdamState(state.m, state.v, t)
 
 
+def langevin_negatives(net32: EnergyMlp, gm: GaussianMixture | None,
+                       gm32: GaussianMixture | None, cfg: TrainConfig,
+                       rng: np.random.Generator, b: int, step: int):
+    """The negative phase of training step ``step``: ``b`` Langevin chains under
+    ``cfg.sgld`` on the float32 network's energy ``net32`` / T, plus the float32
+    mixture ``gm32`` if any. ``sgld_init`` starts them from ``gm`` (N(0, I)
+    without one) with ``rng``, and their noise is keyed by (cfg.seed, 4, step).
+
+    Returns the negatives and the chains' gradient norm, averaged over chains
+    and Langevin steps. A non-finite chain gradient raises ComputationError.
+    """
+    grad_norms = []
+
+    def energy_grad(z):
+        # a non-finite gradient is reported by the sampler, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = mlp_grad_input(net32, z).astype(np.float64) / cfg.net_temperature
+            if gm32 is not None:
+                g = g + gaussian_energy_grad(gm32, z)
+            grad_norms.append(float(np.mean(np.linalg.norm(g, axis=1))))
+        return g
+
+    start = sgld_init(gm, b, net32.input_dim, rng)
+    # stream domain 4: disjoint from the spawn keys of train_correction's rngs
+    neg = sgld_sample(start, energy_grad, cfg.sgld, seed=(cfg.seed, 4, step))
+    return neg, float(np.mean(grad_norms))
+
+
 def train_correction(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfig,
                      log_path=None):
     """Train the correction network against the fitted mixture ``gm``;
@@ -213,57 +224,40 @@ def train_correction(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfi
     gm32 = float32_mixture(gm) if gm is not None else None
     state = AdamState.zeros_like(params)
 
-    log_fh = open(log_path, "w") if log_path is not None else None
     history = []
     gstep = 0
-    try:
+    with open(log_path, "w") if log_path is not None else nullcontext() as log_fh:
         for epoch in range(cfg.epochs):
-            sums = {"mle_loss": 0.0, "l2_reg": 0.0, "mean_pos_energy": 0.0,
-                    "mean_neg_energy": 0.0, "sgld_mean_grad_norm": 0.0}
-            steps = 0
-            for idx in minibatch_indices(n, cfg.batch_size, shuffle_rng):
+            sums = {}
+            for steps, idx in enumerate(minibatch_indices(n, cfg.batch_size, shuffle_rng), 1):
                 b = idx.size
                 pos = fs.features[idx]
                 if cfg.input_noise_std > 0:
                     pos = pos + cfg.input_noise_std * noise_rng.standard_normal(pos.shape)
-
-                grad_norms = []
-
-                def energy_grad(z):
-                    # a non-finite gradient is reported by the sampler, not warned about
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        g = mlp_grad_input(net32, z).astype(np.float64) / cfg.net_temperature
-                        if gm32 is not None:
-                            g = g + gaussian_energy_grad(gm32, z)
-                        grad_norms.append(float(np.mean(np.linalg.norm(g, axis=1))))
-                    return g
-
-                # stream domain 4: disjoint from the spawn keys of the rngs above
-                start = sgld_init(gm, b, d, neg_rng)
                 try:
-                    neg = sgld_sample(start, energy_grad, cfg.sgld,
-                                      seed=(cfg.seed, 4, gstep))
+                    neg, grad_norm = langevin_negatives(net32, gm, gm32, cfg, neg_rng, b, gstep)
                 except ComputationError as exc:
                     raise ComputationError(
                         f"Langevin chains diverged at epoch {epoch}, step {gstep}: {exc}"
                     ) from exc
 
-                def scaled(energies):
-                    return energies.astype(np.float64) / cfg.net_temperature
+                e = None  # the pass's energies divided by T, the objective's inputs
 
                 def upstream(energies):
-                    # d(L_mle + l2 * L_reg)/d(raw E) as one upstream weight per sample
+                    # d(mle_loss + l2 * l2_reg)/d(raw E) as one upstream weight per sample
+                    nonlocal e
+                    e = energies.astype(np.float64) / cfg.net_temperature
                     sign = np.repeat([1.0, -1.0], b)
-                    return (sign + cfg.l2_coeff * scaled(energies)) / (b * cfg.net_temperature)
+                    return (sign + cfg.l2_coeff * e) / (b * cfg.net_temperature)
 
                 # one float32 pass: the energies and, from them, the parameter gradient
-                grads, energies = mlp_grad_params(net32, np.concatenate([pos, neg]), upstream)
+                grads, _ = mlp_grad_params(net32, np.concatenate([pos, neg]), upstream)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    energies = scaled(energies)
-                    e_pos, e_neg = energies[:b], energies[b:]
-                    loss_mle = mle_loss(e_pos, e_neg)
-                    loss_reg = l2_reg(e_pos, e_neg)
-                if not (np.isfinite(loss_mle) and np.isfinite(loss_reg)):
+                    e_pos, e_neg = float(e[:b].mean()), float(e[b:].mean())
+                    terms = {"mle_loss": e_pos - e_neg, "l2_reg": float(np.mean(e ** 2)),
+                             "mean_pos_energy": e_pos, "mean_neg_energy": e_neg,
+                             "sgld_mean_grad_norm": grad_norm}
+                if not (np.isfinite(terms["mle_loss"]) and np.isfinite(terms["l2_reg"])):
                     raise ComputationError(
                         f"non-finite loss at epoch {epoch}, step {gstep}"
                     )
@@ -279,12 +273,8 @@ def train_correction(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfi
                     )
                 net32 = EnergyMlp(params32)
 
-                sums["mle_loss"] += loss_mle
-                sums["l2_reg"] += loss_reg
-                sums["mean_pos_energy"] += float(np.mean(e_pos))
-                sums["mean_neg_energy"] += float(np.mean(e_neg))
-                sums["sgld_mean_grad_norm"] += float(np.mean(grad_norms))
-                steps += 1
+                for k, v in terms.items():
+                    sums[k] = sums.get(k, 0.0) + v
                 gstep += 1
 
             row = {"epoch": epoch}
@@ -292,9 +282,6 @@ def train_correction(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfi
             history.append(row)
             if log_fh is not None:
                 log_fh.write(json.dumps(row) + "\n")
-    finally:
-        if log_fh is not None:
-            log_fh.close()
     return CorrectionModel(EnergyMlp(params), gm, cfg.net_temperature), history
 
 

@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -902,13 +904,131 @@ def test_mixture_for_a_model_names_the_file(tmp_path, toy_files, capsys):
     ebm = tmp_path / "ebm.ftar"
     save_model(ebm, CorrectionModel(mlp_init([2, 4, 1], np.random.default_rng(0))))
     feats, labels = toy_files
-    for kind, model in [("correction", correction), ("ebm", ebm)]:
-        out = tmp_path / f"m-{kind}.ftar"
+    for holds, model in [("holds a correction", correction), ("holds an ebm", ebm)]:
+        out = tmp_path / f"m-{model.stem}.ftar"
         assert run("train", "--features", feats, "--labels", labels, "--mog", model,
                    "--out", out, *fast_train_args()) == 2
-        assert capsys.readouterr().err == \
-            f"error: --mog {model} holds a {kind} model, not a mixture\n"
+        assert capsys.readouterr().err == f"error: --mog {model} {holds} model, not a mixture\n"
         assert not out.exists()
+        assert run("score", "--detector", "mahalanobis", "--model", model,
+                   "--features", feats, "--out", out) == 2
+        assert capsys.readouterr().err == \
+            f"error: {model} {holds} model, which detector mahalanobis cannot score\n"
+        assert not out.exists()
+
+
+def test_score_checks_the_model_before_reading_the_features(tmp_path, capsys):
+    _, mixture, _ = _tiny_models(tmp_path)
+    ebm, bad = tmp_path / "ebm.ftar", tmp_path / "bad.f32"
+    save_model(ebm, CorrectionModel(mlp_init([2, 4, 1], np.random.default_rng(0))))
+    bad.write_bytes(b"NOPE" + bytes(16))
+    assert run("score", "--detector", "mahalanobis", "--model", ebm, "--features", bad,
+               "--out", tmp_path / "s.scores") == 2
+    assert capsys.readouterr().err == \
+        f"error: {ebm} holds an ebm model, which detector mahalanobis cannot score\n"
+    # a model of the right kind gets to the features file
+    assert run("score", "--detector", "mahalanobis", "--model", mixture, "--features", bad,
+               "--out", tmp_path / "s.scores") == 2
+    assert capsys.readouterr().err == f"error: {bad}: expected magic b'FTSR' (byte offset 0)\n"
+
+
+# score arguments that leave out an input the detector needs, and the error
+MISSING_SCORE_INPUTS = {
+    "knn-train-features": (["--detector", "knn", "--k", 1, "--features", "{feats}"],
+                           "knn needs --train-features"),
+    "knn-k": (["--detector", "knn", "--train-features", "{feats}", "--features", "{feats}"],
+              "knn needs --k"),
+    "model": (["--detector", "correction", "--features", "{feats}"],
+              "detector correction needs --model"),
+    "features": (["--detector", "mahalanobis", "--model", "{mog}"],
+                 "detector mahalanobis needs --features"),
+}
+
+
+@pytest.mark.parametrize("case", list(MISSING_SCORE_INPUTS))
+def test_score_without_a_needed_input_exits_2(tmp_path, capsys, case):
+    _, mixture, feats = _tiny_models(tmp_path)
+    argv, message = MISSING_SCORE_INPUTS[case]
+    argv = [str(a).format(feats=feats, mog=mixture) for a in argv]
+    assert run("score", *argv, "--out", tmp_path / "s.scores") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "s.scores").exists()
+
+
+def test_config_line_with_an_unclosed_quote_exits_2(tmp_path, toy_files, capsys):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text(f'features = "{toy_files[0]}\n')
+    assert run("fit-mog", "--config", cfg_file, "--labels", toy_files[1],
+               "--out", tmp_path / "m.ftar") == 2
+    assert capsys.readouterr().err == f"error: {cfg_file}:1: No closing quotation\n"
+
+
+def _negative_cholesky_diagonal(entries):
+    entries["chol_lower"][1, 1] = -0.5
+
+
+def _nan_mean(entries):
+    entries["means"][0, 1] = np.nan
+
+
+def _one_mixing_weight(entries):
+    entries["mixing"] = np.array([1.0])
+
+
+def _network_of_3_columns(entries):
+    entries["net.w0"] = np.ones((4, 3))
+
+
+def _kind_7(entries):
+    entries["kind"] = np.array([7], dtype=np.uint32)
+
+
+def _two_temperatures(entries):
+    entries["net_temperature"] = np.array([1.0, 2.0])
+
+
+def _second_layer_of_5_inputs(entries):
+    entries["net.w1"] = np.ones((1, 5))
+
+
+# hand-built archives the loader refuses: which archive is edited, how, and
+# the message after the archive's path
+BAD_ARCHIVES = {
+    "cholesky-diagonal": ("mog", _negative_cholesky_diagonal,
+                          "Cholesky factor has non-positive diagonal"),
+    "nan-mean": ("mog", _nan_mean, "mixture has non-finite parameters"),
+    "mixing-length": ("mog", _one_mixing_weight, "mixture entries disagree in shape: "
+                      "means (2, 2), chol_lower (2, 2), mixing (1,)"),
+    "network-width": ("model", _network_of_3_columns, "network input 3 != mixture dimension 2"),
+    "kind-code": ("model", _kind_7, "unknown model kind code 7"),
+    "temperature-size": ("model", _two_temperatures,
+                         "archive entry 'net_temperature' must hold one value, got shape (2,)"),
+    "layer-width": ("model", _second_layer_of_5_inputs, "layer 1 input 5 != layer 0 output"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ARCHIVES))
+def test_hand_built_archive_exits_2_naming_it(tmp_path, capsys, case):
+    model, mixture, feats = _tiny_models(tmp_path)
+    which, corrupt, message = BAD_ARCHIVES[case]
+    archive, detector = {"model": (model, "correction"), "mog": (mixture, "mahalanobis")}[which]
+    entries = read_archive(archive)
+    corrupt(entries)
+    write_archive(archive, entries)
+    assert run("score", "--detector", detector, "--model", archive, "--features", feats,
+               "--out", tmp_path / "s.scores") == 2
+    assert capsys.readouterr().err == f"error: {archive}: {message}\n"
+    assert not (tmp_path / "s.scores").exists()
+
+
+def test_archive_with_a_trailing_byte_exits_2(tmp_path, capsys):
+    model, _, feats = _tiny_models(tmp_path)
+    size = model.stat().st_size
+    model.write_bytes(model.read_bytes() + b"\0")
+    assert run("score", "--detector", "correction", "--model", model, "--features", feats,
+               "--out", tmp_path / "s.scores") == 2
+    assert capsys.readouterr().err == \
+        f"error: {model}: 1 trailing bytes after last entry (byte offset {size})\n"
 
 
 @pytest.fixture()
@@ -1076,6 +1196,24 @@ def test_output_naming_the_config_file_exits_2(tmp_path, toy_files, capsys):
                "--out", cfg) == 2
     assert capsys.readouterr().err == f"error: --out {cfg} is the same file as --config {cfg}\n"
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_module_entry_point_exits_with_the_code_of_main(tmp_path):
+    # ``python -m energy_ood`` from the source tree, not an installed package
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+    def energy_ood(*argv):
+        return subprocess.run([sys.executable, "-m", "energy_ood", *map(str, argv)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+
+    done = energy_ood("toy", "--samples-per-class", 20, "--out-features", "x.f32",
+                      "--out-labels", "y.u32")
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "x.f32.manifest.json").read_text())["command"] == "toy"
+    done = energy_ood("score", "--detector", "knn", "--k", 1, "--features", "x.f32",
+                      "--out", "s.scores")
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (2, "", "error: knn needs --train-features\n")
 
 
 @pytest.fixture(scope="module")
