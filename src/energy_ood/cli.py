@@ -16,8 +16,11 @@ non-positive-definite covariance, a score beyond float32) or running out of
 memory; 2 usage or input error, a ValueError or an OSError, including an
 input path that is missing, a directory, unreadable or not a regular file (a
 pipe would be drained by hashing), an output that names the ``--config``
-file, and a tensor file that ``read_input`` rejects. The two families share
-no class, so the order of ``main``'s handlers does not matter.
+file, a tensor file that ``read_input`` rejects, and a command run without
+an input its detector or model needs (``detector knn needs --k``, from
+``SCORE_NEEDS``). ``score`` and ``train`` check their options and archives
+before they parse a rows file. The two families share no class, so the order
+of ``main``'s handlers does not matter.
 """
 
 from __future__ import annotations
@@ -263,9 +266,7 @@ def _train_flags(cfg) -> dict:
 
 
 def cmd_train(args) -> None:
-    fs = load_feature_set(args.features, args.labels)
-    if args.normalize:
-        fs = _normalized(args.features, normalize_features, fs)
+    # the configuration and the archive are checked before the rows are read
     cfg = _train_config(args)
     # the manifest's config holds the values the preset resolved
     vars(args).update(_train_flags(cfg))
@@ -274,6 +275,10 @@ def cmd_train(args) -> None:
         kind, gm = load_model(args.mog)
         if kind != "mog":
             raise ValueError(f"--mog {_holds(args.mog, kind)}, not a mixture")
+    fs = load_feature_set(args.features, args.labels)
+    if args.normalize:
+        fs = _normalized(args.features, normalize_features, fs)
+    if gm is not None:
         _check_width(args, fs.features, gm.dim, f"--mog {args.mog} takes")
     model, _ = train_correction(fs, gm, cfg, log_path=args.log)
     save_model(args.out, model)
@@ -317,44 +322,40 @@ LOGIT_SCORERS = {
 }
 
 
-def _score_features(args) -> np.ndarray:
-    if args.detector != "knn":
-        # the archive is loaded and its kind checked before the rows are read
-        if args.model is None:
-            raise ValueError(f"detector {args.detector} needs --model")
-        scorer, dim = _model_scorer(args.model, args.detector)
-    x = read_input(args.features, "features")
-    if args.normalize:
-        x = _normalized(args.features, normalize_rows, x)
-    if args.detector == "knn":
-        if args.train_features is None:
-            raise ValueError("knn needs --train-features")
-        if args.k is None:
-            raise ValueError("knn needs --k")
-        train = read_input(args.train_features, "features")
-        _check_width(args, x, train.shape[1], f"--train-features {args.train_features} has")
-        if args.normalize:
-            train = _normalized(args.train_features, normalize_rows, train)
-        return detectors.score_knn(train, x, args.k)
-    _check_width(args, x, dim, f"--model {args.model} takes")
-    return scorer(x)
+# the options each score detector needs, in the order they are checked, which
+# is before any file is parsed; its keys are score's --detector choices
+SCORE_NEEDS = {
+    **dict.fromkeys(MODEL_SCORERS, ("features", "model")),
+    "knn": ("features", "train_features", "k"),
+    **dict.fromkeys(LOGIT_SCORERS, ("logits",)),
+}
 
 
-def _score_logits(args) -> np.ndarray:
-    if args.detector == "msp" and args.temperature != 1:
-        raise ValueError("msp scores at temperature 1; --temperature needs --detector odin")
-    return LOGIT_SCORERS[args.detector](read_input(args.logits, "logits"), args.temperature)
+def _feature_rows(args, dest: str) -> np.ndarray:
+    """The feature rows of the file option ``dest``, at unit norm under --normalize."""
+    path = getattr(args, dest)
+    x = read_input(path, "features")
+    return _normalized(path, normalize_rows, x) if args.normalize else x
 
 
 def cmd_score(args) -> None:
+    for dest in SCORE_NEEDS[args.detector]:
+        if getattr(args, dest) is None:
+            raise ValueError(f"detector {args.detector} needs --{dest.replace('_', '-')}")
+    if args.detector == "msp" and args.temperature != 1:
+        raise ValueError("msp scores at temperature 1; --temperature needs --detector odin")
     if args.detector in LOGIT_SCORERS:
-        if args.logits is None:
-            raise ValueError(f"detector {args.detector} needs --logits")
-        scores = _score_logits(args)
+        scores = LOGIT_SCORERS[args.detector](read_input(args.logits, "logits"), args.temperature)
+    elif args.detector == "knn":
+        x, train = _feature_rows(args, "features"), _feature_rows(args, "train_features")
+        _check_width(args, x, train.shape[1], f"--train-features {args.train_features} has")
+        scores = detectors.score_knn(train, x, args.k)
     else:
-        if args.features is None:
-            raise ValueError(f"detector {args.detector} needs --features")
-        scores = _score_features(args)
+        # the archive is loaded and its kind checked before the rows are read
+        scorer, dim = _model_scorer(args.model, args.detector)
+        x = _feature_rows(args, "features")
+        _check_width(args, x, dim, f"--model {args.model} takes")
+        scores = scorer(x)
     write_tensor(args.out, as_f32_scores(scores))
 
 
@@ -478,8 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = command("score", cmd_score, "score samples with a detector")
-    p.add_argument("--detector", required=True,
-                   choices=[*MODEL_SCORERS, "knn", *LOGIT_SCORERS])
+    p.add_argument("--detector", required=True, choices=list(SCORE_NEEDS))
     p.add_argument("--features", help="rank-2 f32 tensor of feature rows")
     p.add_argument("--logits", help="rank-2 f32 tensor of logit rows")
     p.add_argument("--model", help="model or mixture archive")

@@ -41,8 +41,7 @@ class ToySpec:
         if not all(g > 0 for g in (self.arm_length, self.arm_thickness, self.grid_pitch)):
             raise ValueError("geometry parameters must be positive")
         # samples lie within a few thicknesses of the arms; ten leaves ample room
-        reach = self.grid_pitch + self.arm_length + 10 * self.arm_thickness
-        if reach > float(np.finfo(np.float32).max):
+        if self.extent + 10 * self.arm_thickness > float(np.finfo(np.float32).max):
             raise ValueError("toy geometry exceeds the float32 range of feature files")
 
     @property

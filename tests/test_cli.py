@@ -268,6 +268,17 @@ def test_nonfinite_or_overflowing_numbers_exit_2(tmp_path, toy_files, argv):
     assert not out.exists()
 
 
+def test_single_cross_ignores_its_pitch(tmp_path):
+    # a single cross never places a center at the pitch, so any pitch is accepted
+    outs = {}
+    for pitch in (6.0, 1e39):
+        feats, labels = tmp_path / f"x{pitch}.f32", tmp_path / f"y{pitch}.u32"
+        assert run("toy", "--kind", "cross", "--samples-per-class", 50, "--pitch", pitch,
+                   "--out-features", feats, "--out-labels", labels) == 0
+        outs[pitch] = feats.read_bytes(), labels.read_bytes()
+    assert outs[1e39] == outs[6.0]
+
+
 # ---------------------------------------------------------------- score + eval
 
 @pytest.fixture()
@@ -932,24 +943,54 @@ def test_score_checks_the_model_before_reading_the_features(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}: expected magic b'FTSR' (byte offset 0)\n"
 
 
-# score arguments that leave out an input the detector needs, and the error
+def test_train_checks_its_configuration_and_mixture_before_reading_the_features(
+        tmp_path, toy_files, capsys):
+    correction, mixture, _ = _tiny_models(tmp_path)
+    bad, out = tmp_path / "bad.f32", tmp_path / "m.ftar"
+    bad.write_bytes(b"NOPE" + bytes(16))
+    labels = toy_files[1]
+    assert run("train", "--features", bad, "--labels", labels, "--mog", correction,
+               "--out", out) == 2
+    assert capsys.readouterr().err == \
+        f"error: --mog {correction} holds a correction model, not a mixture\n"
+    assert run("train", "--features", bad, "--labels", labels, "--mog", mixture,
+               "--batch-size", 0, "--out", out) == 2
+    assert capsys.readouterr().err == "error: batch_size must be at least 1\n"
+    assert not out.exists()
+
+
+# score arguments that leave out an input the detector needs, one case or more
+# per detector, and the error; the rows file a case does give is malformed, so
+# a file read before the check would show up as its format error
 MISSING_SCORE_INPUTS = {
-    "knn-train-features": (["--detector", "knn", "--k", 1, "--features", "{feats}"],
-                           "knn needs --train-features"),
-    "knn-k": (["--detector", "knn", "--train-features", "{feats}", "--features", "{feats}"],
-              "knn needs --k"),
-    "model": (["--detector", "correction", "--features", "{feats}"],
+    "model": (["--detector", "correction", "--features", "{bad}"],
               "detector correction needs --model"),
-    "features": (["--detector", "mahalanobis", "--model", "{mog}"],
+    "ebm-model": (["--detector", "ebm", "--features", "{bad}"],
+                  "detector ebm needs --model"),
+    "gaussian-energy-model": (["--detector", "gaussian-energy", "--features", "{bad}"],
+                              "detector gaussian-energy needs --model"),
+    "features": (["--detector", "mahalanobis", "--model", "{mog}", "--logits", "{bad}"],
                  "detector mahalanobis needs --features"),
+    "knn-train-features": (["--detector", "knn", "--k", 1, "--features", "{bad}"],
+                           "detector knn needs --train-features"),
+    "knn-k": (["--detector", "knn", "--train-features", "{feats}", "--features", "{bad}"],
+              "detector knn needs --k"),
+    "msp-logits": (["--detector", "msp", "--features", "{bad}"],
+                   "detector msp needs --logits"),
+    "odin-logits": (["--detector", "odin", "--temperature", 2, "--features", "{bad}"],
+                    "detector odin needs --logits"),
+    "energy-logits-logits": (["--detector", "energy-logits", "--features", "{bad}"],
+                             "detector energy-logits needs --logits"),
 }
 
 
 @pytest.mark.parametrize("case", list(MISSING_SCORE_INPUTS))
 def test_score_without_a_needed_input_exits_2(tmp_path, capsys, case):
     _, mixture, feats = _tiny_models(tmp_path)
+    bad = tmp_path / "bad.f32"
+    bad.write_bytes(b"NOPE" + bytes(16))
     argv, message = MISSING_SCORE_INPUTS[case]
-    argv = [str(a).format(feats=feats, mog=mixture) for a in argv]
+    argv = [str(a).format(feats=feats, mog=mixture, bad=bad) for a in argv]
     assert run("score", *argv, "--out", tmp_path / "s.scores") == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "s.scores").exists()
@@ -1213,7 +1254,7 @@ def test_module_entry_point_exits_with_the_code_of_main(tmp_path):
     done = energy_ood("score", "--detector", "knn", "--k", 1, "--features", "x.f32",
                       "--out", "s.scores")
     assert (done.returncode, done.stdout, done.stderr) == \
-        (2, "", "error: knn needs --train-features\n")
+        (2, "", "error: detector knn needs --train-features\n")
 
 
 @pytest.fixture(scope="module")

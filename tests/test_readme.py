@@ -2,9 +2,11 @@ import ast
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import energy_ood
+from energy_ood import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # __main__ is left out: importing it runs the command line
@@ -45,3 +47,14 @@ def test_readme_calls_resolve():
     assert "CorrectionModel" in calls
     for name in calls:
         assert any(hasattr(module, name) for module in modules), name
+
+
+def test_readme_commands_parse():
+    # every energy-ood command of a fenced sh block parses, without running it
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("energy-ood ")]
+    assert len(commands) == 8
+    parser = cli.build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
