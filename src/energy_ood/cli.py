@@ -16,11 +16,12 @@ non-positive-definite covariance, a score beyond float32) or running out of
 memory; 2 usage or input error, a ValueError or an OSError, including an
 input path that is missing, a directory, unreadable or not a regular file (a
 pipe would be drained by hashing), an output that names the ``--config``
-file, a tensor file that ``read_input`` rejects, and a command run without
-an input its detector or model needs (``detector knn needs --k``, from
-``SCORE_NEEDS``). ``score`` and ``train`` check their options and archives
-before they parse a rows file. The two families share no class, so the order
-of ``main``'s handlers does not matter.
+file, a tensor file that ``read_input`` rejects, a command run without an
+input its detector or model needs (``detector knn needs --k``) and a
+``score`` option its detector does not take, both checked against
+``SCORE_OPTIONS`` before any input is hashed. ``score`` and ``train`` check
+their archives before they parse a rows file. The two families share no
+class, so the order of ``main``'s handlers does not matter.
 """
 
 from __future__ import annotations
@@ -206,16 +207,8 @@ def with_config_flags(argv: list) -> list:
 
 
 def cmd_toy(args) -> None:
-    spec = ToySpec(
-        kind=args.kind.replace("-", "_"),
-        samples_per_class=args.samples_per_class,
-        arm_length=args.arm_length,
-        arm_thickness=args.thickness,
-        grid_pitch=args.pitch,
-        seed=args.seed,
-    )
-    fs = gen_toy(spec)
-    save_feature_set(fs, args.out_features, args.out_labels)
+    spec = ToySpec(args.kind.replace("-", "_"), args.samples_per_class, args.seed)
+    save_feature_set(gen_toy(spec), args.out_features, args.out_labels)
 
 
 def _check_width(args, x: np.ndarray, width: int, whose: str) -> None:
@@ -314,7 +307,7 @@ def _model_scorer(path, detector: str):
 
 
 # batched scorer of each logit-based detector, given the logits and --temperature;
-# msp is odin at temperature 1, the only one it takes
+# msp is odin at temperature 1, since it takes no --temperature
 LOGIT_SCORERS = {
     "msp": detectors.score_msp,
     "odin": detectors.score_msp,
@@ -322,13 +315,31 @@ LOGIT_SCORERS = {
 }
 
 
-# the options each score detector needs, in the order they are checked, which
-# is before any file is parsed; its keys are score's --detector choices
-SCORE_NEEDS = {
-    **dict.fromkeys(MODEL_SCORERS, ("features", "model")),
-    "knn": ("features", "train_features", "k"),
-    **dict.fromkeys(LOGIT_SCORERS, ("logits",)),
+# the options each score detector needs, in the order they are checked, and
+# the options it also takes; its keys are score's --detector choices
+SCORE_OPTIONS = {
+    **dict.fromkeys(MODEL_SCORERS, (("features", "model"), ("normalize",))),
+    "knn": (("features", "train_features", "k"), ("normalize",)),
+    "msp": (("logits",), ()),
+    **dict.fromkeys(("odin", "energy-logits"), (("logits",), ("temperature",))),
 }
+
+
+def _given(args, dest: str) -> bool:
+    """Whether score's option ``dest`` differs from its default: None, False or 1.0."""
+    value = getattr(args, dest)
+    return value != 1.0 if dest == "temperature" else value is not None and value is not False
+
+
+def check_score_options(args) -> None:
+    """ValueError unless ``args`` has every option its detector needs and none it does not take."""
+    needs, takes = SCORE_OPTIONS[args.detector]
+    for dest in needs:
+        if not _given(args, dest):
+            raise ValueError(f"detector {args.detector} needs --{dest.replace('_', '-')}")
+    for dest in dict.fromkeys(d for n, t in SCORE_OPTIONS.values() for d in n + t):
+        if dest not in needs + takes and _given(args, dest):
+            raise ValueError(f"detector {args.detector} does not take --{dest.replace('_', '-')}")
 
 
 def _feature_rows(args, dest: str) -> np.ndarray:
@@ -339,11 +350,6 @@ def _feature_rows(args, dest: str) -> np.ndarray:
 
 
 def cmd_score(args) -> None:
-    for dest in SCORE_NEEDS[args.detector]:
-        if getattr(args, dest) is None:
-            raise ValueError(f"detector {args.detector} needs --{dest.replace('_', '-')}")
-    if args.detector == "msp" and args.temperature != 1:
-        raise ValueError("msp scores at temperature 1; --temperature needs --detector odin")
     if args.detector in LOGIT_SCORERS:
         scores = LOGIT_SCORERS[args.detector](read_input(args.logits, "logits"), args.temperature)
     elif args.detector == "knn":
@@ -440,9 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kind", choices=["cross", "grid-crosses"], default="cross")
     p.add_argument("--samples-per-class", type=int, default=1000)
-    p.add_argument("--arm-length", type=finite_float, default=2.0)
-    p.add_argument("--thickness", type=finite_float, default=0.05)
-    p.add_argument("--pitch", type=finite_float, default=6.0)
     p.add_argument("--out-features", required=True)
     p.add_argument("--out-labels", required=True)
 
@@ -479,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = command("score", cmd_score, "score samples with a detector")
-    p.add_argument("--detector", required=True, choices=list(SCORE_NEEDS))
+    p.add_argument("--detector", required=True, choices=list(SCORE_OPTIONS))
     p.add_argument("--features", help="rank-2 f32 tensor of feature rows")
     p.add_argument("--logits", help="rank-2 f32 tensor of logit rows")
     p.add_argument("--model", help="model or mixture archive")
@@ -514,6 +517,8 @@ def main(argv=None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
         args = parser.parse_args(with_config_flags(argv))
+        if args.command == "score":
+            check_score_options(args)
         inputs = _named_files(args, INPUT_OPTIONS) + [
             ("--ood", _parse_ood_arg(raw)[2]) for raw in getattr(args, "ood", ())]
         outputs = _named_files(args, OUTPUT_OPTIONS)

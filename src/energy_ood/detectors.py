@@ -13,7 +13,7 @@ import operator
 import numpy as np
 
 from .energy_net import mlp_energy
-from .featurestore import as_rows
+from .featurestore import as_rows, logsumexp_rows
 from .mog import gaussian_energy
 from .trainer import CorrectionModel
 
@@ -106,6 +106,4 @@ def score_energy_logits(logits, temperature: float = 1.0) -> np.ndarray:
         raise ValueError("temperature must be finite and positive")
     logits = as_rows(logits)
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = logits / temperature
-        m = scaled.max(axis=1)
-        return -temperature * (m + np.log(np.exp(scaled - m[:, None]).sum(axis=1)))
+        return -temperature * logsumexp_rows(logits / temperature)

@@ -1,4 +1,4 @@
-"""Input tensor files, in-distribution feature sets, normalization, batching.
+"""Input tensor files, ID feature sets, normalization, row log-sum-exp, batching.
 
 ``FILE_KINDS`` is the one table of what each kind of input tensor file
 holds, and ``read_input`` the one reader that checks a file against it.
@@ -136,6 +136,13 @@ def load_feature_set(features_path, labels_path, num_classes: int | None = None)
 def save_feature_set(fs: FeatureSet, features_path, labels_path) -> None:
     write_tensor(features_path, fs.features.astype(np.float32))
     write_tensor(labels_path, fs.labels.astype(np.uint32))
+
+
+def logsumexp_rows(x: np.ndarray) -> np.ndarray:
+    """log sum_j exp(x[i, j]) of each row, shifted by its maximum: no term overflows, one is 1."""
+    m = x.max(axis=1)
+    shifted = x - m[:, None]
+    return m + np.log(np.exp(shifted, out=shifted).sum(axis=1))
 
 
 def normalize_rows(x) -> np.ndarray:

@@ -49,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .featurestore import ComputationError, FeatureSet, as_rows
+from .featurestore import ComputationError, FeatureSet, as_rows, logsumexp_rows
 from .tensorio import archive_scalar, write_archive
 
 
@@ -368,14 +368,12 @@ def _weights(q: np.ndarray) -> np.ndarray:
 
 
 def gaussian_energy(gm: GaussianMixture, z) -> np.ndarray:
-    """Reference energy -log sum_c exp(-quad_c(z)), divided by the temperature.
-
-    Evaluated with the max-shift trick so far-away points do not underflow to
-    -inf inside the log.
-    """
+    """Reference energy -log sum_c exp(-quad_c(z)), divided by the temperature;
+    ``logsumexp_rows`` shifts it so far-away points do not underflow to -inf."""
     q = _quad_forms(gm, as_rows(z, gm.dim, gm.dtype))
-    m = q.min(axis=1)
-    return (m - np.log(np.exp(m[:, None] - q).sum(axis=1))) / gm.temperature
+    # q is this call's own array, so it is negated in place; 0.0 - x, not -x,
+    # keeps an energy of exactly 0, as at a lone mean, at +0.0
+    return (0.0 - logsumexp_rows(np.negative(q, out=q))) / gm.temperature
 
 
 def gaussian_energy_grad(gm: GaussianMixture, z) -> np.ndarray:
@@ -416,9 +414,7 @@ def log_density(gm: GaussianMixture, z) -> np.ndarray:
     q = _quad_forms(gm, as_rows(z, gm.dim, gm.dtype))
     log_det = 2.0 * np.log(np.diag(gm.chol_lower)).sum()
     log_norm = -0.5 * (gm.dim * math.log(2.0 * math.pi) + log_det)
-    terms = np.log(gm.mixing)[None, :] - 0.5 * q + log_norm
-    m = terms.max(axis=1)
-    return m + np.log(np.exp(terms - m[:, None]).sum(axis=1))
+    return logsumexp_rows(np.log(gm.mixing)[None, :] - 0.5 * q + log_norm)
 
 
 def mixture_entries(gm: GaussianMixture, prefix: str = "") -> dict[str, np.ndarray]:

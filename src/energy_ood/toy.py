@@ -1,10 +1,11 @@
 """2-D synthetic datasets and energy-surface export.
 
-A cross is two axis-aligned bars sharing a center: position along the arm is
-uniform over its length, position across it is Gaussian. Each bar is its own
-class, so a single cross gives 2 classes and the 3x3 grid of crosses gives
-18. Energy surfaces are sampled on a regular lattice and exported as CSV or
-a tensor file; rendering is left to external tools. ``energy_grid`` raises
+A cross is two axis-aligned bars sharing a center: position along a bar is
+uniform within 2.0 of the center, across it Gaussian with standard deviation
+0.05. Each bar is its own class, so a single cross gives 2 classes and the
+3x3 grid of crosses, 6.0 apart, gives 18; the geometry is fixed. Energy
+surfaces are sampled on a regular lattice and exported as CSV or a tensor
+file; rendering is left to external tools. ``energy_grid`` raises
 ``featurestore.ComputationError`` for a non-finite score, naming its grid
 point.
 """
@@ -26,10 +27,11 @@ KINDS = ("cross", "grid_crosses")
 class ToySpec:
     kind: str = "cross"
     samples_per_class: int = 1000
-    arm_length: float = 2.0
-    arm_thickness: float = 0.05
-    grid_pitch: float = 6.0
     seed: int = 0
+    # the fixed geometry: constants, not fields (no annotations)
+    arm_length = 2.0
+    arm_thickness = 0.05
+    grid_pitch = 6.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -38,11 +40,6 @@ class ToySpec:
             raise ValueError("samples_per_class must be at least 1")
         if not self.seed >= 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if not all(g > 0 for g in (self.arm_length, self.arm_thickness, self.grid_pitch)):
-            raise ValueError("geometry parameters must be positive")
-        # samples lie within a few thicknesses of the arms; ten leaves ample room
-        if self.extent + 10 * self.arm_thickness > float(np.finfo(np.float32).max):
-            raise ValueError("toy geometry exceeds the float32 range of feature files")
 
     @property
     def centers(self) -> np.ndarray:
@@ -58,8 +55,7 @@ class ToySpec:
     @property
     def extent(self) -> float:
         """Largest |coordinate| of a cross center plus its arm reach."""
-        reach = self.grid_pitch if self.kind == "grid_crosses" else 0.0
-        return reach + self.arm_length
+        return self.arm_length + (self.grid_pitch if self.kind == "grid_crosses" else 0.0)
 
 
 def gen_toy(spec: ToySpec, rng: np.random.Generator | None = None) -> FeatureSet:
@@ -67,20 +63,15 @@ def gen_toy(spec: ToySpec, rng: np.random.Generator | None = None) -> FeatureSet
     if rng is None:
         rng = np.random.default_rng(spec.seed)
     n = spec.samples_per_class
-    blocks, labels = [], []
-    label = 0
-    for cx, cy in spec.centers:
-        along_h = rng.uniform(-spec.arm_length, spec.arm_length, n)
-        across_h = rng.normal(0.0, spec.arm_thickness, n)
-        blocks.append(np.column_stack([cx + along_h, cy + across_h]))
-        labels.append(np.full(n, label))
-        label += 1
-        along_v = rng.uniform(-spec.arm_length, spec.arm_length, n)
-        across_v = rng.normal(0.0, spec.arm_thickness, n)
-        blocks.append(np.column_stack([cx + across_v, cy + along_v]))
-        labels.append(np.full(n, label))
-        label += 1
-    return FeatureSet(np.concatenate(blocks), np.concatenate(labels), spec.num_classes)
+    blocks = []
+    for center in spec.centers:
+        for horizontal in (True, False):
+            along = rng.uniform(-spec.arm_length, spec.arm_length, n)
+            across = rng.normal(0.0, spec.arm_thickness, n)
+            blocks.append(center + np.column_stack([along, across] if horizontal
+                                                   else [across, along]))
+    labels = np.repeat(np.arange(spec.num_classes), n)
+    return FeatureSet(np.concatenate(blocks), labels, spec.num_classes)
 
 
 @dataclass(frozen=True)

@@ -241,17 +241,16 @@ def train_correction(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfi
                         f"Langevin chains diverged at epoch {epoch}, step {gstep}: {exc}"
                     ) from exc
 
-                e = None  # the pass's energies divided by T, the objective's inputs
-
                 def upstream(energies):
                     # d(mle_loss + l2 * l2_reg)/d(raw E) as one upstream weight per sample
-                    nonlocal e
                     e = energies.astype(np.float64) / cfg.net_temperature
                     sign = np.repeat([1.0, -1.0], b)
                     return (sign + cfg.l2_coeff * e) / (b * cfg.net_temperature)
 
                 # one float32 pass: the energies and, from them, the parameter gradient
-                grads, _ = mlp_grad_params(net32, np.concatenate([pos, neg]), upstream)
+                grads, energies = mlp_grad_params(net32, np.concatenate([pos, neg]), upstream)
+                # the pass's energies divided by T, the objective's inputs
+                e = energies.astype(np.float64) / cfg.net_temperature
                 with np.errstate(over="ignore", invalid="ignore"):
                     e_pos, e_neg = float(e[:b].mean()), float(e[b:].mean())
                     terms = {"mle_loss": e_pos - e_neg, "l2_reg": float(np.mean(e ** 2)),
@@ -287,12 +286,16 @@ def train_correction(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfi
 
 def save_model(path, model: CorrectionModel) -> None:
     """Write kind 1 (with mixture) or kind 2 (without), net_temperature in both."""
+    write_archive(path, _model_entries(model))
+
+
+def _model_entries(model: CorrectionModel) -> dict[str, np.ndarray]:
     entries = {"kind": np.array([1 if model.gm is not None else 2], dtype=np.uint32),
                "net_temperature": np.array([model.net_temperature])}
     entries.update(mlp_entries(model.net, "net."))
     if model.gm is not None:
         entries.update(mixture_entries(model.gm, "mog."))
-    write_archive(path, entries)
+    return entries
 
 
 def load_model(path):
@@ -302,21 +305,28 @@ def load_model(path):
     ('mog', GaussianMixture); mixture archives are the ones without a ``kind``
     entry. A correction archive written without ``net_temperature`` predates
     that entry and loads with 1.0, the temperature it was always scored at.
-    A malformed archive raises ValueError naming the path.
+    A malformed archive, or one holding an entry that its kind's writer would
+    not write and so no loader reads, raises ValueError naming the path.
     """
     try:
         entries = read_archive(path)
         if "kind" not in entries:
-            return "mog", mixture_from_entries(entries)
-        code = archive_scalar(entries, "kind")
-        kind = _MODEL_KINDS.get(code)
-        if kind is None:
-            raise ValueError(f"unknown model kind code {code:g}")
-        if kind == "correction" and "net_temperature" not in entries:
-            temperature = 1.0
+            kind, payload = "mog", mixture_from_entries(entries)
         else:
-            temperature = archive_scalar(entries, "net_temperature")
-        gm = mixture_from_entries(entries, "mog.") if kind == "correction" else None
-        return kind, CorrectionModel(mlp_from_entries(entries, "net."), gm, temperature)
+            code = archive_scalar(entries, "kind")
+            kind = _MODEL_KINDS.get(code)
+            if kind is None:
+                raise ValueError(f"unknown model kind code {code:g}")
+            if kind == "correction" and "net_temperature" not in entries:
+                temperature = 1.0
+            else:
+                temperature = archive_scalar(entries, "net_temperature")
+            gm = mixture_from_entries(entries, "mog.") if kind == "correction" else None
+            payload = CorrectionModel(mlp_from_entries(entries, "net."), gm, temperature)
+        written = mixture_entries(payload) if kind == "mog" else _model_entries(payload)
+        unread = [name for name in entries if name not in written]
+        if unread:
+            raise ValueError(f"entries no loader reads: {', '.join(unread)}")
+        return kind, payload
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -248,10 +248,6 @@ def test_train_nonfinite_parameters_exit_1(tmp_path, toy_files, capsys):
     ["train", "--mog", "{mog}", "--config", "{cfg}"],
     ["fit-mog", "--temperature", "nan"],
     ["fit-mog", "--shrinkage", "-1"],
-    ["toy", "--arm-length", "nan"],
-    ["toy", "--arm-length", "1e308"],
-    ["toy", "--thickness", "1e38"],
-    ["toy", "--kind", "grid-crosses", "--pitch", "1e308"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_nonfinite_or_overflowing_numbers_exit_2(tmp_path, toy_files, argv):
     feats, labels = toy_files
@@ -260,23 +256,17 @@ def test_nonfinite_or_overflowing_numbers_exit_2(tmp_path, toy_files, argv):
     cfg.write_text("input_noise_std = nan\n")
     out = tmp_path / "out"
     argv = [a.format(mog=mog, cfg=cfg) for a in argv]
-    if argv[0] == "toy":
-        argv += ["--out-features", out, "--out-labels", tmp_path / "labels"]
-    else:
-        argv += ["--features", feats, "--labels", labels, "--out", out]
-    assert run(*argv) == 2
+    assert run(*argv, "--features", feats, "--labels", labels, "--out", out) == 2
     assert not out.exists()
 
 
-def test_single_cross_ignores_its_pitch(tmp_path):
-    # a single cross never places a center at the pitch, so any pitch is accepted
-    outs = {}
-    for pitch in (6.0, 1e39):
-        feats, labels = tmp_path / f"x{pitch}.f32", tmp_path / f"y{pitch}.u32"
-        assert run("toy", "--kind", "cross", "--samples-per-class", 50, "--pitch", pitch,
-                   "--out-features", feats, "--out-labels", labels) == 0
-        outs[pitch] = feats.read_bytes(), labels.read_bytes()
-    assert outs[1e39] == outs[6.0]
+@pytest.mark.parametrize("flag", ["--arm-length", "--thickness", "--pitch"])
+def test_toy_geometry_flags_are_unrecognized(tmp_path, capsys, flag):
+    # the toy geometry is fixed, so toy has no flag for it
+    feats = tmp_path / "x.f32"
+    assert run("toy", flag, 1.0, "--out-features", feats, "--out-labels", tmp_path / "y.u32") == 2
+    assert f"unrecognized arguments: {flag} 1.0" in capsys.readouterr().err
+    assert not feats.exists()
 
 
 # ---------------------------------------------------------------- score + eval
@@ -385,13 +375,12 @@ def test_score_logit_detectors(tmp_path):
 
 
 def test_msp_at_a_temperature_exits_2(tmp_path, capsys):
-    # msp scores at temperature 1; a temperature it would ignore points to odin
+    # msp scores at temperature 1; odin is the detector that takes --temperature
     logits, out = tmp_path / "logits.f32", tmp_path / "msp.scores"
     write_tensor(logits, np.random.default_rng(3).standard_normal((5, 10)).astype(np.float32))
     assert run("score", "--detector", "msp", "--logits", logits,
                "--temperature", 5, "--out", out) == 2
-    assert capsys.readouterr().err == \
-        "error: msp scores at temperature 1; --temperature needs --detector odin\n"
+    assert capsys.readouterr().err == "error: detector msp does not take --temperature\n"
     assert not out.exists()
 
 
@@ -996,6 +985,38 @@ def test_score_without_a_needed_input_exits_2(tmp_path, capsys, case):
     assert not (tmp_path / "s.scores").exists()
 
 
+# the options each score detector needs, then the options it also takes
+SCORE_TAKES = {
+    **dict.fromkeys(["correction", "ebm", "gaussian-energy", "mahalanobis"],
+                    (["features", "model"], ["normalize"])),
+    "knn": (["features", "train_features", "k"], ["normalize"]),
+    "msp": (["logits"], []),
+    **dict.fromkeys(["odin", "energy-logits"], (["logits"], ["temperature"])),
+}
+# a value of each option: a file option names a malformed file, or a missing one
+# when it is refused, so a file hashed or read before the check would show
+SCORE_VALUES = {"features": ["{file}"], "logits": ["{file}"], "model": ["{file}"],
+                "train_features": ["{file}"], "k": [1], "temperature": [2.0], "normalize": []}
+REFUSED_SCORE_OPTIONS = [(detector, option) for detector, (needs, takes) in SCORE_TAKES.items()
+                         for option in SCORE_VALUES if option not in needs + takes]
+
+
+@pytest.mark.parametrize("detector, option", REFUSED_SCORE_OPTIONS,
+                         ids=[f"{d}-{o}" for d, o in REFUSED_SCORE_OPTIONS])
+def test_score_option_its_detector_does_not_take_exits_2(tmp_path, capsys, detector, option):
+    assert len(REFUSED_SCORE_OPTIONS) == 35
+    bad, missing, out = tmp_path / "bad.f32", tmp_path / "missing.f32", tmp_path / "s.scores"
+    bad.write_bytes(b"NOPE" + bytes(16))
+    argv = ["--detector", detector]
+    for dest, path in [(d, bad) for d in SCORE_TAKES[detector][0]] + [(option, missing)]:
+        argv += ["--" + dest.replace("_", "-"),
+                 *(str(v).format(file=path) for v in SCORE_VALUES[dest])]
+    assert run("score", *argv, "--out", out) == 2
+    assert capsys.readouterr().err == \
+        f"error: detector {detector} does not take --{option.replace('_', '-')}\n"
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 def test_config_line_with_an_unclosed_quote_exits_2(tmp_path, toy_files, capsys):
     cfg_file = tmp_path / "c.cfg"
     cfg_file.write_text(f'features = "{toy_files[0]}\n')
@@ -1032,6 +1053,11 @@ def _second_layer_of_5_inputs(entries):
     entries["net.w1"] = np.ones((1, 5))
 
 
+def _stray_layer(entries):
+    # a layer past a missing one, which no loader reads
+    entries.update({"net.w3": np.ones((1, 4)), "net.b3": np.zeros(1)})
+
+
 # hand-built archives the loader refuses: which archive is edited, how, and
 # the message after the archive's path
 BAD_ARCHIVES = {
@@ -1045,6 +1071,7 @@ BAD_ARCHIVES = {
     "temperature-size": ("model", _two_temperatures,
                          "archive entry 'net_temperature' must hold one value, got shape (2,)"),
     "layer-width": ("model", _second_layer_of_5_inputs, "layer 1 input 5 != layer 0 output"),
+    "stray-layer": ("model", _stray_layer, "entries no loader reads: net.w3, net.b3"),
 }
 
 

@@ -50,11 +50,15 @@ def test_readme_calls_resolve():
 
 
 def test_readme_commands_parse():
-    # every energy-ood command of a fenced sh block parses, without running it
+    # every energy-ood command of a fenced sh block parses, and each score
+    # command passes score's option check, without running it
     blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
     lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("energy-ood ")]
     assert len(commands) == 8
     parser = cli.build_parser()
     for argv in commands:
-        assert parser.parse_args(argv).command == argv[0]
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]
+        if args.command == "score":
+            cli.check_score_options(args)

@@ -19,9 +19,7 @@ from energy_ood.toy import (
 # ---------------------------------------------------------------- generation
 
 def test_cross_bounding_box():
-    spec = ToySpec(kind="cross", samples_per_class=1000, arm_length=2.0,
-                   arm_thickness=0.05, seed=0)
-    fs = gen_toy(spec)
+    fs = gen_toy(ToySpec(kind="cross", samples_per_class=1000, seed=0))
     bound = 2.0 + 5 * 0.05
     assert np.abs(fs.features).max() <= bound
     assert fs.num_classes == 2 and len(fs) == 2000
@@ -38,6 +36,32 @@ def test_grid_recovers_nine_centers():
         recovered.add(snapped)
     expected = {(x, y) for x in (-6.0, 0.0, 6.0) for y in (-6.0, 0.0, 6.0)}
     assert recovered == expected
+
+
+def test_spec_fields_and_fixed_geometry():
+    assert [f.name for f in fields(ToySpec)] == ["kind", "samples_per_class", "seed"]
+    spec = ToySpec()
+    assert (spec.arm_length, spec.arm_thickness, spec.grid_pitch) == (2.0, 0.05, 6.0)
+
+
+@pytest.mark.parametrize("kind", ["cross", "grid_crosses"])
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_toy_draws_each_bar_in_turn(kind, seed):
+    # reference: per center, the horizontal bar's along and across draws, then
+    # the vertical bar's, each bar labelled in that order
+    spec = ToySpec(kind=kind, samples_per_class=30, seed=seed)
+    rng = np.random.default_rng(seed)
+    rows, labels = [], []
+    for cx, cy in spec.centers:
+        for vertical in (False, True):
+            along = rng.uniform(-2.0, 2.0, 30)
+            across = rng.normal(0.0, 0.05, 30)
+            rows.append(np.column_stack([cx + across, cy + along] if vertical
+                                        else [cx + along, cy + across]))
+            labels.append(np.full(30, len(labels)))
+    fs = gen_toy(spec)
+    np.testing.assert_array_equal(fs.features, np.concatenate(rows))
+    np.testing.assert_array_equal(fs.labels, np.concatenate(labels))
 
 
 def test_toy_deterministic():
@@ -60,12 +84,12 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ToySpec(samples_per_class=0)
     with pytest.raises(ValueError):
-        ToySpec(arm_length=-1.0)
+        ToySpec(seed=-1)
 
 
 def test_extent():
-    assert ToySpec(kind="cross", arm_length=2.0).extent == 2.0
-    assert ToySpec(kind="grid_crosses", arm_length=2.0, grid_pitch=6.0).extent == 8.0
+    assert ToySpec(kind="cross").extent == 2.0
+    assert ToySpec(kind="grid_crosses").extent == 8.0
 
 
 # ---------------------------------------------------------------- grid

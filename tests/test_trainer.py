@@ -10,7 +10,8 @@ from energy_ood.detectors import score_correction, score_energy_logits, score_ms
 from energy_ood.energy_net import EnergyMlp, mlp_energy, mlp_from_entries, mlp_grad_input, \
     mlp_grad_params, mlp_init
 from energy_ood.featurestore import ComputationError, FeatureSet, minibatch_indices
-from energy_ood.mog import GaussianMixture, fit_mog, gaussian_energy, gaussian_energy_grad
+from energy_ood.mog import GaussianMixture, fit_mog, gaussian_energy, gaussian_energy_grad, \
+    mixture_entries, save_mixture
 from energy_ood.sgld import SgldSchedule, sgld_init, sgld_sample
 from energy_ood.tensorio import read_archive, write_archive
 from energy_ood.toy import ToySpec, gen_toy
@@ -390,6 +391,30 @@ def test_correction_archive_without_temperature_loads_at_one(tmp_path):
     z = fs.features[:20]
     np.testing.assert_array_equal(score_correction(loaded, z),
                                   mlp_energy(model.net, z) + gaussian_energy(model.gm, z))
+
+
+def test_archive_with_entries_no_loader_reads_is_refused(tmp_path):
+    # an ebm archive holding a fifth layer past a missing third, and a whole
+    # mixture, would load as its first layers alone; a mixture archive holding a
+    # network would load as the mixture
+    fs = two_class_fs(seed=18)
+    gm = fit_mog(fs, temperature=1.0)
+    ebm, mixture = tmp_path / "ebm.ftar", tmp_path / "mog.ftar"
+    save_model(ebm, CorrectionModel(mlp_init([2, 8, 8, 1], np.random.default_rng(19))))
+    entries = read_archive(ebm)
+    entries.update({"net.w5": np.ones((1, 8)), "net.b5": np.zeros(1)})
+    entries.update(mixture_entries(gm, "mog."))
+    write_archive(ebm, entries)
+    with pytest.raises(ValueError) as info:
+        load_model(ebm)
+    assert str(info.value) == (f"{ebm}: entries no loader reads: net.w5, net.b5, mog.means, "
+                               "mog.chol_lower, mog.mixing, mog.temperature, mog.shrinkage")
+    save_mixture(mixture, gm)
+    entries = read_archive(mixture)
+    entries["net.w0"] = np.ones((4, 2))
+    write_archive(mixture, entries)
+    with pytest.raises(ValueError, match=r"mog\.ftar: entries no loader reads: net\.w0$"):
+        load_model(mixture)
 
 
 # ---------------------------------------------------------------- float32 chains
