@@ -17,21 +17,31 @@ from .featurestore import as_rows, logsumexp_rows
 from .mog import gaussian_energy
 from .trainer import CorrectionModel
 
-# cell bounds of one block of the brute-force KNN scan: every block has at
-# most _KNN_CELLS cells, and at most _KNN_CELLS_PER_DIM cells per feature
-_KNN_CELLS = 1 << 24
-_KNN_CELLS_PER_DIM = 1 << 17
+# most training rows per chunk of the KNN scan; a multiple of 64
+_KNN_CHUNK = 8192
 
 
-def _knn_block_rows(n: int, d: int) -> int:
-    """Query rows per block of the scan over n training rows of width d.
+def _knn_block(n: int, k: int, d: int) -> tuple[int, int, list[int]]:
+    """Query rows per block, buffer columns and chunk bounds of the KNN scan
+    over n training rows of width d.
 
-    Narrow rows get a block of a few MiB, so its passes and its partition run
-    in cache. Wide rows get one of up to 2^24 cells, so the GEMM amortises
-    packing the training set: 58 rows for 4500 rows of width 2, and 335 for
-    50000 rows of width 512.
+    The chunks are the fewest of at most ``_KNN_CHUNK`` rows, near-equal,
+    with every bound but n on a multiple of 64 rows. So none is narrow, and
+    every chunk boundary falls on a boundary of BLAS's column tiles: with
+    OpenBLAS, the last few columns of a product round differently in a
+    narrow product than in a wide one. A bank of at most ``_KNN_CHUNK``
+    rows is one chunk and n columns; a larger one takes k + ``_KNN_CHUNK``
+    columns, the k best kept so far and the next chunk. A block holds at
+    most 2^17 d and at most 2^24 cells: narrow rows get a buffer of a few
+    MiB, so its passes and its partition run in cache, and wide rows one of
+    up to 128 MiB, so the GEMM amortises packing a chunk. That is 58 rows
+    for 4500 rows of width 2, and 2035 for any bank of more than 8192 rows
+    of width 512 at k = 50.
     """
-    return max(1, min(_KNN_CELLS, _KNN_CELLS_PER_DIM * d) // n)
+    count = -(-n // _KNN_CHUNK)
+    bounds = [-(-i * n // (64 * count)) * 64 for i in range(count)] + [n]
+    cols = min(n, k + _KNN_CHUNK)
+    return max(1, min(1 << 24, d << 17) // cols), cols, bounds
 
 
 def score_correction(model: CorrectionModel, z) -> np.ndarray:
@@ -51,10 +61,20 @@ def score_knn(train: np.ndarray, z, k: int) -> np.ndarray:
     about eps * (|q|^2 + |x|^2), which is large against a small distance
     between rows far from the origin: features with a large common offset
     should be normalised first (``--normalize``).
-    The scan holds one block of at most 2^24 squared distances (128 MiB),
-    sized by ``_knn_block_rows``, and reuses it for every block of queries.
-    A query's distance may differ in the last bits with the block it falls
-    in, since BLAS rounds a product differently for different row counts.
+    Each block of queries streams the training rows once, a chunk at a
+    time: a chunk's |x|^2 - 2 q.x go into one reused buffer right after the
+    k best kept so far, and a partition keeps the k best again. The buffer,
+    sized by ``_knn_block``, has k + ``_KNN_CHUNK`` columns (n for a bank of
+    one chunk) and at most 2^24 cells (128 MiB) whatever the bank's size,
+    so the queries per block do not shrink as the bank grows.
+    A distance is one entry of one product, the same entry with chunks as
+    without, and with OpenBLAS a block of several queries gets the bits of
+    one product over the whole bank (see ``_knn_block`` on the chunk
+    bounds). A query's distance may still differ in the last bits
+    with the number of queries in its block, since BLAS rounds a one-row
+    product (GEMV) and GEMMs of different shapes differently, and a one-row
+    block's GEMV may also change with the chunking, as OpenBLAS splits its
+    columns between threads at a point set by its width.
     """
     if isinstance(k, bool):  # operator.index takes True as 1; NumPy's bool it refuses
         raise ValueError(f"k must be an integer, got {k!r}")
@@ -67,17 +87,22 @@ def score_knn(train: np.ndarray, z, k: int) -> np.ndarray:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     queries = as_rows(z, d)
-    # a row's order is kept by adding its |q|^2 and by the clip at 0, so a
-    # block holds only |x|^2 - 2 q.x, and only the k-th values get the rest
+    # a row's order is kept by adding its |q|^2 and by the clip at 0, so the
+    # buffer holds only |x|^2 - 2 q.x, and only the k-th values get the rest
     train_sq = np.einsum("ij,ij->i", train, train)
-    rows = _knn_block_rows(n, d)
-    block = np.empty((min(rows, len(queries)), n))
+    rows, cols, bounds = _knn_block(n, k, d)
+    buf = np.empty((min(rows, len(queries)), cols))
     kth = np.empty(len(queries))
     for start in range(0, len(queries), rows):
-        part = queries[start : start + rows]
-        d2 = np.matmul(part * -2.0, train.T, out=block[: len(part)])
-        d2 += train_sq
-        d2.partition(k - 1, axis=1)
+        part = queries[start : start + rows] * -2.0
+        kept = 0
+        for lo, hi in zip(bounds, bounds[1:]):
+            d2 = buf[: len(part), : kept + hi - lo]
+            np.matmul(part, train[lo:hi].T, out=d2[:, kept:])
+            d2[:, kept:] += train_sq[lo:hi]
+            kept = min(k, d2.shape[1])
+            if kept == k:
+                d2.partition(k - 1, axis=1)
         kth[start : start + rows] = d2[:, k - 1]
     kth += np.einsum("ij,ij->i", queries, queries)
     return np.sqrt(np.maximum(kth, 0.0, out=kth), out=kth)

@@ -110,26 +110,85 @@ def test_knn_takes_numpy_integer_k():
     assert score_knn(train, np.array([[0.5]]), np.int64(2))[0] == pytest.approx(0.5, abs=1e-12)
 
 
+def sort_oracle(train, queries, k):
+    return np.array([np.sort(np.linalg.norm(train - q, axis=1))[k - 1] for q in queries])
+
+
+def one_pass_knn(train, queries, k):
+    """The unchunked scan with every query in one block: one product against
+    the whole bank, the row norms added, one partition."""
+    d2 = np.matmul(queries * -2.0, train.T)
+    d2 += np.einsum("ij,ij->i", train, train)
+    d2.partition(k - 1, axis=1)
+    kth = d2[:, k - 1] + np.einsum("ij,ij->i", queries, queries)
+    return np.sqrt(np.maximum(kth, 0.0, out=kth), out=kth)
+
+
+def sized_scan(monkeypatch, rows, chunk=None):
+    """Blocks of ``rows`` queries and, if given, chunks of at most ``chunk``
+    training rows. Returns the (rows, cols, bounds) of each call, so a test
+    can check that the sizing it set reached the scan."""
+    if chunk is not None:
+        monkeypatch.setattr(detectors, "_KNN_CHUNK", chunk)
+    sizing, seen = detectors._knn_block, []
+
+    def block(n, k, d):
+        seen.append((rows,) + sizing(n, k, d)[1:])
+        return seen[-1]
+
+    monkeypatch.setattr(detectors, "_knn_block", block)
+    return seen
+
+
 def test_knn_block_rows_follow_the_row_width():
-    # cache-sized blocks for narrow rows, 2^24-cell blocks for wide ones
-    assert detectors._knn_block_rows(4500, 2) == 58
-    assert detectors._knn_block_rows(50000, 512) == 335
-    assert detectors._knn_block_rows(1 << 20, 2) == 1
+    # a bank of one chunk keeps n columns: cache-sized blocks for narrow rows
+    assert detectors._knn_block(4500, 50, 2) == (58, 4500, [0, 4500])
+    # larger banks: k + 8192 columns, so as many query rows at 200k training
+    # rows as at 50k, and near-equal chunks with bounds on multiples of 64
+    rows, cols, bounds = detectors._knn_block(50000, 50, 512)
+    assert (rows, cols) == (2035, 8242) == detectors._knn_block(200000, 50, 512)[:2]
+    assert bounds == [0, 7168, 14336, 21440, 28608, 35776, 42880, 50000]
+    assert detectors._knn_block(8193, 50, 512)[1:] == (8193, [0, 4160, 8193])
+    assert detectors._knn_block(1 << 20, 50, 2)[:2] == (31, 8242)
 
 
-@pytest.mark.parametrize("d, n, m, cells", [(2, 4500, 200, None), (512, 1000, 50, 1 << 14)])
-def test_knn_matches_sort_oracle_across_blocks(monkeypatch, d, n, m, cells):
-    # at least three full blocks and a partial last one; at d=512 the cell
-    # bound is lowered so that a small training set still needs several
-    if cells is not None:
-        monkeypatch.setattr(detectors, "_KNN_CELLS", cells)
-    rows = detectors._knn_block_rows(n, d)
-    assert m > 3 * rows and m % rows
+@pytest.mark.parametrize("d, n, m, k, chunk, rows", [
+    (2, 4500, 200, 10, 1024, 37),   # several blocks and chunks, the last ones partial
+    (512, 1000, 50, 10, 256, 12),
+    (3, 1000, 30, 100, 64, 7),      # a chunk smaller than k
+    (4, 1000, 30, 10, 192, 30),     # a chunk constant that does not divide n
+    (3, 300, 20, 300, 128, 6),      # n == k
+    (5, 700, 40, 1, 128, 9),        # k == 1
+], ids=["d2", "d512", "chunk-below-k", "chunk-not-dividing-n", "n-equals-k", "k-one"])
+def test_knn_matches_sort_oracle_across_blocks_and_chunks(monkeypatch, d, n, m, k, chunk, rows):
+    seen = sized_scan(monkeypatch, rows, chunk)
     rng = np.random.default_rng(6)
     train, queries = rng.standard_normal((n, d)), rng.standard_normal((m, d))
-    got = score_knn(train, queries, 10)
-    want = [np.sort(np.linalg.norm(train - q, axis=1))[9] for q in queries]
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    got = score_knn(train, queries, k)
+    bounds = seen[0][2]
+    assert len(bounds) > 3 and max(np.diff(bounds)) <= chunk and (rows == m or m % rows)
+    np.testing.assert_allclose(got, sort_oracle(train, queries, k), rtol=1e-12, atol=0.0)
+
+
+def test_knn_with_duplicated_training_rows(monkeypatch):
+    # every row three times, and queries on training rows: ties everywhere,
+    # across chunks of 128 rows
+    seen = sized_scan(monkeypatch, 8, 128)
+    rng = np.random.default_rng(9)
+    base = rng.standard_normal((200, 3))
+    train = np.concatenate([base, base, base])
+    queries = np.concatenate([base[:20], rng.standard_normal((20, 3))])
+    for k in (1, 3, 4, 10):
+        want = sort_oracle(train, queries, k)
+        np.testing.assert_allclose(score_knn(train, queries, k), want,
+                                   rtol=1e-12, atol=1e-7 if k <= 3 else 0.0)
+    assert len(seen[0][2]) == 6
+
+
+def test_knn_of_zero_queries(monkeypatch):
+    seen = sized_scan(monkeypatch, 4, 64)
+    got = score_knn(np.ones((300, 2)), np.empty((0, 2)), 5)
+    assert got.shape == (0,) and got.dtype == np.float64 and seen
 
 
 @pytest.mark.parametrize("d, rtol", [(1, 0.0), (16, 1e-13)])
@@ -140,11 +199,52 @@ def test_knn_does_not_depend_on_the_block_size(monkeypatch, d, rtol):
     # and picks GEMM kernels by the product's shape, which round differently
     rng = np.random.default_rng(7)
     train, queries = rng.standard_normal((700, d)), rng.standard_normal((45, d))
-    monkeypatch.setattr(detectors, "_knn_block_rows", lambda n, d: 1)
+    first = sized_scan(monkeypatch, 1, 256)
     one_row = score_knn(train, queries, 7)
-    monkeypatch.setattr(detectors, "_knn_block_rows", lambda n, d: 1 << 30)
+    monkeypatch.undo()
+    second = sized_scan(monkeypatch, 1 << 30, 256)
     single = score_knn(train, queries, 7)
+    assert first[0][0] == 1 and second[0][0] == 1 << 30 and len(first[0][2]) == 4
     np.testing.assert_allclose(one_row, single, rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 64])
+def test_knn_equals_the_one_pass_scan_bit_for_bit(monkeypatch, d):
+    # three chunks of the real size (5504, 5440 and 5445 rows) against one
+    # product over the whole bank, all 300 queries in one block on both
+    # sides. With chunks of 8192 the last would be 5 rows, whose product
+    # OpenBLAS rounds differently in the last bits, so half the queries lie
+    # next to the bank's last 5 rows
+    seen = sized_scan(monkeypatch, 1 << 30)
+    rng = np.random.default_rng(10)
+    train = rng.standard_normal((2 * 8192 + 5, d))
+    near_tail = np.repeat(train[-5:], 30, axis=0) + 0.01 * rng.standard_normal((150, d))
+    queries = np.concatenate([rng.standard_normal((150, d)), near_tail])
+    for k in (1, 10):
+        got = score_knn(train, queries, k)
+        assert got.tobytes() == one_pass_knn(train, queries, k).tobytes()
+    assert [s[1:] for s in seen] == [(8193, [0, 5504, 10944, 16389]),
+                                     (8202, [0, 5504, 10944, 16389])]
+
+
+def test_knn_buffer_does_not_grow_with_the_bank():
+    # one buffer of 400 x (k + 8192) cells at d=64 for 20k and 60k training
+    # rows, where the one-pass scan held 400 x n; beyond the bank's norms
+    # (8 bytes a row) the peaks are equal
+    rng = np.random.default_rng(11)
+    queries = rng.standard_normal((400, 64))
+    peaks = {}
+    for n in (20000, 60000):
+        train = rng.standard_normal((n, 64))
+        tracemalloc.start()
+        try:
+            score_knn(train, queries, 50)
+            peaks[n] = tracemalloc.get_traced_memory()[1] - 8 * n
+        finally:
+            tracemalloc.stop()
+    bound = 8 * 400 * (50 + detectors._KNN_CHUNK)
+    assert abs(peaks[20000] - peaks[60000]) < 4096
+    assert bound < max(peaks.values()) < bound + (1 << 20)
 
 
 def test_knn_holds_one_small_block_for_narrow_rows():
