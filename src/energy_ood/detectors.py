@@ -13,11 +13,11 @@ import operator
 import numpy as np
 
 from .energy_net import mlp_energy
-from .featurestore import as_rows, logsumexp_rows
+from .featurestore import as_rows, logsumexp_rows, row_blocks
 from .mog import gaussian_energy
 from .trainer import CorrectionModel
 
-# most training rows per chunk of the KNN scan; a multiple of 64
+# most training rows per chunk of the KNN scan; a multiple of 256
 _KNN_CHUNK = 8192
 
 
@@ -25,11 +25,9 @@ def _knn_block(n: int, k: int, d: int) -> tuple[int, int, list[int]]:
     """Query rows per block, buffer columns and chunk bounds of the KNN scan
     over n training rows of width d.
 
-    The chunks are the fewest of at most ``_KNN_CHUNK`` rows, near-equal,
-    with every bound but n on a multiple of 64 rows. So none is narrow, and
-    every chunk boundary falls on a boundary of BLAS's column tiles: with
-    OpenBLAS, the last few columns of a product round differently in a
-    narrow product than in a wide one. A bank of at most ``_KNN_CHUNK``
+    The chunks are ``featurestore.row_blocks`` of at most ``_KNN_CHUNK``
+    rows, with every bound but n on a multiple of 64 rows, so none is narrow
+    and each ends on a BLAS column tile. A bank of at most ``_KNN_CHUNK``
     rows is one chunk and n columns; a larger one takes k + ``_KNN_CHUNK``
     columns, the k best kept so far and the next chunk. A block holds at
     most 2^17 d and at most 2^24 cells: narrow rows get a buffer of a few
@@ -38,8 +36,7 @@ def _knn_block(n: int, k: int, d: int) -> tuple[int, int, list[int]]:
     for 4500 rows of width 2, and 2035 for any bank of more than 8192 rows
     of width 512 at k = 50.
     """
-    count = -(-n // _KNN_CHUNK)
-    bounds = [-(-i * n // (64 * count)) * 64 for i in range(count)] + [n]
+    bounds = [chunk.start for chunk in row_blocks(n, _KNN_CHUNK)] + [n]
     cols = min(n, k + _KNN_CHUNK)
     return max(1, min(1 << 24, d << 17) // cols), cols, bounds
 
@@ -67,14 +64,13 @@ def score_knn(train: np.ndarray, z, k: int) -> np.ndarray:
     sized by ``_knn_block``, has k + ``_KNN_CHUNK`` columns (n for a bank of
     one chunk) and at most 2^24 cells (128 MiB) whatever the bank's size,
     so the queries per block do not shrink as the bank grows.
-    A distance is one entry of one product, the same entry with chunks as
-    without, and with OpenBLAS a block of several queries gets the bits of
-    one product over the whole bank (see ``_knn_block`` on the chunk
-    bounds). A query's distance may still differ in the last bits
-    with the number of queries in its block, since BLAS rounds a one-row
-    product (GEMV) and GEMMs of different shapes differently, and a one-row
-    block's GEMV may also change with the chunking, as OpenBLAS splits its
-    columns between threads at a point set by its width.
+    ``featurestore.row_blocks``, the cut of every batched scan, also cuts
+    the queries, so a call of several queries has no one-query block unless
+    k is so large that a block holds 1 or 2. A distance is one entry of one
+    product, the same with chunks as without. A one-query call is still a
+    GEMV, which BLAS rounds differently from a GEMM and OpenBLAS splits
+    between threads at a column set by its width, so it may change with the
+    chunking; and moving a block edge can move a query's last bit.
     """
     if isinstance(k, bool):  # operator.index takes True as 1; NumPy's bool it refuses
         raise ValueError(f"k must be an integer, got {k!r}")
@@ -93,8 +89,8 @@ def score_knn(train: np.ndarray, z, k: int) -> np.ndarray:
     rows, cols, bounds = _knn_block(n, k, d)
     buf = np.empty((min(rows, len(queries)), cols))
     kth = np.empty(len(queries))
-    for start in range(0, len(queries), rows):
-        part = queries[start : start + rows] * -2.0
+    for block in row_blocks(len(queries), rows):
+        part = queries[block] * -2.0
         kept = 0
         for lo, hi in zip(bounds, bounds[1:]):
             d2 = buf[: len(part), : kept + hi - lo]
@@ -103,7 +99,7 @@ def score_knn(train: np.ndarray, z, k: int) -> np.ndarray:
             kept = min(k, d2.shape[1])
             if kept == k:
                 d2.partition(k - 1, axis=1)
-        kth[start : start + rows] = d2[:, k - 1]
+        kth[block] = d2[:, k - 1]
     kth += np.einsum("ij,ij->i", queries, queries)
     return np.sqrt(np.maximum(kth, 0.0, out=kth), out=kth)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featurestore import as_rows
+from .featurestore import as_rows, row_blocks
 from .tensorio import archive_scalar
 
 
@@ -189,16 +189,15 @@ def _energy_block_rows(width: int) -> int:
 def mlp_energy(net: EnergyMlp, z) -> np.ndarray:
     """One energy per row of ``z``, computed in the network's dtype.
 
-    The rows go through the network in blocks of ``_energy_block_rows``. A
-    row's energy may differ in the last bits with the block it falls in,
-    since BLAS rounds products of different shapes differently; a batch that
-    fits in one block takes one pass, as a whole.
+    ``featurestore.row_blocks``, the cut of every batched scan, takes the
+    rows in near-equal blocks of at most ``_energy_block_rows``, so a split
+    batch has no one-row block; a one-row call is still a GEMV, and as BLAS
+    rounds shapes differently, moving a block edge can move a row's last bit.
     """
     z = as_rows(z, net.input_dim, net.dtype)
-    rows = _energy_block_rows(max(net.dims))
     e = np.empty(z.shape[0], dtype=net.dtype)
-    for start in range(0, z.shape[0], rows):
-        e[start : start + rows] = _forward(net, z[start : start + rows])
+    for rows in row_blocks(z.shape[0], _energy_block_rows(max(net.dims))):
+        e[rows] = _forward(net, z[rows])
     return e
 
 

@@ -165,6 +165,17 @@ def normalize_features(fs: FeatureSet) -> FeatureSet:
     return FeatureSet(normalize_rows(fs.features), fs.labels, fs.num_classes)
 
 
+def row_blocks(n: int, most: int) -> list[slice]:
+    """The fewest near-equal blocks of at most ``most`` rows covering n rows, the
+    cut of every batched scan. From ``most`` = 3 a split batch has no one-row
+    block (a GEMV); for a multiple of 256, every bound but n is on a multiple
+    of 64 rows, where BLAS's row and column tiles end (README.md says why)."""
+    count = -(-n // most)
+    step = 64 if most % 256 == 0 else 1
+    bounds = [-(-i * n // (step * count)) * step for i in range(count)] + [n]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator):
     """Yield shuffled index batches covering all n samples once per epoch."""
     if batch_size < 1:

@@ -19,19 +19,20 @@ works in whitened space. With L L^T = Sigma and W = L^-1,
 (z - mu_c)^T Sigma^-1 (z - mu_c) = |W z - W mu_c|^2: each row is whitened
 once as ``z @ W.T`` and all n x C quadratic forms come from one matrix
 product against the whitened means, at O(n d^2 + n C d) instead of a
-triangular solve per difference vector. The rows are taken in blocks of at
-most 2^21 whitened entries, so memory does not grow with the batch beyond
-its n x C forms. Every per-call product with W or L goes through
+triangular solve per difference vector. ``featurestore.row_blocks``, the cut
+of every batched scan, takes the rows in near-equal blocks of at most 2^21
+whitened entries, so memory does not grow with the batch beyond its n x C
+forms; a one-row call is still a GEMV, and moving a block edge can move a
+row's last bit. Every per-call product with W or L goes through
 ``_times_lower_t``, which multiplies by the triangle's nonzero blocks only:
-3/4 of the dense product's multiply-adds, and the same bits at the shapes
-its docstring lists. Only a row whose nearest form cancels (q_min below 1/4
-of |W z|^2 + |W mu|^2, as at a mean) is whitened a second time, in
-difference form; ``_quad_forms`` derives the bound from the cross term's
-rounding error. L is inverted once per mixture:
-``_from_factor``, which builds the mixtures of ``from_moments`` and of the
-archive loader, keeps the W it inverts for the precision, and a mixture built
-directly derives it on first use. The whitened means are derived on first
-use too; both are cached.
+3/4 of the dense product's multiply-adds, and the same bits at the shapes its
+docstring lists. Only a row whose nearest form cancels (q_min below 1/4 of
+|W z|^2 + |W mu|^2, as at a mean) is whitened a second time, in difference
+form; ``_quad_forms`` derives the bound from the cross term's rounding
+error. L is inverted once per mixture: ``_from_factor``, which builds the
+mixtures of ``from_moments`` and of the archive loader, keeps the W it inverts
+for the precision, and a mixture built directly derives it on first use. The
+whitened means are derived on first use too; both are cached.
 
 A mixture holds one float dtype, like a network: float64, or float32 when
 every array it is given is float32. ``float32_mixture`` makes the float32
@@ -49,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .featurestore import ComputationError, FeatureSet, as_rows, logsumexp_rows
+from .featurestore import ComputationError, FeatureSet, as_rows, logsumexp_rows, row_blocks
 from .tensorio import archive_scalar, write_archive
 
 
@@ -272,13 +273,6 @@ def _times_lower_t(x: np.ndarray, lower: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_blocks(n: int, most: int) -> list[slice]:
-    """Near-equal blocks of at most ``most`` rows covering n rows; ``most`` >= 4
-    gives every block of a split batch at least 2 rows."""
-    count = -(-n // most)
-    return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
-
-
 def _quad_forms(gm: GaussianMixture, z: np.ndarray) -> np.ndarray:
     """(n, C) matrix of (z - mu_c)^T Sigma^-1 (z - mu_c) = |W z - W mu_c|^2.
 
@@ -298,16 +292,16 @@ def _quad_forms(gm: GaussianMixture, z: np.ndarray) -> np.ndarray:
     depend on the rest of its batch. The other forms stay in cross-term
     form, clipped at 0.
 
-    The batch is taken in near-equal row blocks of at most
-    ``_WHITEN_CELLS`` whitened entries, so a 50000 x 512 batch holds 16 MiB
-    of whitened rows rather than 205 MB; each block's whitening, cross term,
-    norms and recomputed rows are done before the next. A batch of up to
-    4096 rows at d=512 is one block, and a split batch has no block of one
-    row, which BLAS would take as a matrix-vector product. With OpenBLAS on
-    2 threads, blocks of 683 rows and more matched the whole batch bit for
-    bit (at d=512 a block has at least 2048), while blocks of 100 rows or
-    fewer, which OpenBLAS runs on one thread, differed in the last bits of
-    some cross terms.
+    ``featurestore.row_blocks`` takes the batch in near-equal blocks of at
+    most ``_WHITEN_CELLS`` whitened entries, so a 50000 x 512 batch holds
+    16 MiB of whitened rows rather than 205 MB; each block's whitening,
+    cross term, norms and recomputed rows are done before the next. A batch
+    of up to 4096 rows at d=512 is one block; a split batch has no one-row
+    block, but a one-row call is still a GEMV. With OpenBLAS on 2 threads,
+    blocks of 683 rows and more matched the whole batch bit for bit (at
+    d=512 a block has at least 2048); blocks of 100 rows or fewer, run on
+    one thread, differed in the last bits of some cross terms, so moving a
+    block edge can move a row's last bit.
 
     On the 512-d benchmark features q_min / (|a|^2 + |b_n|^2) lies between
     0.84 and 1.01 for scored rows and Langevin chains alike, so no row is
@@ -327,7 +321,7 @@ def _quad_forms(gm: GaussianMixture, z: np.ndarray) -> np.ndarray:
         # -2 is a power of two, so folding it into the means is exact
         cross = (-2.0 * wm).T
         means_sq = np.einsum("ij,ij->i", wm, wm)
-        for rows in _row_blocks(z.shape[0], max(4, _WHITEN_CELLS // gm.dim)):
+        for rows in row_blocks(z.shape[0], max(4, _WHITEN_CELLS // gm.dim)):
             part, qb = z[rows], q[rows]
             white = _times_lower_t(part, gm.whitener)
             np.matmul(white, cross, out=qb)

@@ -208,6 +208,24 @@ def test_knn_does_not_depend_on_the_block_size(monkeypatch, d, rtol):
     np.testing.assert_allclose(one_row, single, rtol=rtol, atol=0.0)
 
 
+def test_knn_of_one_query_more_than_whole_blocks_equals_one_block(monkeypatch):
+    # 301 queries in blocks of at most 60: a cut in steps of 60 left query 300
+    # alone, a GEMV whose distances round differently from a GEMM's, and its
+    # distance differed from one block's at k = 1 and 10. The near-equal cut
+    # takes 6 blocks of 50 or 51 queries. The bank's 1000 rows are a multiple
+    # of 8, so no product has a narrow last tile of columns, which rounds with
+    # the rows in the block
+    seen = sized_scan(monkeypatch, 60)
+    rng = np.random.default_rng(2)
+    train, queries = rng.standard_normal((1000, 16)), rng.standard_normal((301, 16))
+    blocked = [score_knn(train, queries, k) for k in (1, 10, 50)]
+    monkeypatch.undo()
+    sized_scan(monkeypatch, 1 << 30)
+    for k, got in zip((1, 10, 50), blocked):
+        assert got.tobytes() == score_knn(train, queries, k).tobytes()
+    assert seen and all(s[0] == 60 for s in seen)
+
+
 @pytest.mark.parametrize("d", [1, 2, 64])
 def test_knn_equals_the_one_pass_scan_bit_for_bit(monkeypatch, d):
     # three chunks of the real size (5504, 5440 and 5445 rows) against one

@@ -17,6 +17,7 @@ from energy_ood.energy_net import (
     mlp_grad_params,
     mlp_init,
 )
+from energy_ood.featurestore import row_blocks
 from energy_ood.mog import GaussianMixture, gaussian_energy
 from energy_ood.tensorio import read_archive, write_archive
 from energy_ood.trainer import CorrectionModel, TrainConfig, load_model, save_model
@@ -415,6 +416,46 @@ def test_energy_does_not_depend_on_the_block_size(monkeypatch, to32, dims, extra
     else:
         bound = 32 * np.finfo(net.dtype).eps * np.abs(single).max()
         assert np.abs(blocked - single).max() <= bound
+
+
+@pytest.mark.parametrize("to32", [False, True])
+@pytest.mark.parametrize("width", [32, 128])
+def test_energy_of_one_row_more_than_a_block_equals_one_pass(monkeypatch, to32, width):
+    # 2049 rows at width 32 and 513 at width 128, one more than their real
+    # block. A cut in steps of the block left the last row alone, and BLAS
+    # computes a one-row product as a GEMV, which rounds differently from a
+    # GEMM: the lone row differed from one pass in most draws, in both dtypes.
+    # row_blocks' cut (1088 + 961 and 320 + 193 rows) matches one pass bit
+    # for bit. Wide networks are left out: at width 1024 a few of 4097 rows
+    # differ from one pass with either cut
+    rng = np.random.default_rng(0)
+    net = mlp_init([16, width, width, 1], rng)
+    net = as_float32(net) if to32 else net
+    n = energy_net._energy_block_rows(width) + 1
+    zs = [rng.uniform(-2.0, 2.0, (n, 16)) for _ in range(3)]
+    blocked = [mlp_energy(net, z) for z in zs]
+    monkeypatch.setattr(energy_net, "_energy_block_rows", lambda width: 1 << 30)
+    for z, got in zip(zs, blocked):
+        assert got.tobytes() == mlp_energy(net, z).tobytes()
+
+
+@pytest.mark.parametrize("to32", [False, True])
+def test_energy_blocks_end_on_whole_row_tiles(to32):
+    # the toy's 128-wide network on 203 x 203 rows, 81 blocks. The output
+    # layer is a matrix-vector product, and OpenBLAS rounds its last n mod 4
+    # rows differently from the same rows inside a longer product. Blocks
+    # bounded on multiples of 64 rows compute every row before the last block
+    # as a pass over its own 64-row tile does; near-equal blocks of 508 and
+    # 509 rows, bounded anywhere, moved 34 to 36 of those rows
+    rng = np.random.default_rng(3)
+    net = mlp_init([2, 128, 128, 1], rng)
+    net = as_float32(net) if to32 else net
+    z = rng.uniform(-12.0, 12.0, (203 * 203, 2)).astype(net.dtype)
+    blocks = row_blocks(len(z), energy_net._energy_block_rows(128))
+    tiles = np.concatenate([mlp_energy(net, z[i : i + 64]) for i in range(0, len(z), 64)])
+    last = blocks[-1].start
+    assert len(blocks) == 81 and last % 64 == 0
+    assert mlp_energy(net, z)[:last].tobytes() == tiles[:last].tobytes()
 
 
 def test_energy_of_no_rows_and_of_one_vector():

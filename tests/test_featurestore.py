@@ -11,6 +11,7 @@ from energy_ood.featurestore import (
     minibatch_indices,
     normalize_features,
     normalize_rows,
+    row_blocks,
     save_feature_set,
 )
 from energy_ood.tensorio import write_tensor
@@ -130,6 +131,68 @@ def test_minibatches_cover_everything():
     assert sorted(seen) == list(range(25))
     sizes = [len(b) for b in minibatch_indices(25, 8, np.random.default_rng(1))]
     assert sizes == [8, 8, 8, 1]
+
+
+def test_row_blocks_are_near_equal_with_no_single_row():
+    # the fewest blocks of at most ``most`` rows, in order. From ``most`` = 3 a
+    # split batch has no one-row block; 1 and 2, which the KNN scan's sizing
+    # gives at very large k, cannot avoid one. The blocks differ by at most a
+    # row, or, for a ``most`` that is a multiple of 256, start on multiples of
+    # 64 rows and differ by less than 128
+    assert row_blocks(0, 1) == row_blocks(0, 256) == []
+    for most in (1, 2, 3, 4, 5, 100, 256, 512):
+        for n in range(1, 3 * most + 2):
+            blocks = row_blocks(n, most)
+            sizes = [b.stop - b.start for b in blocks]
+            assert blocks[0].start == 0 and blocks[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            assert len(blocks) == -(-n // most) and max(sizes) <= most
+            assert len(blocks) == 1 or min(sizes) >= 2 or most < 3
+            if most % 256:
+                assert max(sizes) - min(sizes) <= 1
+            else:
+                assert all(b.start % 64 == 0 for b in blocks)
+                assert max(sizes) - min(sizes) < 128
+    assert [b.stop - b.start for b in row_blocks(2049, 2048)] == [1088, 961]
+
+
+def test_every_batched_scan_cuts_its_rows_with_row_blocks(monkeypatch):
+    # the mixture's whitening, the network's energy pass, the KNN scan's
+    # chunks of training rows and its query loop ask row_blocks for their cut,
+    # each with its own size rule, and run their passes over the blocks it
+    # returns (here 7, 6, 6 and 6 rows)
+    from energy_ood import detectors, energy_net, featurestore, mog
+
+    rng = np.random.default_rng(32)
+    net = energy_net.mlp_init([3, 8, 1], rng)
+    means, a = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
+    gm = mog.GaussianMixture.from_moments(means, a @ a.T + np.eye(3))
+    train = rng.standard_normal((10, 3))
+    # rows far from every mean, so that no form is recomputed
+    z = rng.standard_normal((25, 3)) + 50.0
+    want = (mog._quad_forms(gm, z), energy_net.mlp_energy(net, z),
+            detectors.score_knn(train, z, 2))
+    rules = [(25, mog._WHITEN_CELLS // 3), (25, energy_net._energy_block_rows(8)),
+             (10, detectors._KNN_CHUNK), (25, detectors._knn_block(10, 2, 3)[0])]
+    calls, passes = [], []
+
+    def spy(n, most):
+        calls.append((n, most))
+        return featurestore.row_blocks(n, 7)
+
+    def recorded(fn, rows_at):
+        return lambda *args: passes.append(len(args[rows_at])) or fn(*args)
+
+    for module in (mog, energy_net, detectors):
+        monkeypatch.setattr(module, "row_blocks", spy)
+    monkeypatch.setattr(mog, "_times_lower_t", recorded(mog._times_lower_t, 0))
+    monkeypatch.setattr(energy_net, "_forward", recorded(energy_net._forward, 1))
+    got = (mog._quad_forms(gm, z), energy_net.mlp_energy(net, z),
+           detectors.score_knn(train, z, 2))
+    assert calls == rules
+    assert passes == [7, 6, 6, 6] * 2
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12)
 
 
 def test_float32_rows_reach_float32_network_and_mixture_uncopied(monkeypatch):

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 import shlex
@@ -38,6 +39,28 @@ def test_readme_names_resolve():
     assert ("detectors", "score_knn") in names
     for module, name in names:
         assert hasattr(importlib.import_module(f"energy_ood.{module}"), name), f"{module}.{name}"
+
+
+def test_docstring_names_resolve():
+    # every ``module.name`` a package docstring cites exists, and every
+    # ``_private`` name exists in the module whose docstring cites it (the
+    # bare ``_`` of cli's config-file docstring is no name)
+    checked = 0
+    for module_name in SUBMODULES:
+        module = importlib.import_module(f"energy_ood.{module_name}")
+        nodes = ast.walk(ast.parse(inspect.getsource(module)))
+        docs = [ast.get_docstring(node) or "" for node in nodes if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+        for doc in docs:
+            for cited, name in re.findall(r"``([a-z_]+)\.([A-Za-z_][A-Za-z0-9_]*)``", doc):
+                if cited in SUBMODULES:
+                    checked += 1
+                    owner = importlib.import_module(f"energy_ood.{cited}")
+                    assert hasattr(owner, name), f"{module_name}: {cited}.{name}"
+            for name in re.findall(r"``(_[A-Za-z0-9_]+)``", doc):
+                checked += 1
+                assert hasattr(module, name), f"{module_name}: {name}"
+    assert checked >= 20
 
 
 def test_readme_calls_resolve():
