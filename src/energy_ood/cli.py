@@ -234,8 +234,8 @@ def cmd_fit_mog(args) -> None:
 
 
 # train flags that override one TrainConfig field each, and the SgldSchedule fields
-TRAIN_FIELDS = ("epochs", "batch_size", "learning_rate", "l2_coeff", "input_noise_std",
-                "hidden_dim", "num_hidden", "net_temperature")
+TRAIN_FIELDS = ("epochs", "batch_size", "learning_rate", "l2_coeff", "hidden_dim", "num_hidden",
+                "net_temperature")
 SGLD_FIELDS = {"sgld_steps": "steps", "sgld_step_size": "step_size", "sgld_noise": "noise_scale"}
 
 
@@ -471,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int)
     p.add_argument("--learning-rate", type=finite_float)
     p.add_argument("--l2-coeff", type=finite_float)
-    p.add_argument("--input-noise-std", type=finite_float)
     p.add_argument("--sgld-steps", type=int)
     p.add_argument("--sgld-step-size", type=finite_float, nargs=2, metavar=("START", "END"))
     p.add_argument("--sgld-noise", type=finite_float, nargs=2, metavar=("START", "END"))

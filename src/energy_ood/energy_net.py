@@ -9,8 +9,8 @@ Each pass computes every hidden unit's sigmoid once. The forward pass saves
 what the reverse pass needs, (pre-activation, sigmoid), and the reverse pass
 consumes it: it forms SiLU's derivative in those same buffers. The
 energy-only pass saves nothing and runs over the rows in blocks sized by
-``_energy_block_rows``, so no hidden activation is larger than one block,
-and each block's buffers are reused in place.
+``featurestore.block_rows``, as the mixture's whitening is, so no hidden
+activation is larger than one block, and each block's buffers are reused.
 
 A network is one tuple w0, b0, w1, b1, ..., the order in which
 ``mlp_grad_params`` returns its gradients and Adam updates them. It holds
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featurestore import as_rows, row_blocks
+from .featurestore import as_rows, block_rows, row_blocks
 from .tensorio import archive_scalar
 
 
@@ -168,35 +168,18 @@ def _backward(net: EnergyMlp, saved: list, upstream: np.ndarray, inputs=None):
     return delta @ weights[0] if inputs is None else grads
 
 
-# cells of one block of the energy-only pass, 512 KiB in float64
-_ENERGY_BLOCK_CELLS = 1 << 16
-
-
-def _energy_block_rows(width: int) -> int:
-    """Rows per block of the energy-only pass through a network whose widest
-    layer has ``width`` units.
-
-    A narrow network gets a block of 2^16 cells per layer, so its products
-    and SiLU passes run in cache: 512 rows at width 128. A wide one gets 4
-    rows per unit, so a block's activation is 4 times the size of its
-    largest weight matrix and each GEMM stays large: 4096 rows at width
-    1024, which score 50k rows 1.2x (float64) to 1.46x (float32) as fast as
-    64-row blocks on a 2-core box (measured in README.md).
-    """
-    return max(_ENERGY_BLOCK_CELLS // width, 4 * width)
-
-
 def mlp_energy(net: EnergyMlp, z) -> np.ndarray:
     """One energy per row of ``z``, computed in the network's dtype.
 
-    ``featurestore.row_blocks``, the cut of every batched scan, takes the
-    rows in near-equal blocks of at most ``_energy_block_rows``, so a split
-    batch has no one-row block; a one-row call is still a GEMV, and as BLAS
-    rounds shapes differently, moving a block edge can move a row's last bit.
+    ``featurestore.row_blocks`` takes the rows in near-equal blocks of at
+    most ``featurestore.block_rows`` of the widest layer (2048 rows at width
+    512), so a split batch has no one-row block; a one-row call is still a
+    GEMV, and as BLAS rounds shapes differently, moving a block edge can
+    move a row's last bit.
     """
     z = as_rows(z, net.input_dim, net.dtype)
     e = np.empty(z.shape[0], dtype=net.dtype)
-    for rows in row_blocks(z.shape[0], _energy_block_rows(max(net.dims))):
+    for rows in row_blocks(z.shape[0], block_rows(max(net.dims))):
         e[rows] = _forward(net, z[rows])
     return e
 

@@ -176,6 +176,15 @@ def row_blocks(n: int, most: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def block_rows(width: int) -> int:
+    """Rows per block of the mixture's whitening (``width`` = d) and the network's
+    energy pass (its widest layer), the one rule of both: 2^16 cells, so a narrow
+    pass runs in cache (32768 rows at d = 2, 512 at width 128), but at least 4
+    rows per unit, so a wide block is 4 times a width x width matrix and its GEMMs
+    stay large (2048 rows at width 512, 4096 at 1024; README.md has timings)."""
+    return max((1 << 16) // width, 4 * width)
+
+
 def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator):
     """Yield shuffled index batches covering all n samples once per epoch."""
     if batch_size < 1:

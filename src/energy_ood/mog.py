@@ -19,9 +19,9 @@ works in whitened space. With L L^T = Sigma and W = L^-1,
 (z - mu_c)^T Sigma^-1 (z - mu_c) = |W z - W mu_c|^2: each row is whitened
 once as ``z @ W.T`` and all n x C quadratic forms come from one matrix
 product against the whitened means, at O(n d^2 + n C d) instead of a
-triangular solve per difference vector. ``featurestore.row_blocks``, the cut
-of every batched scan, takes the rows in near-equal blocks of at most 2^21
-whitened entries, so memory does not grow with the batch beyond its n x C
+triangular solve per difference vector. ``featurestore.row_blocks`` cuts the
+rows in near-equal blocks of at most ``featurestore.block_rows`` of d (2048
+rows at d = 512), so memory does not grow with the batch beyond its n x C
 forms; a one-row call is still a GEMV, and moving a block edge can move a
 row's last bit. Every per-call product with W or L goes through
 ``_times_lower_t``, which multiplies by the triangle's nonzero blocks only:
@@ -50,7 +50,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .featurestore import ComputationError, FeatureSet, as_rows, logsumexp_rows, row_blocks
+from .featurestore import ComputationError, FeatureSet, as_rows, block_rows, logsumexp_rows, \
+    row_blocks
 from .tensorio import archive_scalar, write_archive
 
 
@@ -235,10 +236,6 @@ _RECOMPUTE_BELOW = 0.25
 # ``_times_lower_t`` multiplies an x of fewer entries densely (8 rows at d=512)
 _SPLIT_ENTRIES = 4096
 
-# ``_quad_forms`` whitens at most this many entries at a time (16 MiB of
-# float64): 4096 rows of width 512
-_WHITEN_CELLS = 1 << 21
-
 
 def _times_lower_t(x: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """x @ lower.T for a lower-triangular ``lower``, without its zero upper-right block.
@@ -293,15 +290,15 @@ def _quad_forms(gm: GaussianMixture, z: np.ndarray) -> np.ndarray:
     form, clipped at 0.
 
     ``featurestore.row_blocks`` takes the batch in near-equal blocks of at
-    most ``_WHITEN_CELLS`` whitened entries, so a 50000 x 512 batch holds
-    16 MiB of whitened rows rather than 205 MB; each block's whitening,
-    cross term, norms and recomputed rows are done before the next. A batch
-    of up to 4096 rows at d=512 is one block; a split batch has no one-row
-    block, but a one-row call is still a GEMV. With OpenBLAS on 2 threads,
-    blocks of 683 rows and more matched the whole batch bit for bit (at
-    d=512 a block has at least 2048); blocks of 100 rows or fewer, run on
-    one thread, differed in the last bits of some cross terms, so moving a
-    block edge can move a row's last bit.
+    most ``featurestore.block_rows`` of d, so a 50000 x 512 batch holds 8 MiB
+    of whitened rows rather than 205 MB; each block's whitening, cross term,
+    norms and recomputed rows are done before the next. A batch of up to
+    2048 rows at d=512 is one block; a split batch has no one-row block, but
+    a one-row call is still a GEMV. With OpenBLAS on 2 threads, blocks of
+    683 rows and more matched the whole batch bit for bit (at d=512 a block
+    has at least 1024); blocks of 100 rows or fewer, run on one thread,
+    differed in the last bits of some cross terms, so moving a block edge
+    can move a row's last bit.
 
     On the 512-d benchmark features q_min / (|a|^2 + |b_n|^2) lies between
     0.84 and 1.01 for scored rows and Langevin chains alike, so no row is
@@ -321,7 +318,7 @@ def _quad_forms(gm: GaussianMixture, z: np.ndarray) -> np.ndarray:
         # -2 is a power of two, so folding it into the means is exact
         cross = (-2.0 * wm).T
         means_sq = np.einsum("ij,ij->i", wm, wm)
-        for rows in row_blocks(z.shape[0], max(4, _WHITEN_CELLS // gm.dim)):
+        for rows in row_blocks(z.shape[0], block_rows(gm.dim)):
             part, qb = z[rows], q[rows]
             white = _times_lower_t(part, gm.whitener)
             np.matmul(white, cross, out=qb)

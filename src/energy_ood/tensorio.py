@@ -78,8 +78,8 @@ def read_record(buf, offset: int = 0) -> tuple[np.ndarray, int]:
     return flat.reshape(dims), payload_off + need
 
 
-def tensor_bytes(arr: np.ndarray) -> bytes:
-    """Encode ``arr`` as one tensor record."""
+def _record_parts(arr) -> tuple[bytes, np.ndarray]:
+    """``arr``'s record header, and its payload as a C-contiguous little-endian array."""
     arr = np.asarray(arr)
     if arr.dtype.name not in _NAME_TO_CODE:
         raise ValueError(f"dtype {arr.dtype} not storable; use float32, uint32 or float64")
@@ -91,7 +91,12 @@ def tensor_bytes(arr: np.ndarray) -> bytes:
     head = MAGIC + bytes([VERSION, code, arr.ndim, 0])
     head += struct.pack(f"<{arr.ndim}Q", *arr.shape)
     little = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-    return head + np.ascontiguousarray(little).tobytes()
+    return head, np.ascontiguousarray(little)
+
+
+def tensor_bytes(arr: np.ndarray) -> bytes:
+    """Encode ``arr`` as one tensor record."""
+    return b"".join(_record_parts(arr))
 
 
 def load_tensor(path) -> np.ndarray:
@@ -111,8 +116,10 @@ def load_tensor(path) -> np.ndarray:
 
 
 def write_tensor(path, arr: np.ndarray) -> None:
+    """Write ``arr``'s record; a C-contiguous little-endian ``arr`` is not copied."""
+    parts = _record_parts(arr)
     with open(path, "wb") as fh:
-        fh.write(tensor_bytes(arr))
+        fh.writelines(parts)
 
 
 def write_archive(path, entries: dict[str, np.ndarray]) -> None:

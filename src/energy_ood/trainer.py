@@ -43,6 +43,9 @@ from .tensorio import archive_scalar, read_archive, write_archive
 
 _MODEL_KINDS = {1: "correction", 2: "ebm"}
 
+# std of the Gaussian noise added to each positive row, in both recipes
+_INPUT_NOISE_STD = 1e-3
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -50,7 +53,6 @@ class TrainConfig:
     batch_size: int = 256
     learning_rate: float = 5e-6
     l2_coeff: float = 10.0
-    input_noise_std: float = 1e-3
     sgld: SgldSchedule = field(
         default_factory=lambda: SgldSchedule(20, (1e-6, 1e-7), (1e-3, 1e-4))
     )
@@ -68,7 +70,7 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         # written so that NaN fails each check
-        for name in ("learning_rate", "l2_coeff", "input_noise_std"):
+        for name in ("learning_rate", "l2_coeff"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and nonnegative")
         if not 0 < self.net_temperature < np.inf:
@@ -231,9 +233,7 @@ def train_correction(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfi
             sums = {}
             for steps, idx in enumerate(minibatch_indices(n, cfg.batch_size, shuffle_rng), 1):
                 b = idx.size
-                pos = fs.features[idx]
-                if cfg.input_noise_std > 0:
-                    pos = pos + cfg.input_noise_std * noise_rng.standard_normal(pos.shape)
+                pos = fs.features[idx] + _INPUT_NOISE_STD * noise_rng.standard_normal((b, d))
                 try:
                     neg, grad_norm = langevin_negatives(net32, gm, gm32, cfg, neg_rng, b, gstep)
                 except ComputationError as exc:
@@ -261,16 +261,17 @@ def train_correction(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfi
                         f"non-finite loss at epoch {epoch}, step {gstep}"
                     )
                 # a non-finite gradient makes Adam's step NaN, and a parameter
-                # beyond the float32 range is inf in the float32 copy
+                # beyond the float32 range is inf in the float32 copy, which
+                # EnergyMlp refuses
                 with np.errstate(over="ignore", invalid="ignore"):
                     params, state = adam_step(
                         params, [g.astype(np.float64) for g in grads], state, cfg.learning_rate)
                     params32 = [p.astype(np.float32) for p in params]
-                if not all(np.isfinite(p).all() for p in params32):
-                    raise ComputationError(
-                        f"non-finite parameters (in float32) after epoch {epoch}, step {gstep}"
-                    )
-                net32 = EnergyMlp(params32)
+                try:
+                    net32 = EnergyMlp(params32)
+                except ValueError as exc:
+                    raise ComputationError(f"non-finite parameters (in float32) after "
+                                           f"epoch {epoch}, step {gstep}") from exc
 
                 for k, v in terms.items():
                     sums[k] = sums.get(k, 0.0) + v

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,11 @@ from energy_ood.cli import main
 from energy_ood.energy_net import mlp_energy, mlp_init
 from energy_ood.featurestore import FeatureSet, load_feature_set, normalize_features
 from energy_ood.mog import fit_mog, gaussian_energy, save_mixture
+from energy_ood.sgld import SgldSchedule
 from energy_ood.tensorio import load_tensor, read_archive, tensor_bytes, write_archive, \
     write_tensor
 from energy_ood.toy import ToySpec, gen_toy
-from energy_ood.trainer import CorrectionModel, load_model, save_model
+from energy_ood.trainer import CorrectionModel, TrainConfig, load_model, save_model
 
 
 def read_mixture(path):
@@ -172,6 +174,13 @@ def test_corrupt_tensor_exits_2(tmp_path):
 
 # ---------------------------------------------------------------- train
 
+def test_every_recipe_field_has_one_train_flag():
+    # seed and sgld are set by their own flags; every other TrainConfig field,
+    # and every SgldSchedule field, is one train flag of the same name
+    assert sorted(cli.TRAIN_FIELDS + ("seed", "sgld")) == sorted(f.name for f in fields(TrainConfig))
+    assert sorted(cli.SGLD_FIELDS.values()) == sorted(f.name for f in fields(SgldSchedule))
+
+
 def test_train_correction_and_flag_conflicts(tmp_path, toy_files):
     feats, labels = toy_files
     mog = tmp_path / "mog.ftar"
@@ -243,7 +252,6 @@ def test_train_nonfinite_parameters_exit_1(tmp_path, toy_files, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["train", "--mog", "{mog}", "--input-noise-std", "nan"],
     ["train", "--mog", "{mog}", "--net-temperature", "nan"],
     ["train", "--mog", "{mog}", "--config", "{cfg}"],
     ["fit-mog", "--temperature", "nan"],
@@ -253,7 +261,7 @@ def test_nonfinite_or_overflowing_numbers_exit_2(tmp_path, toy_files, argv):
     feats, labels = toy_files
     mog, cfg = tmp_path / "mog.ftar", tmp_path / "bad.cfg"
     assert run("fit-mog", "--features", feats, "--labels", labels, "--out", mog) == 0
-    cfg.write_text("input_noise_std = nan\n")
+    cfg.write_text("l2_coeff = nan\n")
     out = tmp_path / "out"
     argv = [a.format(mog=mog, cfg=cfg) for a in argv]
     assert run(*argv, "--features", feats, "--labels", labels, "--out", out) == 2

@@ -17,7 +17,7 @@ from energy_ood.energy_net import (
     mlp_grad_params,
     mlp_init,
 )
-from energy_ood.featurestore import row_blocks
+from energy_ood.featurestore import block_rows, row_blocks
 from energy_ood.mog import GaussianMixture, gaussian_energy
 from energy_ood.tensorio import read_archive, write_archive
 from energy_ood.trainer import CorrectionModel, TrainConfig, load_model, save_model
@@ -376,20 +376,10 @@ def test_energy_peak_does_not_grow_with_the_rows():
     net = mlp_init([64, 256, 256, 256, 256, 1], rng)
     small, large = (traced_peak_layers(mlp_energy, net, rng.standard_normal((n, 64)))
                     for n in (2000, 20000))
-    assert large - small <= energy_net._energy_block_rows(256) / 2000
+    assert large - small <= block_rows(256) / 2000
 
 
 # ---------------------------------------------------------------- blocks
-
-def test_energy_block_rows_follow_the_widest_layer():
-    # 2^16-cell blocks for narrow networks, 4 rows per unit for wide ones: the
-    # toy's 14641-row grid at width 128 takes 29 blocks, while perfbench's
-    # 512-d calls (2000 rows at width 1024) and the bit-for-bit reference
-    # test's batches (256 rows at width 32) take one
-    assert energy_net._energy_block_rows(32) == 2048
-    assert energy_net._energy_block_rows(128) == 512
-    assert energy_net._energy_block_rows(1024) == 4096
-
 
 @pytest.mark.parametrize("to32", [False, True])
 @pytest.mark.parametrize("dims", [[1, 1, 1, 1], [3, 32, 24, 32, 1]])
@@ -405,9 +395,9 @@ def test_energy_does_not_depend_on_the_block_size(monkeypatch, to32, dims, extra
     net = as_float32(net) if to32 else net
     z = rng.uniform(-2.0, 2.0, (3 * 7 + extra, dims[0]))
     widths = []
-    monkeypatch.setattr(energy_net, "_energy_block_rows", lambda width: widths.append(width) or 7)
+    monkeypatch.setattr(energy_net, "block_rows", lambda width: widths.append(width) or 7)
     blocked = mlp_energy(net, z)
-    monkeypatch.setattr(energy_net, "_energy_block_rows", lambda width: 1 << 30)
+    monkeypatch.setattr(energy_net, "block_rows", lambda width: 1 << 30)
     single = mlp_energy(net, z)
     assert widths == [max(dims)]
     assert blocked.dtype == single.dtype == net.dtype
@@ -431,10 +421,10 @@ def test_energy_of_one_row_more_than_a_block_equals_one_pass(monkeypatch, to32, 
     rng = np.random.default_rng(0)
     net = mlp_init([16, width, width, 1], rng)
     net = as_float32(net) if to32 else net
-    n = energy_net._energy_block_rows(width) + 1
+    n = block_rows(width) + 1
     zs = [rng.uniform(-2.0, 2.0, (n, 16)) for _ in range(3)]
     blocked = [mlp_energy(net, z) for z in zs]
-    monkeypatch.setattr(energy_net, "_energy_block_rows", lambda width: 1 << 30)
+    monkeypatch.setattr(energy_net, "block_rows", lambda width: 1 << 30)
     for z, got in zip(zs, blocked):
         assert got.tobytes() == mlp_energy(net, z).tobytes()
 
@@ -451,7 +441,7 @@ def test_energy_blocks_end_on_whole_row_tiles(to32):
     net = mlp_init([2, 128, 128, 1], rng)
     net = as_float32(net) if to32 else net
     z = rng.uniform(-12.0, 12.0, (203 * 203, 2)).astype(net.dtype)
-    blocks = row_blocks(len(z), energy_net._energy_block_rows(128))
+    blocks = row_blocks(len(z), block_rows(128))
     tiles = np.concatenate([mlp_energy(net, z[i : i + 64]) for i in range(0, len(z), 64)])
     last = blocks[-1].start
     assert len(blocks) == 81 and last % 64 == 0

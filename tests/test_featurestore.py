@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from energy_ood.featurestore import (
     FeatureSet,
+    block_rows,
     load_feature_set,
     minibatch_indices,
     normalize_features,
@@ -156,11 +157,20 @@ def test_row_blocks_are_near_equal_with_no_single_row():
     assert [b.stop - b.start for b in row_blocks(2049, 2048)] == [1088, 961]
 
 
+def test_block_rows_follow_the_widest_activation_row():
+    # 2^16-cell blocks for narrow passes, 4 rows per unit for wide ones: the
+    # toy's d = 2 whitening takes 32768 rows, so its 14641-row grid is one
+    # block, and its width-128 network 512; every 512-d perfbench call (at
+    # most 2000 rows at d = 512, or through 1024-wide layers) is one block
+    assert [block_rows(w) for w in (2, 8, 128, 512, 1024)] == [32768, 8192, 512, 2048, 4096]
+
+
 def test_every_batched_scan_cuts_its_rows_with_row_blocks(monkeypatch):
     # the mixture's whitening, the network's energy pass, the KNN scan's
     # chunks of training rows and its query loop ask row_blocks for their cut,
-    # each with its own size rule, and run their passes over the blocks it
-    # returns (here 7, 6, 6 and 6 rows)
+    # and run their passes over the blocks it returns (here 7, 6, 6 and 6
+    # rows). The whitening and the energy pass size their blocks with
+    # block_rows, of d and of the widest layer; KNN keeps its own rule
     from energy_ood import detectors, energy_net, featurestore, mog
 
     rng = np.random.default_rng(32)
@@ -172,24 +182,31 @@ def test_every_batched_scan_cuts_its_rows_with_row_blocks(monkeypatch):
     z = rng.standard_normal((25, 3)) + 50.0
     want = (mog._quad_forms(gm, z), energy_net.mlp_energy(net, z),
             detectors.score_knn(train, z, 2))
-    rules = [(25, mog._WHITEN_CELLS // 3), (25, energy_net._energy_block_rows(8)),
+    rules = [(25, block_rows(3)), (25, block_rows(8)),
              (10, detectors._KNN_CHUNK), (25, detectors._knn_block(10, 2, 3)[0])]
-    calls, passes = [], []
+    calls, passes, widths = [], [], []
 
     def spy(n, most):
         calls.append((n, most))
         return featurestore.row_blocks(n, 7)
+
+    def sized(width):
+        widths.append(width)
+        return block_rows(width)
 
     def recorded(fn, rows_at):
         return lambda *args: passes.append(len(args[rows_at])) or fn(*args)
 
     for module in (mog, energy_net, detectors):
         monkeypatch.setattr(module, "row_blocks", spy)
+    for module in (mog, energy_net):
+        monkeypatch.setattr(module, "block_rows", sized)
     monkeypatch.setattr(mog, "_times_lower_t", recorded(mog._times_lower_t, 0))
     monkeypatch.setattr(energy_net, "_forward", recorded(energy_net._forward, 1))
     got = (mog._quad_forms(gm, z), energy_net.mlp_energy(net, z),
            detectors.score_knn(train, z, 2))
     assert calls == rules
+    assert widths == [3, 8]
     assert passes == [7, 6, 6, 6] * 2
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=1e-12)

@@ -482,14 +482,14 @@ def test_sample_is_means_plus_factor_product():
 def test_blocked_quad_forms_equal_one_block(monkeypatch, c, d, most, per_pass):
     # 2B + 1 rows for a bound of B rows, near, far and at-mean rows mixed so
     # that each of the three blocks recomputes some. The blocks at d=512 have
-    # 704, 704 and 641 rows, as a real bound gives at least 2048 there:
+    # 704, 704 and 641 rows, as a real bound gives at least 1024 there:
     # OpenBLAS rounds a product of a few dozen rows differently (it runs it
     # on one thread)
     gm = conditioned_mixture(53, c, d, 1e4)
     mixed = oracle_rows(gm, "mixed")[0]
     z = np.resize(mixed, (2 * most + 1, d))
     whole = mog._quad_forms(gm, z)
-    monkeypatch.setattr(mog, "_WHITEN_CELLS", most * d)
+    monkeypatch.setattr(mog, "block_rows", lambda width: most)
     products = count_whitener_products(gm)
     blocked = mog._quad_forms(gm, z)
     assert np.array_equal(blocked, whole)

@@ -100,6 +100,21 @@ def test_load_holds_the_file_once(tmp_path):
     assert peak <= 1.25 * size
 
 
+def test_write_copies_no_record(tmp_path):
+    # an 8 MiB float32 array is written from its own buffer: building the
+    # record in memory (its bytes, then header + bytes) peaked at 16 MiB
+    arr = np.arange(2_097_152, dtype=np.float32).reshape(1024, 2048)
+    path = tmp_path / "big.f32"
+    tracemalloc.start()
+    try:
+        write_tensor(path, arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arr.nbytes / 64
+    assert path.read_bytes() == tensor_bytes(arr)
+
+
 def test_load_from_a_pipe(tmp_path):
     # a pipe has no size to read up front; the CLI refuses one as an input, so
     # only a library caller reads one

@@ -90,14 +90,13 @@ def test_config_validation():
     lambda: TrainConfig(learning_rate=np.nan),
     lambda: TrainConfig(learning_rate=np.inf),
     lambda: TrainConfig(l2_coeff=np.inf),
-    lambda: TrainConfig(input_noise_std=np.nan),
     lambda: TrainConfig(net_temperature=np.nan),
     lambda: TrainConfig(net_temperature=np.inf),
     lambda: SgldSchedule(5, (np.nan, 1e-3), (1e-3, 1e-4)),
     lambda: SgldSchedule(5, (np.inf, 1e-3), (1e-3, 1e-4)),
     lambda: SgldSchedule(5, (1e-3, 1e-4), (1e-3, np.nan)),
     lambda: SgldSchedule(5, (1e-3, 1e-4), (np.inf, np.inf)),
-], ids=["lr-nan", "lr-inf", "l2-inf", "noise-std-nan", "temp-nan", "temp-inf",
+], ids=["lr-nan", "lr-inf", "l2-inf", "temp-nan", "temp-inf",
         "step-start-nan", "step-start-inf", "noise-end-nan", "noise-both-inf"])
 def test_nonfinite_config_values_rejected(make):
     with pytest.raises(ValueError, match="finite"):
@@ -131,12 +130,14 @@ def test_nan_inf_and_negative_values_rejected(make, option):
 
 
 def test_presets_follow_recipes():
+    import energy_ood.trainer as trainer
+
     cfg = correction_defaults()
     assert cfg.epochs == 20 and cfg.learning_rate == 5e-6 and cfg.l2_coeff == 10.0
     assert cfg.hidden_dim == 1024 and cfg.num_hidden == 4
     assert cfg.sgld.steps == 20
     assert cfg.sgld.step_size == (1e-6, 1e-7) and cfg.sgld.noise_scale == (1e-3, 1e-4)
-    assert cfg.input_noise_std == 1e-3
+    assert trainer._INPUT_NOISE_STD == 1e-3
 
     toy = correction_defaults(toy=True)
     assert toy.hidden_dim == 128 and toy.learning_rate == 1e-4
@@ -183,7 +184,8 @@ def test_training_step_descends_the_objective_of_fixed_negatives(monkeypatch):
     pos = rng.standard_normal((8, 2))
     neg = 2.0 * rng.standard_normal((8, 2))
     fs = FeatureSet(pos, np.zeros(8, dtype=int), 1)
-    cfg = small_cfg(epochs=1, batch_size=8, input_noise_std=0.0, l2_coeff=0.5,
+    monkeypatch.setattr(trainer, "_INPUT_NOISE_STD", 0.0)
+    cfg = small_cfg(epochs=1, batch_size=8, l2_coeff=0.5,
                     net_temperature=2.0, learning_rate=1e-3, hidden_dim=8, num_hidden=2)
     calls, seen = [], {}
 
@@ -600,6 +602,8 @@ def reference_training(fs, gm, cfg):
     """The training loop with every step in float64, from the public functions:
     float64 chain gradients, two energy passes and a float64 parameter
     gradient. Returns the final parameters and each step's (mle, l2) losses."""
+    import energy_ood.trainer as trainer
+
     n, d = fs.features.shape
     ss_init, ss_shuffle, ss_noise, ss_neg = np.random.SeedSequence(cfg.seed).spawn(4)
     shuffle_rng, noise_rng, neg_rng = (np.random.default_rng(s)
@@ -611,7 +615,7 @@ def reference_training(fs, gm, cfg):
     for _ in range(cfg.epochs):
         for idx in minibatch_indices(n, cfg.batch_size, shuffle_rng):
             b = idx.size
-            pos = fs.features[idx] + cfg.input_noise_std * noise_rng.standard_normal((b, d))
+            pos = fs.features[idx] + trainer._INPUT_NOISE_STD * noise_rng.standard_normal((b, d))
             net = EnergyMlp(params)
             neg = sgld_sample(sgld_init(gm, b, d, neg_rng),
                               lambda z: mlp_grad_input(net, z) / temp + gaussian_energy_grad(gm, z),
@@ -685,9 +689,8 @@ def test_training_passes_float32_objects_and_makes_one_pass_per_step(monkeypatch
     {"net_temperature": 1e-300},
     {"mog_temperature": 1e-300},
     {"l2_coeff": 1e308},
-    {"input_noise_std": 1e300},
     {"sgld": SgldSchedule(20, (1e300, 1e300), (1e-3, 1e-4))},
-], ids=["net-temperature", "mog-temperature", "l2-coeff", "input-noise", "step-size"])
+], ids=["net-temperature", "mog-temperature", "l2-coeff", "step-size"])
 def test_training_diverges_without_runtime_warning(options):
     # each of these overflows somewhere in the step; training stops with an
     # error naming where, and nothing on the way warns
