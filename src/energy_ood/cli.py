@@ -51,12 +51,7 @@ from .featurestore import (
     read_input,
     save_feature_set,
 )
-from .mog import (
-    fit_mog,
-    gaussian_energy,
-    mahalanobis_ood_score,
-    save_mixture,
-)
+from .mog import fit_mog, gaussian_energy, mahalanobis_ood_score
 from .tensorio import write_tensor
 from .toy import ToySpec, energy_grid, gen_toy, save_grid_csv, save_grid_tensor
 from .trainer import (
@@ -160,8 +155,12 @@ def _write_manifest(args, path, inputs: dict, artifacts: list, started: float) -
             "elapsed_s": finished - started,
         },
     }
+    _write_json(path, manifest)
+
+
+def _write_json(path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
+        json.dump(obj, fh, indent=2)
         fh.write("\n")
 
 
@@ -230,7 +229,7 @@ def cmd_fit_mog(args) -> None:
     if args.normalize:
         fs = _normalized(args.features, normalize_features, fs)
     gm = fit_mog(fs, shrinkage=args.shrinkage, temperature=args.temperature)
-    save_mixture(args.out, gm)
+    save_model(args.out, gm)
 
 
 # train flags that override one TrainConfig field each, and the SgldSchedule fields
@@ -402,9 +401,7 @@ def cmd_eval(args) -> None:
         "groups": groups,
         "average": overall,
     }
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(args.out, report)
 
     if args.csv is not None:
         with open(args.csv, "w", newline="") as fh:

@@ -42,12 +42,14 @@ def _knn_block(n: int, k: int, d: int) -> tuple[int, int, list[int]]:
 
 
 def score_correction(model: CorrectionModel, z) -> np.ndarray:
-    """Network energy plus mixture energy, each with its temperature applied;
-    the network energy alone for a model without a mixture."""
-    e = mlp_energy(model.net, z) / model.net_temperature
-    if model.gm is None:
-        return e
-    return e + gaussian_energy(model.gm, z)
+    """Network energy over net_temperature, plus the mixture energy if there is
+    one. A temperature small enough to overflow the scaled energy gives a
+    non-finite score and no warning, as in ``score_msp``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = mlp_energy(model.net, z) / model.net_temperature
+        if model.gm is None:
+            return e
+        return e + gaussian_energy(model.gm, z)
 
 
 def score_knn(train: np.ndarray, z, k: int) -> np.ndarray:

@@ -52,7 +52,7 @@ import numpy as np
 
 from .featurestore import ComputationError, FeatureSet, as_rows, block_rows, logsumexp_rows, \
     row_blocks
-from .tensorio import archive_scalar, write_archive
+from .tensorio import archive_scalar
 
 
 _ARRAYS = ("means", "covariance", "chol_lower", "precision", "mixing")
@@ -454,6 +454,3 @@ def mixture_from_entries(entries: dict[str, np.ndarray], prefix: str = "") -> Ga
         raise overflow
     return gm
 
-
-def save_mixture(path, gm: GaussianMixture) -> None:
-    write_archive(path, mixture_entries(gm))

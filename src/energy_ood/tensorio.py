@@ -10,6 +10,10 @@ bit-exactly.
 Archives hold named tensors in one file: magic ``FTAR``, a version byte,
 a u16 entry count, then per entry a u16 name length, the UTF-8 name, and a
 complete single-tensor record. No name may appear twice.
+
+Both kinds of file are read whole into one buffer by one reader. The
+writers check every array first, then write each header followed by its
+array's own buffer, so no record is built in memory.
 """
 
 from __future__ import annotations
@@ -94,21 +98,21 @@ def _record_parts(arr) -> tuple[bytes, np.ndarray]:
     return head, np.ascontiguousarray(little)
 
 
-def tensor_bytes(arr: np.ndarray) -> bytes:
-    """Encode ``arr`` as one tensor record."""
-    return b"".join(_record_parts(arr))
+def _read_file(path) -> bytearray:
+    """The whole of ``path``, read once into one writable buffer."""
+    with open(path, "rb") as fh:
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        del buf[fh.readinto(buf):]
+        buf += fh.read()  # whatever lies past the size fstat gave, as in a pipe
+    return buf
 
 
 def load_tensor(path) -> np.ndarray:
     """Read a single-tensor file, validating header and payload length.
 
-    The file is read once into a buffer, and the array returned is a
-    writable view of it.
+    The array returned is a writable view of the buffer the file is read into.
     """
-    with open(path, "rb") as fh:
-        buf = bytearray(os.fstat(fh.fileno()).st_size)
-        del buf[fh.readinto(buf):]
-        buf += fh.read()  # whatever lies past the size fstat gave, as in a pipe
+    buf = _read_file(path)
     arr, end = read_record(buf)
     if end != len(buf):
         raise TensorFormatError(f"{len(buf) - end} trailing bytes after payload", end)
@@ -123,18 +127,18 @@ def write_tensor(path, arr: np.ndarray) -> None:
 
 
 def write_archive(path, entries: dict[str, np.ndarray]) -> None:
-    """Write named tensors to one archive file, preserving entry order."""
+    """Write named tensors to one archive file in entry order, all checked first."""
     if len(entries) > 0xFFFF:
         raise ValueError("too many archive entries")
-    blob = ARCHIVE_MAGIC + bytes([VERSION]) + struct.pack("<H", len(entries))
-    parts = [blob]
+    parts = [ARCHIVE_MAGIC + bytes([VERSION]) + struct.pack("<H", len(entries))]
     for name, arr in entries.items():
         raw = name.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise ValueError(f"entry name too long: {name!r}")
-        parts.append(struct.pack("<H", len(raw)) + raw + tensor_bytes(arr))
+        head, payload = _record_parts(arr)
+        parts += [struct.pack("<H", len(raw)) + raw + head, payload]
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.writelines(parts)
 
 
 def archive_scalar(entries: dict[str, np.ndarray], name: str) -> float:
@@ -148,8 +152,7 @@ def archive_scalar(entries: dict[str, np.ndarray], name: str) -> float:
 
 
 def read_archive(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        buf = fh.read()
+    buf = _read_file(path)
     if len(buf) < 7:
         raise TensorFormatError("file ends inside the archive header", len(buf))
     if buf[:4] != ARCHIVE_MAGIC:

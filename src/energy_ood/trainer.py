@@ -285,17 +285,19 @@ def train_correction(fs: FeatureSet, gm: GaussianMixture | None, cfg: TrainConfi
     return CorrectionModel(EnergyMlp(params), gm, cfg.net_temperature), history
 
 
-def save_model(path, model: CorrectionModel) -> None:
-    """Write kind 1 (with mixture) or kind 2 (without), net_temperature in both."""
-    write_archive(path, _model_entries(model))
+def save_model(path, payload: CorrectionModel | GaussianMixture) -> None:
+    """Write a model as kind 1 (with mixture) or 2 (without), or a mixture alone."""
+    write_archive(path, _archive_entries(payload))
 
 
-def _model_entries(model: CorrectionModel) -> dict[str, np.ndarray]:
-    entries = {"kind": np.array([1 if model.gm is not None else 2], dtype=np.uint32),
-               "net_temperature": np.array([model.net_temperature])}
-    entries.update(mlp_entries(model.net, "net."))
-    if model.gm is not None:
-        entries.update(mixture_entries(model.gm, "mog."))
+def _archive_entries(payload: CorrectionModel | GaussianMixture) -> dict[str, np.ndarray]:
+    if isinstance(payload, GaussianMixture):
+        return mixture_entries(payload)
+    entries = {"kind": np.array([1 if payload.gm is not None else 2], dtype=np.uint32),
+               "net_temperature": np.array([payload.net_temperature])}
+    entries.update(mlp_entries(payload.net, "net."))
+    if payload.gm is not None:
+        entries.update(mixture_entries(payload.gm, "mog."))
     return entries
 
 
@@ -324,7 +326,7 @@ def load_model(path):
                 temperature = archive_scalar(entries, "net_temperature")
             gm = mixture_from_entries(entries, "mog.") if kind == "correction" else None
             payload = CorrectionModel(mlp_from_entries(entries, "net."), gm, temperature)
-        written = mixture_entries(payload) if kind == "mog" else _model_entries(payload)
+        written = _archive_entries(payload)
         unread = [name for name in entries if name not in written]
         if unread:
             raise ValueError(f"entries no loader reads: {', '.join(unread)}")

@@ -32,7 +32,7 @@ from energy_ood.sgld import SgldSchedule, sgld_sample
 from energy_ood.tensorio import write_tensor
 from energy_ood.toy import energy_grid, save_grid_csv
 from energy_ood.trainer import CorrectionModel, ebm_defaults, train_correction
-from tests_support import CROSS_SPEC, GRID_SPEC, grid_centers_and_corners
+from tests_support import CROSS_SPEC, GRID_SPEC, grid_centers_and_corners, rel_err
 
 
 def report(number: int, description: str, ok: bool, detail: str = ""):
@@ -40,11 +40,6 @@ def report(number: int, description: str, ok: bool, detail: str = ""):
     tail = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {number}: {status} - {description}{tail}")
     assert ok, f"criterion {number} failed: {description}{tail}"
-
-
-def rel_err(a, b, floor=1e-6):
-    a, b = np.asarray(a, float), np.asarray(b, float)
-    return np.abs(a - b) / np.maximum.reduce([np.abs(a), np.abs(b), np.full(a.shape, floor)])
 
 
 # ----------------------------------------------------------- criterion 1

@@ -18,9 +18,9 @@ from energy_ood import cli
 from energy_ood.cli import main
 from energy_ood.energy_net import mlp_energy, mlp_init
 from energy_ood.featurestore import FeatureSet, load_feature_set, normalize_features
-from energy_ood.mog import fit_mog, gaussian_energy, save_mixture
+from energy_ood.mog import fit_mog, gaussian_energy
 from energy_ood.sgld import SgldSchedule
-from energy_ood.tensorio import load_tensor, read_archive, tensor_bytes, write_archive, \
+from energy_ood.tensorio import _record_parts, load_tensor, read_archive, write_archive, \
     write_tensor
 from energy_ood.toy import ToySpec, gen_toy
 from energy_ood.trainer import CorrectionModel, TrainConfig, load_model, save_model
@@ -515,7 +515,7 @@ def test_eval_nonfinite_scores_exit_2(tmp_path, capsys, which, bad):
              "mog": tmp_path / "mog.ftar"}
     write_tensor(files["good"], x.astype(np.float32))
     write_tensor(files["labels"], y.astype(np.uint32))
-    save_mixture(files["mog"], fit_mog(FeatureSet(x, y, 2)))
+    save_model(files["mog"], fit_mog(FeatureSet(x, y, 2)))
     scores = {"id": np.zeros(5, dtype=np.float32), "ood": np.ones(5, dtype=np.float32)}
     for name, data in scores.items():
         files[name] = tmp_path / f"{name}.scores"
@@ -813,7 +813,7 @@ def _tiny_models(directory):
     gm = fit_mog(fs, temperature=1.0)
     model = CorrectionModel(mlp_init([2, 4, 1], np.random.default_rng(0)), gm)
     save_model(directory / "model.ftar", model)
-    save_mixture(directory / "mog.ftar", gm)
+    save_model(directory / "mog.ftar", gm)
     write_tensor(directory / "z.f32", fs.features[::20].astype(np.float32))
     return directory / "model.ftar", directory / "mog.ftar", directory / "z.f32"
 
@@ -853,7 +853,7 @@ def test_archive_with_a_repeated_entry_exits_2(tmp_path, capsys):
     _, mixture, feats = _tiny_models(tmp_path)
     blob = bytearray(mixture.read_bytes())
     struct.pack_into("<H", blob, 5, struct.unpack_from("<H", blob, 5)[0] + 1)
-    blob += struct.pack("<H", 11) + b"temperature" + tensor_bytes(np.array([2.0]))
+    blob += struct.pack("<H", 11) + b"temperature" + b"".join(_record_parts(np.array([2.0])))
     mixture.write_bytes(bytes(blob))
     assert run("score", "--detector", "mahalanobis", "--model", mixture,
                "--features", feats, "--out", tmp_path / "s.scores") == 2
@@ -866,7 +866,7 @@ def test_archive_with_a_non_utf8_name_exits_2(tmp_path, capsys):
     blob = bytearray(mixture.read_bytes())
     struct.pack_into("<H", blob, 5, struct.unpack_from("<H", blob, 5)[0] + 1)
     name_at = len(blob) + 2
-    blob += struct.pack("<H", 2) + b"\xff\xfe" + tensor_bytes(np.array([2.0]))
+    blob += struct.pack("<H", 2) + b"\xff\xfe" + b"".join(_record_parts(np.array([2.0])))
     mixture.write_bytes(bytes(blob))
     assert run("score", "--detector", "mahalanobis", "--model", mixture,
                "--features", feats, "--out", tmp_path / "s.scores") == 2
@@ -1114,7 +1114,7 @@ def three_d(tmp_path):
     fs = FeatureSet(rng.standard_normal((20, 3)), np.arange(20) % 2, 2)
     gm = fit_mog(fs, temperature=1.0)
     paths = {name: tmp_path / name for name in ("mog3.ftar", "model3.ftar", "t3.f32", "q2.f32")}
-    save_mixture(paths["mog3.ftar"], gm)
+    save_model(paths["mog3.ftar"], gm)
     save_model(paths["model3.ftar"], CorrectionModel(mlp_init([3, 4, 1], rng), gm))
     write_tensor(paths["t3.f32"], fs.features.astype(np.float32))
     write_tensor(paths["q2.f32"], rng.standard_normal((5, 2)).astype(np.float32))

@@ -10,16 +10,11 @@ from energy_ood.detectors import (
     score_knn,
     score_msp,
 )
-from energy_ood.energy_net import EnergyMlp, mlp_init
+from energy_ood.energy_net import mlp_init
 from energy_ood.metrics import auroc
 from energy_ood.mog import GaussianMixture, gaussian_energy
 from energy_ood.trainer import CorrectionModel
-
-
-def zero_net(dims, bias_out=0.0):
-    params = [a for i, o in zip(dims[:-1], dims[1:]) for a in (np.zeros((o, i)), np.zeros(o))]
-    params[-1][:] = bias_out
-    return EnergyMlp(params)
+from tests_support import zero_net
 
 
 def toy_mixture():
@@ -42,6 +37,15 @@ def test_correction_constant_net_shifts():
     z = np.random.default_rng(1).standard_normal((50, 2))
     np.testing.assert_allclose(score_correction(model, z),
                                gaussian_energy(gm, z) + 1.75, rtol=1e-15)
+
+
+def test_correction_overflowing_temperature_scores_inf_without_warning():
+    # a temperature so small that the scaled energy overflows, as a corrupt
+    # archive can hold, scores inf for the caller's finiteness check to report
+    net = zero_net([2, 4, 1], bias_out=1e10)
+    for gm in (toy_mixture(), None):
+        scores = score_correction(CorrectionModel(net, gm, 1e-300), np.zeros((3, 2)))
+        assert np.all(scores == np.inf)
 
 
 def test_correction_identical_ranking_with_zero_net():

@@ -21,6 +21,7 @@ from energy_ood.featurestore import block_rows, row_blocks
 from energy_ood.mog import GaussianMixture, gaussian_energy
 from energy_ood.tensorio import read_archive, write_archive
 from energy_ood.trainer import CorrectionModel, TrainConfig, load_model, save_model
+from tests_support import rel_err, zero_net
 
 
 def test_activations_match_expit():
@@ -50,12 +51,6 @@ def test_activations_match_expit():
 
 def linear_net(w, b=0.0):
     return EnergyMlp((np.atleast_2d(np.asarray(w, float)), np.array([b], float)))
-
-
-def zero_net(dims, bias_out=0.0):
-    params = [a for i, o in zip(dims[:-1], dims[1:]) for a in (np.zeros((o, i)), np.zeros(o))]
-    params[-1][:] = bias_out
-    return EnergyMlp(params)
 
 
 def forward_oracle(net, z):
@@ -92,10 +87,6 @@ def param_fd(net, batch, upstream, h=1e-6):
             g[idx] = (total(plus) - total(minus)) / (2 * h)
         grads.append(g)
     return grads
-
-
-def rel_err(a, b, floor=1e-6):
-    return np.abs(a - b) / np.maximum.reduce([np.abs(a), np.abs(b), np.full_like(a, floor)])
 
 
 # ---------------------------------------------------------------- init

@@ -19,10 +19,9 @@ from energy_ood.mog import (
     log_density,
     mahalanobis_ood_score,
     sample_mog,
-    save_mixture,
 )
 from energy_ood.sgld import SgldSchedule, sgld_sample
-from energy_ood.trainer import load_model
+from energy_ood.trainer import load_model, save_model
 
 
 def validate_mixture(gm):
@@ -292,7 +291,7 @@ def test_density_integrates_to_one():
 
 def test_mixture_archive_round_trip(tmp_path, cross_mog):
     path = tmp_path / "mog.ftar"
-    save_mixture(path, cross_mog)
+    save_model(path, cross_mog)
     kind, loaded = load_model(path)
     assert kind == "mog"
     z = np.random.default_rng(25).standard_normal((200, 2)) * 3
@@ -622,7 +621,7 @@ def test_float32_mixture_is_never_stored(tmp_path):
     with pytest.raises(ValueError, match="float64"):
         mog.mixture_entries(low)
     with pytest.raises(ValueError, match="float64"):
-        save_mixture(tmp_path / "m.ftar", low)
+        save_model(tmp_path / "m.ftar", low)
     assert not (tmp_path / "m.ftar").exists()
 
 

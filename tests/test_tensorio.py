@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from energy_ood.tensorio import (
     TensorFormatError,
+    _record_parts,
     load_tensor,
     read_archive,
     read_record,
-    tensor_bytes,
     write_archive,
     write_tensor,
 )
@@ -112,7 +112,30 @@ def test_write_copies_no_record(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= arr.nbytes / 64
-    assert path.read_bytes() == tensor_bytes(arr)
+    assert path.read_bytes() == b"".join(_record_parts(arr))
+
+
+def test_write_archive_copies_no_record(tmp_path):
+    # each entry is written from its own buffer: joining the records in
+    # memory peaked at twice the archive
+    arr = np.arange(1_048_576, dtype=np.float64).reshape(512, 2048)
+    path = tmp_path / "big.ftar"
+    tracemalloc.start()
+    try:
+        write_archive(path, {"kind": np.array([1], dtype=np.uint32), "x": arr})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= path.stat().st_size / 64
+    assert read_archive(path)["x"].tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.zeros((2, 2), dtype=np.int16), np.zeros((2, 2, 2))])
+def test_write_archive_checks_every_entry_before_opening(tmp_path, bad):
+    path = tmp_path / "a.ftar"
+    with pytest.raises(ValueError, match="not storable"):
+        write_archive(path, {"ok": np.ones(3), "bad": bad})
+    assert not path.exists()
 
 
 def test_load_from_a_pipe(tmp_path):
@@ -167,10 +190,10 @@ def tensors(draw):
 @given(tensors())
 def test_round_trip_bytes_identical(arr):
     # write(load(f)) must reproduce f byte for byte
-    blob = tensor_bytes(arr)
+    blob = b"".join(_record_parts(arr))
     decoded, end = read_record(blob)
     assert end == len(blob)
-    assert tensor_bytes(decoded) == blob
+    assert b"".join(_record_parts(decoded)) == blob
     np.testing.assert_array_equal(decoded, arr)
     assert decoded.dtype == arr.dtype
 
@@ -190,6 +213,20 @@ def test_archive_round_trip(tmp_path):
         assert out[key].dtype == np.asarray(entries[key]).dtype
 
 
+def test_archive_layout(tmp_path):
+    # README's "File formats": magic FTAR, version 1, a u16 entry count, then
+    # per entry a u16 name length, the UTF-8 name and an FTSR record, whose
+    # payload is little-endian whatever the byte order of the array written
+    means = np.arange(6, dtype=">f8").reshape(2, 3)
+    blob = b"FTAR" + bytes([1]) + struct.pack("<H", 2)
+    blob += struct.pack("<H", 2) + "μ".encode("utf-8")
+    blob += raw_file(3, [2, 3], struct.pack("<6d", *range(6)))
+    blob += struct.pack("<H", 4) + b"kind" + raw_file(2, [1], struct.pack("<I", 7))
+    path = tmp_path / "a.ftar"
+    write_archive(path, {"μ": means, "kind": np.array([7], dtype=np.uint32)})
+    assert path.read_bytes() == blob
+
+
 def test_archive_f64_exact(tmp_path):
     # model archives must hold float64 without rounding
     path = tmp_path / "a.ftar"
@@ -203,7 +240,7 @@ def test_archive_repeated_name_rejected(tmp_path):
     # built here: two ``temperature`` entries, the second at offset len(head)
     def entry(name, value):
         raw = name.encode("utf-8")
-        return struct.pack("<H", len(raw)) + raw + tensor_bytes(np.array([value]))
+        return struct.pack("<H", len(raw)) + raw + b"".join(_record_parts(np.array([value])))
 
     head = b"FTAR" + bytes([1]) + struct.pack("<H", 2) + entry("temperature", 1.0)
     path = tmp_path / "a.ftar"
@@ -217,7 +254,7 @@ def test_archive_repeated_name_rejected(tmp_path):
 def test_archive_name_not_utf8_rejected(tmp_path):
     path = tmp_path / "a.ftar"
     head = b"FTAR" + bytes([1]) + struct.pack("<H", 1) + struct.pack("<H", 2)
-    path.write_bytes(head + b"\xff\xfe" + tensor_bytes(np.array([1.0])))
+    path.write_bytes(head + b"\xff\xfe" + b"".join(_record_parts(np.array([1.0]))))
     assert len(head) == 9
     with pytest.raises(TensorFormatError, match=r"entry name is not UTF-8 \(byte offset 9\)$"):
         read_archive(path)

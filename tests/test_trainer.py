@@ -11,7 +11,7 @@ from energy_ood.energy_net import EnergyMlp, mlp_energy, mlp_from_entries, mlp_g
     mlp_grad_params, mlp_init
 from energy_ood.featurestore import ComputationError, FeatureSet, minibatch_indices
 from energy_ood.mog import GaussianMixture, fit_mog, gaussian_energy, gaussian_energy_grad, \
-    mixture_entries, save_mixture
+    mixture_entries
 from energy_ood.sgld import SgldSchedule, sgld_init, sgld_sample
 from energy_ood.tensorio import read_archive, write_archive
 from energy_ood.toy import ToySpec, gen_toy
@@ -411,7 +411,7 @@ def test_archive_with_entries_no_loader_reads_is_refused(tmp_path):
         load_model(ebm)
     assert str(info.value) == (f"{ebm}: entries no loader reads: net.w5, net.b5, mog.means, "
                                "mog.chol_lower, mog.mixing, mog.temperature, mog.shrinkage")
-    save_mixture(mixture, gm)
+    save_model(mixture, gm)
     entries = read_archive(mixture)
     entries["net.w0"] = np.ones((4, 2))
     write_archive(mixture, entries)
