@@ -44,16 +44,15 @@ import numpy as np
 from . import detectors, metrics
 from .featurestore import (
     ComputationError,
-    as_f32_scores,
     load_feature_set,
     normalize_features,
     normalize_rows,
     read_input,
     save_feature_set,
+    save_scores,
 )
 from .mog import fit_mog, gaussian_energy, mahalanobis_ood_score
-from .tensorio import write_tensor
-from .toy import ToySpec, energy_grid, gen_toy, save_grid_csv, save_grid_tensor
+from .toy import ToySpec, energy_grid, gen_toy, save_grid_csv
 from .trainer import (
     correction_defaults,
     ebm_defaults,
@@ -361,7 +360,7 @@ def cmd_score(args) -> None:
         x = _feature_rows(args, "features")
         _check_width(args, x, dim, f"--model {args.model} takes")
         scores = scorer(x)
-    write_tensor(args.out, as_f32_scores(scores))
+    save_scores(args.out, scores)
 
 
 def _parse_ood_arg(raw: str) -> tuple[str, str, str]:
@@ -421,7 +420,7 @@ def cmd_grid(args) -> None:
     grid = energy_grid(fn, args.bounds, args.resolution)
     if args.out_tensor is not None:
         # first: a value beyond float32 raises before any file is written
-        save_grid_tensor(args.out_tensor, grid)
+        save_scores(args.out_tensor, grid.values)
     save_grid_csv(args.out_csv, grid)
 
 

@@ -15,7 +15,6 @@ import numpy as np
 from .energy_net import mlp_energy
 from .featurestore import as_rows, logsumexp_rows, row_blocks
 from .mog import gaussian_energy
-from .trainer import CorrectionModel
 
 # most training rows per chunk of the KNN scan; a multiple of 256
 _KNN_CHUNK = 8192
@@ -41,10 +40,11 @@ def _knn_block(n: int, k: int, d: int) -> tuple[int, int, list[int]]:
     return max(1, min(1 << 24, d << 17) // cols), cols, bounds
 
 
-def score_correction(model: CorrectionModel, z) -> np.ndarray:
-    """Network energy over net_temperature, plus the mixture energy if there is
-    one. A temperature small enough to overflow the scaled energy gives a
-    non-finite score and no warning, as in ``score_msp``."""
+def score_correction(model, z) -> np.ndarray:
+    """The energy of ``model``, a ``trainer.CorrectionModel``: network energy
+    over net_temperature, plus the mixture energy if there is one. A
+    temperature small enough to overflow the scaled energy gives a non-finite
+    score and no warning, as in ``score_msp``."""
     with np.errstate(over="ignore", invalid="ignore"):
         e = mlp_energy(model.net, z) / model.net_temperature
         if model.gm is None:

@@ -103,8 +103,10 @@ class ComputationError(RuntimeError):
     program cannot write. The CLI exits 1 for it, and 2 for a ValueError."""
 
 
-def as_f32_scores(scores) -> np.ndarray:
-    """``scores`` as float32, refusing a non-finite one or one beyond the float32 range.
+def save_scores(path, scores) -> None:
+    """Write ``scores``, of any shape, as a float32 tensor file; a non-finite
+    score or one beyond the float32 range raises ComputationError before the
+    file is opened.
 
     The error names the first bad value's row in row-major order, which for a
     2-D energy grid is its row in the grid CSV.
@@ -115,7 +117,7 @@ def as_f32_scores(scores) -> np.ndarray:
         row = int(np.argmax(bad))
         raise ComputationError(f"score {float(scores.flat[row])!r} of row {row} does not fit a "
                                f"float32 score file")
-    return scores.astype(np.float32)
+    write_tensor(path, scores.astype(np.float32))
 
 
 def load_feature_set(features_path, labels_path, num_classes: int | None = None) -> FeatureSet:

@@ -1,7 +1,9 @@
-"""Detection metrics: AUROC, FPR at fixed TPR, and threshold selection.
+"""Detection metrics: AUROC, FPR at 95% TPR, and the ID threshold.
 
-Scores are oriented higher-is-more-OOD and OOD is the positive class. Ties
-count one half in AUROC; thresholds use inclusive >= semantics.
+Every rate is ``TPR`` (0.95): the FPR is taken where ``TPR`` of the OOD scores are
+detected, and the ID threshold keeps ``TPR`` of the ID scores. Scores are
+oriented higher-is-more-OOD and OOD is the positive class. Ties count one
+half in AUROC; thresholds use inclusive >= semantics.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ def _checked(scores, name: str) -> np.ndarray:
 
 
 def _min_count(fraction: float, n: int) -> int:
-    """Smallest k with k / n >= fraction, for fraction in (0, 1]."""
+    """Smallest k with k / n >= fraction, for fraction in (0, 1]: at ``TPR``, the
+    scores a threshold must keep."""
     k = math.ceil(fraction * n)
     if (k - 1) / n >= fraction:  # float slop in the product
         k -= 1
@@ -45,32 +48,29 @@ def auroc(id_scores, ood_scores) -> float:
     return float(twice_pairs / (2 * id_s.size * ood_s.size))
 
 
-def fpr_at_tpr(id_scores, ood_scores, tpr: float = TPR) -> tuple[float, float]:
-    """FPR at the largest threshold gamma detecting at least ``tpr`` of the OOD set.
+def fpr_at_tpr(id_scores, ood_scores) -> tuple[float, float]:
+    """FPR at the largest threshold gamma detecting at least ``TPR`` of the OOD set.
 
     Returns (fpr, gamma) where gamma is a score value; a sample is flagged
     OOD when its score is >= gamma. Gamma is the k-th largest OOD score for
-    the smallest k reaching ``tpr``: any larger score detects at most k - 1.
+    the smallest k reaching ``TPR``: any larger score detects at most k - 1.
     """
-    if not 0 < tpr <= 1:
-        raise ValueError("tpr must be in (0, 1]")
     id_s = _checked(id_scores, "id")
     ood_s = _checked(ood_scores, "ood")
-    i = ood_s.size - _min_count(tpr, ood_s.size)
+    i = ood_s.size - _min_count(TPR, ood_s.size)
     gamma = float(np.partition(ood_s, i)[i])
     return float(np.count_nonzero(id_s >= gamma) / id_s.size), gamma
 
 
-def threshold_gamma_id(id_scores, keep: float = TPR) -> float:
-    """Smallest gamma keeping at least ``keep`` of the ID scores strictly below it.
+def threshold_gamma_id(id_scores) -> float:
+    """Smallest gamma keeping at least ``TPR`` of the ID scores strictly below it.
 
     Candidates are the distinct score values plus one ulp above the maximum,
-    so a usable threshold exists even when keep = 1 or all scores tie.
+    so a usable threshold exists even when fewer than 20 scores make ``TPR``
+    keep them all, or all scores tie.
     """
-    if not 0 < keep <= 1:
-        raise ValueError("keep must be in (0, 1]")
     id_s = np.sort(_checked(id_scores, "id"))
-    i = np.searchsorted(id_s, id_s[_min_count(keep, id_s.size) - 1], "right")
+    i = np.searchsorted(id_s, id_s[_min_count(TPR, id_s.size) - 1], "right")
     return float(id_s[i]) if i < id_s.size else float(np.nextafter(id_s[-1], np.inf))
 
 

@@ -1,11 +1,12 @@
 """Langevin sampler with linearly decayed step-size and noise schedules.
 
 Step t's noise is one standard-normal block drawn from a generator keyed by
-(seed, t), and chain c takes its row c. A chain's noise thus depends only on
-the seed, the step and its id, so results do not depend on how chains are
-batched or in what order they run. The sampler is model-agnostic: it only
-ever calls the gradient callback the caller composed (correction + reference,
-or the network alone for the plain-EBM ablation).
+(*seed, t), where the seed is a tuple of ints, and chain c takes its row c.
+A chain's noise thus depends only on the seed, the step and its id, so
+results do not depend on how chains are batched or in what order they run.
+The sampler is model-agnostic: it only ever calls the gradient callback the
+caller composed (correction + reference, or the network alone for the
+plain-EBM ablation).
 """
 
 from __future__ import annotations
@@ -62,13 +63,7 @@ def sgld_init(gm: GaussianMixture | None, n_chains: int, dim: int,
     return rng.standard_normal((n_chains, dim))
 
 
-def _seed_key(seed) -> tuple:
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)
-
-
-def sgld_sample(init: np.ndarray, energy_grad, schedule: SgldSchedule, seed,
+def sgld_sample(init: np.ndarray, energy_grad, schedule: SgldSchedule, seed: tuple[int, ...],
                 chain_ids=None) -> np.ndarray:
     """Run the update z <- z - alpha_t * grad(z) + sqrt(beta_t) * eps_t for all chains.
 
@@ -76,10 +71,10 @@ def sgld_sample(init: np.ndarray, energy_grad, schedule: SgldSchedule, seed,
     sqrt(beta_t). ``energy_grad`` maps an (n, d) state matrix to its (n, d)
     gradient and is called exactly once per step. Step t draws eps_t as one
     standard-normal block of max(chain_ids) + 1 rows from
-    ``default_rng([*seed, t])``, where ``seed`` is an int or tuple of ints, and
-    chain c takes row c. The ids, distinct nonnegative integers (default
-    0..n-1), thus key each chain's noise, and the cost of a step grows
-    with the largest id.
+    ``default_rng([*seed, t])``, where ``seed`` is a tuple of ints, and chain c
+    takes row c. The ids, distinct nonnegative integers (default 0..n-1),
+    thus key each chain's noise, and the cost of a step grows with the
+    largest id.
     """
     z = np.array(init, dtype=np.float64)
     if z.ndim != 2 or z.size == 0:
@@ -95,7 +90,6 @@ def sgld_sample(init: np.ndarray, energy_grad, schedule: SgldSchedule, seed,
     if np.unique(ids).size != n:
         raise ValueError("chain_ids must be distinct: chains with one id share their noise")
     rows = int(ids.max()) + 1
-    key = _seed_key(seed)
 
     for t in range(schedule.steps):
         alpha, beta = schedule_at(schedule, t)
@@ -106,6 +100,6 @@ def sgld_sample(init: np.ndarray, energy_grad, schedule: SgldSchedule, seed,
         if not finite.all():
             raise ComputationError(f"non-finite gradient at step {t}, "
                                    f"chain {int(ids[np.argmin(finite)])}")
-        noise = np.random.default_rng([*key, t]).standard_normal((rows, d))
+        noise = np.random.default_rng([*seed, t]).standard_normal((rows, d))
         z = z - alpha * grad + np.sqrt(beta) * noise[ids]
     return z

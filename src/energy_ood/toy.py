@@ -4,10 +4,10 @@ A cross is two axis-aligned bars sharing a center: position along a bar is
 uniform within 2.0 of the center, across it Gaussian with standard deviation
 0.05. Each bar is its own class, so a single cross gives 2 classes and the
 3x3 grid of crosses, 6.0 apart, gives 18; the geometry is fixed. Energy
-surfaces are sampled on a regular lattice and exported as CSV or a tensor
-file; rendering is left to external tools. ``energy_grid`` raises
-``featurestore.ComputationError`` for a non-finite score, naming its grid
-point.
+surfaces are sampled on a regular lattice and exported as CSV, or as a
+tensor file by ``featurestore.save_scores``; rendering is left to external
+tools. ``energy_grid`` raises ``featurestore.ComputationError`` for a
+non-finite score, naming its grid point.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featurestore import ComputationError, FeatureSet, as_f32_scores
-from .tensorio import write_tensor
+from .featurestore import ComputationError, FeatureSet
 
 KINDS = ("cross", "grid_crosses")
 
@@ -128,9 +127,3 @@ def save_grid_csv(path, grid: EnergyGrid) -> None:
         for i, x in enumerate(grid.xs):
             for j, y in enumerate(grid.ys):
                 writer.writerow([repr(float(x)), repr(float(y)), repr(float(grid.values[i, j]))])
-
-
-def save_grid_tensor(path, grid: EnergyGrid) -> None:
-    """The (R, R) values as a float32 tensor; raises ComputationError, writing
-    nothing, if a value is beyond the float32 range."""
-    write_tensor(path, as_f32_scores(grid.values))

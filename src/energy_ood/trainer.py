@@ -306,10 +306,8 @@ def load_model(path):
 
     Returns ('correction', CorrectionModel), ('ebm', CorrectionModel) or
     ('mog', GaussianMixture); mixture archives are the ones without a ``kind``
-    entry. A correction archive written without ``net_temperature`` predates
-    that entry and loads with 1.0, the temperature it was always scored at.
-    A malformed archive, or one holding an entry that its kind's writer would
-    not write and so no loader reads, raises ValueError naming the path.
+    entry. A malformed archive, or one holding an entry that its kind's writer
+    would not write and so no loader reads, raises ValueError naming the path.
     """
     try:
         entries = read_archive(path)
@@ -320,10 +318,7 @@ def load_model(path):
             kind = _MODEL_KINDS.get(code)
             if kind is None:
                 raise ValueError(f"unknown model kind code {code:g}")
-            if kind == "correction" and "net_temperature" not in entries:
-                temperature = 1.0
-            else:
-                temperature = archive_scalar(entries, "net_temperature")
+            temperature = archive_scalar(entries, "net_temperature")
             gm = mixture_from_entries(entries, "mog.") if kind == "correction" else None
             payload = CorrectionModel(mlp_from_entries(entries, "net."), gm, temperature)
         written = _archive_entries(payload)

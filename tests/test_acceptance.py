@@ -113,7 +113,7 @@ def test_criterion_2_metric_oracles():
         feasible = candidates[detected >= 0.95]
         gamma_oracle = feasible.max()
         fpr_oracle = float(np.mean(id_s >= gamma_oracle))
-        got_fpr, got_gamma = fpr_at_tpr(id_s, ood_s, 0.95)
+        got_fpr, got_gamma = fpr_at_tpr(id_s, ood_s)
         fpr_all_equal &= (got_fpr == fpr_oracle and got_gamma == gamma_oracle)
     elapsed = time.monotonic() - start
     report(2, "auroc matches the pairwise oracle and fpr95 the exhaustive sweep",
@@ -189,7 +189,7 @@ def test_criterion_4_sgld_descent():
         energies.append(float(np.mean(gaussian_energy(gm, z))))
         return gaussian_energy_grad(gm, z)
 
-    sgld_sample(init, energy_grad, schedule, seed=44)
+    sgld_sample(init, energy_grad, schedule, seed=(44,))
     decreasing = all(b < a_ for a_, b in zip(energies[:10], energies[1:11]))
     report(4, "mean energy strictly decreases for 10 steps below the curvature bound",
            decreasing and len(energies) == 12,

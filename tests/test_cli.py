@@ -1097,6 +1097,23 @@ def test_hand_built_archive_exits_2_naming_it(tmp_path, capsys, case):
     assert not (tmp_path / "s.scores").exists()
 
 
+def test_correction_archive_without_temperature_exits_2(tmp_path, capsys):
+    # scored at no temperature it does not hold: score and grid refuse it and write nothing
+    model, _, feats = _tiny_models(tmp_path)
+    entries = read_archive(model)
+    del entries["net_temperature"]
+    write_archive(model, entries)
+    before = set(tmp_path.iterdir())
+    for argv in (["score", "--detector", "correction", "--model", model, "--features", feats,
+                  "--out", tmp_path / "s.scores"],
+                 ["grid", "--model", model, "--bounds", -3, 3, -3, 3, "--resolution", 4,
+                  "--out-csv", tmp_path / "g.csv", "--out-tensor", tmp_path / "g.f32"]):
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == \
+            f"error: {model}: archive has no 'net_temperature' entry\n"
+        assert set(tmp_path.iterdir()) == before
+
+
 def test_archive_with_a_trailing_byte_exits_2(tmp_path, capsys):
     model, _, feats = _tiny_models(tmp_path)
     size = model.stat().st_size

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,15 @@ from tests_support import zero_net
 def toy_mixture():
     return GaussianMixture.from_moments([[0.0, 0.0], [2.0, 2.0]],
                                         [[0.5, 0.1], [0.1, 0.8]])
+
+
+def test_scoring_loads_no_training_code():
+    # a fresh interpreter: this session has imported the trainer already
+    probe = ("import sys, energy_ood.detectors; "
+             "print(sorted({'energy_ood.trainer', 'energy_ood.sgld'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(detectors.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 # ------------------------------------------------------------- correction

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from energy_ood.featurestore import (
+    ComputationError,
     FeatureSet,
     block_rows,
     load_feature_set,
@@ -14,8 +15,9 @@ from energy_ood.featurestore import (
     normalize_rows,
     row_blocks,
     save_feature_set,
+    save_scores,
 )
-from energy_ood.tensorio import write_tensor
+from energy_ood.tensorio import load_tensor, write_tensor
 
 
 def make_fs(n=20, d=4, c=3, seed=0):
@@ -289,3 +291,17 @@ def test_every_entry_point_takes_rows_only(fn, width, per_row):
         with pytest.raises(ValueError, match=re.escape(want)):
             fn(bad)
     assert np.shape(fn(row)) == ((1, 3) if per_row else (1,))
+
+
+def test_save_scores_writes_float32_and_refuses_before_opening(tmp_path):
+    values = np.arange(12.0).reshape(3, 4) / 3
+    save_scores(tmp_path / "s.f32", values)
+    got = load_tensor(tmp_path / "s.f32")
+    assert got.dtype == np.float32
+    np.testing.assert_array_equal(got, values.astype(np.float32))
+    # a path in a missing directory: the refusal comes before any open would fail
+    for bad, shown in [(np.nan, "nan"), (-np.inf, "-inf"), (1e39, "1e+39")]:
+        values[1, 2] = bad
+        with pytest.raises(ComputationError,
+                           match=rf"^score {re.escape(shown)} of row 6 does not fit a float32"):
+            save_scores(tmp_path / "missing" / "s.f32", values)

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from energy_ood.metrics import EvalReport, auroc, evaluate, fpr_at_tpr, threshold_gamma_id
+from energy_ood.metrics import TPR, EvalReport, _min_count, auroc, evaluate, fpr_at_tpr, \
+    threshold_gamma_id
 
-# fractions whose product with many n in 1..200 is on or within float slop of an integer
-SMALL_N_FRACTIONS = (0.95, 0.9, 0.99, 1 / 3)
+# fractions whose product with many n in 1..200 is on or within float slop of an
+# integer; for 0.07 and 0.56 it overshoots for a few (0.07 * 100 = 7.000000000000001)
+SMALL_N_FRACTIONS = (0.95, 0.9, 0.99, 1 / 3, 0.07, 0.56)
 
 
 def pair_count_auroc(id_s, ood_s):
@@ -21,12 +23,12 @@ def pair_count_auroc(id_s, ood_s):
     return (gt + 0.5 * eq) / (id_s.size * ood_s.size)
 
 
-def sweep_fpr(id_s, ood_s, tpr):
+def sweep_fpr(id_s, ood_s):
     """Exhaustive threshold sweep over every candidate score value."""
     id_s, ood_s = np.asarray(id_s, float), np.asarray(ood_s, float)
     best_gamma = None
     for gamma in np.concatenate([id_s, ood_s]):
-        if np.mean(ood_s >= gamma) >= tpr:
+        if np.mean(ood_s >= gamma) >= TPR:
             if best_gamma is None or gamma > best_gamma:
                 best_gamma = gamma
     return float(np.mean(id_s >= best_gamma)), float(best_gamma)
@@ -112,12 +114,12 @@ def test_metrics_refuse_scores_that_are_not_a_vector(shape):
 # ---------------------------------------------------------------- fpr at tpr
 
 def test_fpr_disjoint():
-    fpr, gamma = fpr_at_tpr([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0.95)
+    fpr, gamma = fpr_at_tpr([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
     assert fpr == 0.0 and gamma == 1.0
 
 
 def test_fpr_total_overlap():
-    fpr, gamma = fpr_at_tpr([3.0, 3.0], [3.0, 3.0], 0.95)
+    fpr, gamma = fpr_at_tpr([3.0, 3.0], [3.0, 3.0])
     assert fpr == 1.0 and gamma == 3.0
 
 
@@ -126,36 +128,31 @@ def test_fpr_matches_sweep_oracle():
     for trial in range(5):
         id_s = rng.integers(0, 25, 500).astype(float)
         ood_s = rng.integers(5, 30, 400).astype(float)
-        got = fpr_at_tpr(id_s, ood_s, 0.95)
-        want = sweep_fpr(id_s, ood_s, 0.95)
-        assert got == want
-    # every small n: tpr * n lands on or next to an integer for many of them
+        assert fpr_at_tpr(id_s, ood_s) == sweep_fpr(id_s, ood_s)
     for n in range(1, 201):
         id_s = rng.integers(0, 10, n).astype(float)
         ood_s = rng.integers(3, 13, n).astype(float)
-        for tpr in SMALL_N_FRACTIONS:
-            assert fpr_at_tpr(id_s, ood_s, tpr) == sweep_fpr(id_s, ood_s, tpr), (n, tpr)
+        assert fpr_at_tpr(id_s, ood_s) == sweep_fpr(id_s, ood_s), n
 
 
-def test_fpr_monotone_in_tpr():
-    rng = np.random.default_rng(4)
-    id_s = rng.standard_normal(300)
-    ood_s = rng.standard_normal(300) + 1.0
-    fprs = [fpr_at_tpr(id_s, ood_s, t)[0] for t in (0.5, 0.8, 0.9, 0.95, 0.99, 1.0)]
-    assert all(a <= b for a, b in zip(fprs, fprs[1:]))
+def test_min_count_small_n():
+    # every small n: fraction * n lands on or next to an integer for many of them
+    for n in range(1, 201):
+        for fraction in SMALL_N_FRACTIONS:
+            want = next(k for k in range(n + 1) if k / n >= fraction)
+            assert _min_count(fraction, n) == want, (n, fraction)
 
 
 def test_fpr_tpr_one_detects_everything():
+    # 95% of 10 OOD scores is all 10 of them
     id_s = np.arange(10, dtype=float)
     ood_s = np.arange(5, 15, dtype=float)
-    fpr, gamma = fpr_at_tpr(id_s, ood_s, 1.0)
+    fpr, gamma = fpr_at_tpr(id_s, ood_s)
     assert gamma == 5.0
     assert fpr == 0.5
 
 
 def test_fpr_validation():
-    with pytest.raises(ValueError):
-        fpr_at_tpr([1.0], [2.0], 0.0)
     with pytest.raises(ValueError):
         fpr_at_tpr([], [2.0])
 
@@ -163,34 +160,34 @@ def test_fpr_validation():
 # ---------------------------------------------------------------- id threshold
 
 def test_gamma_id_integer_grid():
-    # direct count: with scores 1..100 and keep 0.95, 95 values sit below 96
-    assert threshold_gamma_id(np.arange(1.0, 101.0), 0.95) == 96.0
+    # direct count: with scores 1..100, 95 values sit below 96
+    assert threshold_gamma_id(np.arange(1.0, 101.0)) == 96.0
 
 
 def test_gamma_id_keep_one():
+    # 95% of 3 scores is all 3 of them
     scores = np.array([3.0, 1.0, 2.0])
-    gamma = threshold_gamma_id(scores, 1.0)
+    gamma = threshold_gamma_id(scores)
     assert gamma == np.nextafter(3.0, np.inf)
     assert np.mean(scores < gamma) == 1.0
 
 
 def test_gamma_id_constant_scores():
-    gamma = threshold_gamma_id(np.full(10, 2.5), 0.95)
+    gamma = threshold_gamma_id(np.full(10, 2.5))
     assert gamma == np.nextafter(2.5, np.inf)
 
 
 def test_gamma_id_direct_count_oracle():
     rng = np.random.default_rng(5)
-    cases = [(rng.integers(0, 30, 200).astype(float), (0.5, 0.9, 0.95, 1.0))]
-    cases += [(rng.integers(0, 10, n).astype(float), SMALL_N_FRACTIONS) for n in range(1, 201)]
-    for scores, keeps in cases:
-        for keep in keeps:
-            gamma = threshold_gamma_id(scores, keep)
-            assert np.mean(scores < gamma) >= keep
-            # no smaller candidate from the score grid works
-            smaller = scores[scores < gamma]
-            if smaller.size:
-                assert np.mean(scores < smaller.max()) < keep
+    cases = [rng.integers(0, 30, 200).astype(float)]
+    cases += [rng.integers(0, 10, n).astype(float) for n in range(1, 201)]
+    for scores in cases:
+        gamma = threshold_gamma_id(scores)
+        assert np.mean(scores < gamma) >= TPR
+        # no smaller candidate from the score grid works
+        smaller = scores[scores < gamma]
+        if smaller.size:
+            assert np.mean(scores < smaller.max()) < TPR
 
 
 # ---------------------------------------------------------------- report

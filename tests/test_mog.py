@@ -668,7 +668,7 @@ def test_sgld_end_states_with_float32_mixture_gradient_track_float64(cond):
     # moved. Measured: 1.6e-10 and 4.0e-8
     gm, init = wide_mixture(cond)
     schedule = SgldSchedule(20, (1e-2, 1e-3), (1e-2, 1e-3))
-    ends = [sgld_sample(init, lambda z, m=m: gaussian_energy_grad(m, z), schedule, seed=6)
+    ends = [sgld_sample(init, lambda z, m=m: gaussian_energy_grad(m, z), schedule, seed=(6,))
             for m in (gm, mog.float32_mixture(gm))]
     moved = np.abs(ends[0] - init).max()
     assert moved > 0.5

@@ -58,15 +58,15 @@ def test_schedule_range_and_invariants():
 
 def test_contraction_on_quadratic():
     grad = lambda z: 2.0 * z
-    one = sgld_sample(np.array([[1.0]]), grad, constant_schedule(1, 0.25), seed=0)
-    two = sgld_sample(np.array([[1.0]]), grad, constant_schedule(2, 0.25), seed=0)
+    one = sgld_sample(np.array([[1.0]]), grad, constant_schedule(1, 0.25), seed=(0,))
+    two = sgld_sample(np.array([[1.0]]), grad, constant_schedule(2, 0.25), seed=(0,))
     assert one[0, 0] == pytest.approx(0.5, abs=1e-10)
     assert two[0, 0] == pytest.approx(0.25, abs=1e-10)
 
 
 def test_zero_gradient_is_identity():
     init = np.random.default_rng(0).standard_normal((8, 3))
-    out = sgld_sample(init, lambda z: np.zeros_like(z), constant_schedule(50, 123.0), seed=1)
+    out = sgld_sample(init, lambda z: np.zeros_like(z), constant_schedule(50, 123.0), seed=(1,))
     np.testing.assert_allclose(out, init, atol=1e-10)
 
 
@@ -80,7 +80,7 @@ def test_monotone_descent_on_convex_quadratic():
         energies.append(float(np.mean((z ** 2).sum(axis=1))))
         return 2.0 * z
 
-    sgld_sample(init, grad, constant_schedule(200, 0.2), seed=3)
+    sgld_sample(init, grad, constant_schedule(200, 0.2), seed=(3,))
     assert len(energies) == 200
     for a, b in zip(energies[:10], energies[1:11]):
         assert b < a
@@ -90,10 +90,10 @@ def test_deterministic_given_seed():
     init = np.random.default_rng(4).standard_normal((6, 2))
     grad = lambda z: 0.5 * z
     s = SgldSchedule(15, (0.1, 0.01), (0.05, 0.01))
-    a = sgld_sample(init, grad, s, seed=99)
-    b = sgld_sample(init, grad, s, seed=99)
+    a = sgld_sample(init, grad, s, seed=(99,))
+    b = sgld_sample(init, grad, s, seed=(99,))
     np.testing.assert_array_equal(a, b)
-    c = sgld_sample(init, grad, s, seed=100)
+    c = sgld_sample(init, grad, s, seed=(100,))
     assert np.any(c != a)
 
 
@@ -104,8 +104,8 @@ def test_chain_permutation_equivariance():
     perm = rng.permutation(10)
     grad = lambda z: z * 0.3
     s = SgldSchedule(8, (0.1, 0.05), (0.2, 0.1))
-    base = sgld_sample(init, grad, s, seed=7, chain_ids=ids)
-    shuffled = sgld_sample(init[perm], grad, s, seed=7, chain_ids=ids[perm])
+    base = sgld_sample(init, grad, s, seed=(7,), chain_ids=ids)
+    shuffled = sgld_sample(init[perm], grad, s, seed=(7,), chain_ids=ids[perm])
     np.testing.assert_array_equal(shuffled, base[perm])
 
 
@@ -114,9 +114,9 @@ def test_batch_partition_independence():
     init = rng.standard_normal((12, 2))
     grad = lambda z: np.tanh(z)
     s = SgldSchedule(10, (0.05, 0.01), (0.1, 0.02))
-    whole = sgld_sample(init, grad, s, seed=8, chain_ids=np.arange(12))
-    first = sgld_sample(init[:5], grad, s, seed=8, chain_ids=np.arange(5))
-    rest = sgld_sample(init[5:], grad, s, seed=8, chain_ids=np.arange(5, 12))
+    whole = sgld_sample(init, grad, s, seed=(8,), chain_ids=np.arange(12))
+    first = sgld_sample(init[:5], grad, s, seed=(8,), chain_ids=np.arange(5))
+    rest = sgld_sample(init[5:], grad, s, seed=(8,), chain_ids=np.arange(5, 12))
     np.testing.assert_array_equal(np.vstack([first, rest]), whole)
 
 
@@ -127,7 +127,7 @@ def test_gradient_callback_called_exactly_t_times():
         calls.append(z.shape)
         return np.zeros_like(z)
 
-    sgld_sample(np.zeros((16, 2)), grad, constant_schedule(20, 0.1), seed=9)
+    sgld_sample(np.zeros((16, 2)), grad, constant_schedule(20, 0.1), seed=(9,))
     assert calls == [(16, 2)] * 20
 
 
@@ -141,7 +141,7 @@ def test_divergence_reports_step_and_chain():
     init = np.zeros((5, 2))
     init[3, 0] = 1.0
     with pytest.raises(ComputationError, match="^non-finite gradient at step 0, chain 3$"):
-        sgld_sample(init, grad, constant_schedule(10, 0.1), seed=10)
+        sgld_sample(init, grad, constant_schedule(10, 0.1), seed=(10,))
 
 
 def test_divergence_names_the_chain_id_not_the_row():
@@ -151,7 +151,7 @@ def test_divergence_names_the_chain_id_not_the_row():
         return g
 
     with pytest.raises(ComputationError, match="chain 7$"):
-        sgld_sample(np.zeros((2, 2)), grad, constant_schedule(3, 0.1), seed=0,
+        sgld_sample(np.zeros((2, 2)), grad, constant_schedule(3, 0.1), seed=(0,),
                     chain_ids=[5, 7])
 
 
@@ -205,7 +205,7 @@ def test_unit_noise_moments():
     # one step at beta = 1 from zero with zero gradient leaves exactly the noise;
     # bounds are about 4 standard errors at n = 4096 (1/sqrt(n) = 0.016)
     s = SgldSchedule(1, (1.0, 1.0), (1.0, 1.0))
-    eps = sgld_sample(np.zeros((4096, 8)), np.zeros_like, s, seed=18)
+    eps = sgld_sample(np.zeros((4096, 8)), np.zeros_like, s, seed=(18,))
     assert np.abs(eps.mean(axis=0)).max() < 0.06
     assert np.abs(eps.var(axis=0) - 1.0).max() < 0.09
     corr = np.corrcoef(eps, rowvar=False)
@@ -217,7 +217,7 @@ def test_memory_does_not_grow_with_steps():
     init = np.zeros((256, 512))
     tracemalloc.start()
     try:
-        sgld_sample(init, np.zeros_like, constant_schedule(200, 0.1), seed=19)
+        sgld_sample(init, np.zeros_like, constant_schedule(200, 0.1), seed=(19,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -233,4 +233,4 @@ def test_memory_does_not_grow_with_steps():
 ], ids=["negative-id", "float-ids", "bool-ids", "empty-init", "duplicate-ids"])
 def test_bad_chain_ids_and_empty_init_rejected(init, ids):
     with pytest.raises(ValueError):
-        sgld_sample(init, np.zeros_like, constant_schedule(2, 0.1), seed=20, chain_ids=ids)
+        sgld_sample(init, np.zeros_like, constant_schedule(2, 0.1), seed=(20,), chain_ids=ids)

@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from energy_ood.featurestore import ComputationError
+from energy_ood.featurestore import ComputationError, save_scores
 from energy_ood.mog import gaussian_energy
 from energy_ood.tensorio import load_tensor
 from energy_ood.toy import (
@@ -12,7 +12,6 @@ from energy_ood.toy import (
     energy_grid,
     gen_toy,
     save_grid_csv,
-    save_grid_tensor,
 )
 
 
@@ -184,7 +183,7 @@ def test_grid_csv_and_tensor_export(tmp_path):
     grid = energy_grid(fn, (-1, 1, -1, 1), 4)
     csv_path, tensor_path = tmp_path / "g.csv", tmp_path / "g.ftsr"
     save_grid_csv(csv_path, grid)
-    save_grid_tensor(tensor_path, grid)
+    save_scores(tensor_path, grid.values)
 
     with csv_path.open(newline="") as fh:
         rows = list(csv.DictReader(fh))

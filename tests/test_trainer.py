@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import warnings
 from dataclasses import replace
@@ -10,8 +11,7 @@ from energy_ood.detectors import score_correction, score_energy_logits, score_ms
 from energy_ood.energy_net import EnergyMlp, mlp_energy, mlp_from_entries, mlp_grad_input, \
     mlp_grad_params, mlp_init
 from energy_ood.featurestore import ComputationError, FeatureSet, minibatch_indices
-from energy_ood.mog import GaussianMixture, fit_mog, gaussian_energy, gaussian_energy_grad, \
-    mixture_entries
+from energy_ood.mog import GaussianMixture, fit_mog, gaussian_energy_grad, mixture_entries
 from energy_ood.sgld import SgldSchedule, sgld_init, sgld_sample
 from energy_ood.tensorio import read_archive, write_archive
 from energy_ood.toy import ToySpec, gen_toy
@@ -378,8 +378,8 @@ def test_ebm_archive_round_trip(tmp_path):
     np.testing.assert_array_equal(score_correction(loaded, z), mlp_energy(model.net, z) / 0.5)
 
 
-def test_correction_archive_without_temperature_loads_at_one(tmp_path):
-    # archives written before net_temperature was stored were always scored at 1.0
+def test_correction_archive_without_temperature_is_refused(tmp_path):
+    # no archive is read at a temperature it does not hold
     fs = two_class_fs(seed=16)
     model = CorrectionModel(mlp_init([2, 4, 1], np.random.default_rng(17)),
                             fit_mog(fs, temperature=1.0))
@@ -388,11 +388,9 @@ def test_correction_archive_without_temperature_loads_at_one(tmp_path):
     entries = read_archive(path)
     del entries["net_temperature"]
     write_archive(path, entries)
-    kind, loaded = load_model(path)
-    assert kind == "correction" and loaded.net_temperature == 1.0
-    z = fs.features[:20]
-    np.testing.assert_array_equal(score_correction(loaded, z),
-                                  mlp_energy(model.net, z) + gaussian_energy(model.gm, z))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: archive has no "
+                                         f"'net_temperature' entry$"):
+        load_model(path)
 
 
 def test_archive_with_entries_no_loader_reads_is_refused(tmp_path):
@@ -474,7 +472,7 @@ def test_sgld_end_states_with_float32_network_gradient_track_float64():
     schedule = SgldSchedule(20, (1e-2, 1e-3), (1e-2, 1e-3))
     init = rng.standard_normal((64, 2))
     ends = [sgld_sample(init, lambda z, n=n: mlp_grad_input(n, z).astype(np.float64),
-                        schedule, seed=5)
+                        schedule, seed=(5,))
             for n in (net, float32_copy(net))]
     moved = np.abs(ends[0] - init).max()
     assert moved > 1e-2
